@@ -53,6 +53,14 @@ def _threads(args) -> int:
     return max(1, args.threads)
 
 
+def _checked(key: str, build):
+    """Call ``build``; a ValueError from it is a rejected argument (exit 2)."""
+    try:
+        return build()
+    except ValueError as exc:
+        raise ConfigError(key, str(exc)) from None
+
+
 def _write_manifest(args, extra: dict | None = None) -> None:
     if not getattr(args, "manifest_out", None):
         return
@@ -153,7 +161,6 @@ def cmd_match(args) -> int:
 
 
 def cmd_resample(args) -> int:
-    pool = load_cohort(getattr(args, "in"))
     spec = PopulationSpec(
         n_pos=args.n_pos,
         n_neg=args.n_neg,
@@ -162,6 +169,8 @@ def cmd_resample(args) -> int:
         equalize_age=not args.no_equalize_age,
         seed=args.seed or 0,
     )
+    _checked("resample", spec.validate)
+    pool = load_cohort(getattr(args, "in"))
     out, report = resample_general_population(pool, spec)
     write_cohort(out, args.out)
     if args.report:
@@ -257,6 +266,12 @@ def cmd_utility(args) -> int:
 
 
 def _probe_inputs(args) -> tuple[Cohort, WeakProbeConfig]:
+    cfg = _checked("probe", lambda: WeakProbeConfig(
+        k_max=args.kmax,
+        calibration_uar_threshold=args.threshold,
+        seed=args.seed or 0,
+        distance=args.distance,
+    ))
     matched = _load_scored_cohort(args.matched, args.features)
     if args.scores:
         score_map = _read_score_map(args.scores)
@@ -264,12 +279,6 @@ def _probe_inputs(args) -> tuple[Cohort, WeakProbeConfig]:
             records=tuple(r.with_score(score_map[r.id]) for r in matched.records),
             manifest=matched.manifest,
         )
-    cfg = WeakProbeConfig(
-        k_max=args.kmax,
-        calibration_uar_threshold=args.threshold,
-        seed=args.seed or 0,
-        distance=args.distance,
-    )
     return matched, cfg
 
 

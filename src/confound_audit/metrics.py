@@ -4,8 +4,11 @@ ROC machinery uses the Mann-Whitney pairwise definition of AUC throughout:
 ties between a positive and a negative score count one half. Confidence
 intervals come in two flavours, the Hanley-McNeil normal approximation and
 the DeLong structural-components estimator; the latter also powers the paired
-two-classifier test. Small-sample Mann-Whitney p-values can be computed by
-exhaustive enumeration of rank arrangements.
+two-classifier test. Every rank statistic is built from midranks
+(``scipy.stats.rankdata``), so AUCs, DeLong placements and U statistics are
+exact half-integer counts divided once, in O(N log N). Small-sample
+Mann-Whitney p-values are exact: size-m subsets of the pooled midranks are
+counted by their rank sum.
 
 All functions are pure and deterministic; nothing here consumes an RNG.
 """
@@ -14,10 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
-from scipy.stats import norm
+from scipy.stats import norm, rankdata
 
 from .errors import (
     DegenerateTable,
@@ -47,6 +49,8 @@ class ScoredLabels:
             raise ValueError("scores and labels must be equal-length 1-D sequences")
         if not np.all((labels == 0) | (labels == 1)):
             raise ValueError("labels must be binary")
+        if np.isnan(scores).any():
+            raise ValueError("scores must not be NaN")
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "labels", labels)
 
@@ -112,30 +116,13 @@ def roc_curve(data: ScoredLabels) -> RocCurve:
     )
 
 
-def _midranks(x: np.ndarray) -> np.ndarray:
-    """Midranks (1-based; ties share the average rank)."""
-    order = np.argsort(x, kind="stable")
-    z = x[order]
-    n = x.size
-    ranks = np.empty(n)
-    i = 0
-    while i < n:
-        j = i
-        while j < n and z[j] == z[i]:
-            j += 1
-        ranks[i:j] = 0.5 * (i + j - 1) + 1.0
-        i = j
-    out = np.empty(n)
-    out[order] = ranks
-    return out
-
-
 def auc(data: ScoredLabels) -> float:
-    """Mann-Whitney AUC: mean over all (pos, neg) pairs of 1[p>n] + 0.5*1[p=n]."""
+    """Mann-Whitney AUC: mean over all (pos, neg) pairs of 1[p>n] + 0.5*1[p=n],
+    from the positives' midrank sum."""
     data.require_both_classes()
     m = data.pos.size
     n = data.neg.size
-    ranks = _midranks(data.scores)
+    ranks = rankdata(data.scores)
     rank_sum = float(np.sum(ranks[data.labels == 1]))
     return (rank_sum - m * (m + 1) / 2.0) / (m * n)
 
@@ -145,20 +132,18 @@ def _psi_components(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray,
 
     v_pos[i] = mean_j psi(pos_i, neg_j) and v_neg[j] = mean_i psi(pos_i, neg_j)
     with psi = 1, 1/2, 0 for >, =, <; both means equal the AUC.
+
+    Placements come from midranks (Sun & Xu 2014): a score's pooled midrank
+    minus its midrank within its own class is the number of other-class
+    scores below it plus half the number tied with it. That half-integer
+    count is exact, so each component is one division, in O(N log N).
     """
-    pos = scores[labels == 1]
-    neg = scores[labels == 0]
-    v_pos = np.zeros(pos.size)
-    v_neg = np.zeros(neg.size)
-    chunk = max(1, int(2_000_000 / max(1, neg.size)))
-    for start in range(0, pos.size, chunk):
-        block = pos[start : start + chunk, None]
-        psi = (block > neg[None, :]).astype(float)
-        psi += 0.5 * (block == neg[None, :])
-        v_pos[start : start + chunk] = psi.mean(axis=1)
-        v_neg += psi.sum(axis=0)
-    v_neg /= pos.size
-    return v_pos, v_neg
+    is_pos = labels == 1
+    pooled = rankdata(scores)
+    neg_below_pos = pooled[is_pos] - rankdata(scores[is_pos])
+    pos_below_neg = pooled[~is_pos] - rankdata(scores[~is_pos])
+    m, n = neg_below_pos.size, pos_below_neg.size
+    return neg_below_pos / n, (m - pos_below_neg) / m
 
 
 @dataclass(frozen=True)
@@ -329,45 +314,44 @@ def table_2x2_stats(joint) -> TableStats:
                       specificity=float(specificity), auc=float(auc_val))
 
 
-def _u_statistic(pos: np.ndarray, neg: np.ndarray) -> float:
-    ranks = _midranks(np.concatenate([pos, neg]))
-    m = pos.size
-    return float(np.sum(ranks[:m]) - m * (m + 1) / 2.0)
-
-
 def mwu_test(pos_scores, neg_scores, mode: str = "normal") -> dict:
-    """Two-sided Mann-Whitney U test.
+    """Two-sided Mann-Whitney U test; U is the positives' midrank sum minus
+    m(m+1)/2.
 
-    exact: enumerate every assignment of the pooled values to the positive
-    group (limited to m+n <= 20); the p-value is the probability of a U at
-    least as far from mn/2 as observed. normal: tie-corrected normal
+    exact: the p-value is the share of all C(m+n, m) assignments of the
+    pooled midranks to the positive group whose U lies at least as far from
+    mn/2 as observed (limited to m+n <= 20). Doubled midranks are integers,
+    so the assignments are counted by doubled rank sum with a subset-sum
+    recursion instead of being enumerated. normal: tie-corrected normal
     approximation with continuity correction.
     """
     pos = np.asarray(pos_scores, dtype=float)
     neg = np.asarray(neg_scores, dtype=float)
     if pos.size == 0 or neg.size == 0:
         raise EmptyGroup("both groups must be nonempty")
+    if np.isnan(pos).any() or np.isnan(neg).any():
+        raise ValueError("scores must not be NaN")
     m, n = pos.size, neg.size
-    u_obs = _u_statistic(pos, neg)
+    pooled = np.concatenate([pos, neg])
+    ranks = rankdata(pooled)
+    base = m * (m + 1) / 2.0
+    u_obs = float(np.sum(ranks[:m]) - base)
 
     if mode == "exact":
         if m + n > EXACT_MWU_LIMIT:
             raise TooLargeForExact(f"exact mode limited to {EXACT_MWU_LIMIT} total samples")
-        pooled = np.concatenate([pos, neg])
-        ranks = _midranks(pooled)
-        dev_obs = abs(u_obs - m * n / 2.0)
-        hits = 0
-        total = 0
-        base = m * (m + 1) / 2.0
-        for idx in combinations(range(m + n), m):
-            u = float(ranks[list(idx)].sum()) - base
-            total += 1
-            if abs(u - m * n / 2.0) >= dev_obs - 1e-12:
-                hits += 1
-        return {"u": u_obs, "p": hits / total}
+        doubled = (2.0 * ranks).astype(int)
+        # counts[k, s]: subsets of k pooled records whose doubled ranks sum to s
+        counts = np.zeros((m + 1, int(doubled.sum()) + 1), dtype=np.int64)
+        counts[0, 0] = 1
+        for r in doubled:
+            counts[1:, r:] = counts[1:, r:] + counts[:-1, :-r]
+        u = np.arange(counts.shape[1]) / 2.0 - base
+        far = np.abs(u - m * n / 2.0) >= abs(u_obs - m * n / 2.0) - 1e-12
+        hits = int(counts[m, far].sum())
+        return {"u": u_obs, "p": hits / math.comb(m + n, m)}
 
     if mode == "normal":
-        pooled = np.concatenate([pos, neg])
         total = m + n
         _, tie_counts = np.unique(pooled, return_counts=True)
         tie_term = float(np.sum(tie_counts.astype(float) ** 3 - tie_counts))

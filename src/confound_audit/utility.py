@@ -115,8 +115,10 @@ def default_pi_grid(pi_max: float = 0.1, n: int = 101) -> np.ndarray:
 def max_eu_curve(roc: RocCurve, params: UtilityParams, pi_grid=None) -> list[MaxEuPoint]:
     """Point-wise maximum expected utility over a curve's operating points.
 
-    Ties in EU resolve toward the higher-specificity point (fewer false
-    positives).
+    At each prevalence the pick is the point of highest EU; ties in EU go to
+    the higher-specificity point (fewer false positives), and remaining ties
+    to the first point in curve order. Sensitivities and specificities must
+    lie in [0, 1].
     """
     if roc.thresholds.size == 0:
         raise EmptyCurve("ROC curve has no operating points")
@@ -125,11 +127,15 @@ def max_eu_curve(roc: RocCurve, params: UtilityParams, pi_grid=None) -> list[Max
     u = utility_matrix(params)
     sens = roc.sensitivities
     spec = roc.specificities
+    for name, values in (("sens", sens), ("spec", spec)):
+        if not np.all((values >= 0.0) & (values <= 1.0)):
+            raise OutOfRange(f"every {name} must lie in [0, 1]")
     out: list[MaxEuPoint] = []
     for pi in np.asarray(pi_grid, dtype=float):
         _check_unit("pi", pi)
         eu = pi * ((u.u11 - u.u01) * sens + u.u01) + (1.0 - pi) * ((u.u00 - u.u10) * spec + u.u10)
-        best = max(range(eu.size), key=lambda i: (eu[i], spec[i]))
+        # argmax returns the first index among equal maxima
+        best = int(np.argmax(np.where(eu == eu.max(), spec, -np.inf)))
         out.append(
             MaxEuPoint(
                 pi=float(pi),

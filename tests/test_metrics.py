@@ -358,6 +358,17 @@ def test_mwu_empty_group():
         mwu_test([], [1.0])
 
 
+def test_nan_scores_rejected():
+    # a record without a score reaches the metrics as NaN; ranking NaN used to loop forever
+    cohort = make_cohort([make_record(0, label=1, score=0.7), make_record(1, label=0, score=None),
+                          make_record(2, label=0, score=0.2)])
+    with pytest.raises(ValueError, match="NaN"):
+        ScoredLabels(cohort.scores(), cohort.labels())
+    for mode in ("normal", "exact"):
+        with pytest.raises(ValueError, match="NaN"):
+            mwu_test([0.7, math.nan], [0.2], mode=mode)
+
+
 def test_mwu_normal_close_to_exact():
     # continuous fixtures: the approximation degrades only under heavy ties,
     # where the exact distribution itself is coarse

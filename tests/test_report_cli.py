@@ -229,6 +229,23 @@ def test_cli_invalid_config_key_exit_2(tmp_path, capsys):
     assert "n_treees" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["resample", "--n-pos", "0", "--n-neg", "50"],
+    ["resample", "--n-pos", "50", "--n-neg", "50", "--p-sym-neg", "1.5"],
+    ["probe", "nn", "--threshold", "0.3"],
+    ["probe", "weak", "--kmax", "0"],
+])
+def test_cli_rejected_arguments_exit_2(tmp_path, capsys, argv):
+    pool = tmp_path / "pool.csv"
+    _write_pool(pool, n=60)
+    inputs = ["--in", str(pool)] if argv[0] == "resample" else ["--matched", str(pool)]
+    code = main(argv + inputs + ["--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_cli_runtime_error_exit_1(tmp_path, capsys):
     code = main(["match", "--in", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "m.csv")])
     assert code == 1

@@ -169,6 +169,16 @@ def test_max_eu_tie_breaks_toward_specificity():
     assert points[0].specificity == 1.0
 
 
+@pytest.mark.parametrize("field", ["sensitivities", "specificities"])
+@pytest.mark.parametrize("bad", [np.nan, 1.5, -0.1])
+def test_max_eu_rejects_rates_outside_unit_interval(field, bad):
+    curve = _toy_curve()
+    values = getattr(curve, field).copy()
+    values[1] = bad
+    with pytest.raises(OutOfRange):
+        max_eu_curve(RocCurve(**{**vars(curve), field: values}), UtilityParams(1.5, 0.2, 0.0))
+
+
 def test_default_grid_shape():
     grid = default_pi_grid()
     assert grid.size == 101
