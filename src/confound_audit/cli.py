@@ -2,8 +2,7 @@
 
 Subcommands: synth, match, resample, eval, utility, probe weak, probe nn,
 baseline train, baseline predict, report. Exit codes: 0 success, 1 runtime
-error, 2 configuration error. The CONFOUND_AUDIT_THREADS environment variable
-overrides --threads.
+error, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 import numpy as np
@@ -25,7 +23,7 @@ from .cohort import (
     write_cohort,
     write_features,
 )
-from .errors import ConfigError, ConfoundAuditError
+from .errors import ConfigError, ConfoundAuditError, MissingColumn, MissingScore
 from .forest import (
     DEFAULT_SYMPTOM_PREDICTORS,
     build_encoding,
@@ -41,16 +39,6 @@ from .probes import WeakProbeConfig, make_calibration_cohort, nn_substitute, wea
 from .resample import PopulationSpec, resample_general_population
 from .synth import SynthConfig, enrol, generate_population
 from .utility import UtilityParams, default_pi_grid, max_eu_curve
-
-
-def _threads(args) -> int:
-    env = os.environ.get("CONFOUND_AUDIT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError("CONFOUND_AUDIT_THREADS", f"not an integer: {env!r}") from None
-    return max(1, args.threads)
 
 
 def _checked(key: str, build):
@@ -123,13 +111,14 @@ def cmd_synth(args) -> int:
         with open(args.truth, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["id", "label", "any_symptom", "latent_signal", "enrolled"])
+            enrolled = set(cohort.ids())
             for sr in population:
                 writer.writerow([
                     sr.record.id,
                     sr.record.label,
                     int(sr.record.symptoms.any_symptom),
                     repr(sr.latent_signal),
-                    int(sr.enrolled),
+                    int(sr.record.id in enrolled),
                 ])
     _write_manifest(args, {"n_enrolled": len(cohort)})
     print(f"enrolled {len(cohort)} of {cfg.n_population} -> {args.out}")
@@ -137,7 +126,8 @@ def cmd_synth(args) -> int:
 
 
 def _match_spec(args) -> MatchSpec:
-    if args.covariates:
+    """Strata for ``match`` and ``eval --stratified``; ``--preset train`` drops the channel."""
+    if getattr(args, "covariates", None):
         covs = tuple(args.covariates.split(","))
     else:
         covs = TEST_SET if args.preset == "test" else TRAIN_SET
@@ -190,6 +180,8 @@ def cmd_resample(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if not (0.0 < args.fdr < 1.0):
+        raise ConfigError("fdr", "must lie in (0, 1)")
     cohort = _load_scored_cohort(getattr(args, "in"), args.features)
     cohort, _ = validate_cohort(cohort)
     scores = cohort.scores()
@@ -218,12 +210,7 @@ def cmd_eval(args) -> int:
     if "uar" in wanted:
         result["uar"] = uar((scores >= args.threshold).astype(int), labels)
     if args.stratified:
-        spec = MatchSpec(
-            covariates=TEST_SET if args.preset == "test" else TRAIN_SET,
-            include_channel=not args.no_channel,
-            seed=args.seed or 0,
-        )
-        strata = stratified_auc(cohort, spec, min_per_class=args.min_per_class, q=args.fdr)
+        strata = stratified_auc(cohort, _match_spec(args), min_per_class=args.min_per_class, q=args.fdr)
         result["strata"] = [
             {
                 "key": list(map(str, s.key)),
@@ -249,6 +236,9 @@ def cmd_utility(args) -> int:
         rows = list(csv.DictReader(fh))
     if not rows:
         raise ConfoundAuditError("empty ROC file")
+    for column in ("threshold", "sensitivity", "specificity"):
+        if column not in rows[0]:
+            raise MissingColumn(column)
     thresholds = np.array([float(r["threshold"]) for r in rows])
     sens = np.array([float(r["sensitivity"]) for r in rows])
     spec = np.array([float(r["specificity"]) for r in rows])
@@ -275,6 +265,9 @@ def _probe_inputs(args) -> tuple[Cohort, WeakProbeConfig]:
     matched = _load_scored_cohort(args.matched, args.features)
     if args.scores:
         score_map = _read_score_map(args.scores)
+        missing = next((r.id for r in matched.records if r.id not in score_map), None)
+        if missing is not None:
+            raise MissingScore(missing)
         matched = Cohort(
             records=tuple(r.with_score(score_map[r.id]) for r in matched.records),
             manifest=matched.manifest,
@@ -313,15 +306,15 @@ def cmd_probe_nn(args) -> int:
 
 
 def cmd_baseline_train(args) -> int:
+    if args.n_trees < 1:
+        raise ConfigError("n-trees", "must be >= 1")
     train = _load_scored_cohort(getattr(args, "in"), args.features)
     train, _ = validate_cohort(train)
     predictors = tuple(args.predictors.split(",")) if args.predictors else DEFAULT_SYMPTOM_PREDICTORS
     if args.hybrid:
         predictors = predictors + ("audio_score",)
     encoding = build_encoding(train, predictors)
-    model = train_symptoms_model(
-        train, encoding=encoding, n_trees=args.n_trees, seed=args.seed or 0, threads=_threads(args)
-    )
+    model = train_symptoms_model(train, encoding=encoding, n_trees=args.n_trees, seed=args.seed or 0)
     with open(args.model, "w", encoding="utf-8") as fh:
         fh.write(model_to_json(model))
         fh.write("\n")
@@ -352,7 +345,6 @@ def cmd_report(args) -> int:
                 data = json.load(fh)
         if args.seed is not None:
             data["seed"] = args.seed
-        data.setdefault("threads", _threads(args))
         bundle = run_pipeline(RunConfig.from_dict(data))
     outdir = args.out_dir
     bundle.write(outdir)
@@ -374,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--manifest-out", default=None)
 
     p = sub.add_parser("synth", help="generate a synthetic cohort")

@@ -180,37 +180,34 @@ def _parse_bool(raw: str, row: int, column: str) -> bool | None:
     raise BadValue(row, column, raw)
 
 
-def load_cohort(path: str, schema: dict[str, str] | None = None) -> Cohort:
+def load_cohort(path: str) -> Cohort:
     """Read a participants CSV into a cohort.
 
-    ``schema`` maps canonical column names to the file's actual headers; any
-    unmapped extra header becomes an ``other_covariates`` entry. Empty cells
-    in optional columns yield missing values (to be handled by
-    :func:`validate_cohort`); malformed non-empty cells raise ``BadValue``
-    with the 1-based data row number.
+    Any header outside ``CSV_COLUMNS`` becomes an ``other_covariates``
+    entry. Empty cells in optional columns yield missing values (to be
+    handled by :func:`validate_cohort`); malformed non-empty cells raise
+    ``BadValue`` with the 1-based data row number.
     """
-    schema = schema or {}
-    col_of = {canon: schema.get(canon, canon) for canon in CSV_COLUMNS}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
-        for canon in ("id", "label", "age_years", "gender", "channel") + SYMPTOM_FIELDS:
-            if col_of[canon] not in header:
-                raise MissingColumn(canon)
-        has_score = col_of["score"] in header
-        extra_cols = [h for h in header if h not in col_of.values()]
+        for column in ("id", "label", "age_years", "gender", "channel") + SYMPTOM_FIELDS:
+            if column not in header:
+                raise MissingColumn(column)
+        has_score = "score" in header
+        extra_cols = [h for h in header if h not in CSV_COLUMNS]
 
         records: list[ParticipantRecord] = []
         seen: set[str] = set()
         for i, row in enumerate(reader, start=1):
-            rid = (row[col_of["id"]] or "").strip()
+            rid = (row["id"] or "").strip()
             if not rid:
-                raise BadValue(i, "id", row[col_of["id"]])
+                raise BadValue(i, "id", row["id"])
             if rid in seen:
                 raise DuplicateId(rid)
             seen.add(rid)
 
-            raw_label = (row[col_of["label"]] or "").strip()
+            raw_label = (row["label"] or "").strip()
             if raw_label == "":
                 label: int | None = None
             elif raw_label in ("0", "1"):
@@ -218,7 +215,7 @@ def load_cohort(path: str, schema: dict[str, str] | None = None) -> Cohort:
             else:
                 raise BadValue(i, "label", raw_label)
 
-            raw_age = (row[col_of["age_years"]] or "").strip()
+            raw_age = (row["age_years"] or "").strip()
             if raw_age == "":
                 age: int | None = None
             else:
@@ -227,22 +224,22 @@ def load_cohort(path: str, schema: dict[str, str] | None = None) -> Cohort:
                 except ValueError:
                     raise BadValue(i, "age_years", raw_age) from None
 
-            gender = (row[col_of["gender"]] or "").strip().lower()
+            gender = (row["gender"] or "").strip().lower()
             if gender not in GENDERS:
                 gender = "other"
-            channel = (row[col_of["channel"]] or "").strip()
+            channel = (row["channel"] or "").strip()
             if channel not in CHANNELS:
                 raise BadValue(i, "channel", channel)
 
             flags = {}
             for f in SYMPTOM_FIELDS:
-                flags[f] = _parse_bool(row[col_of[f]] or "", i, f)
+                flags[f] = _parse_bool(row[f] or "", i, f)
             missing_flags = [f for f, v in flags.items() if v is None]
             symptoms = SymptomProfile(**{f: bool(v) for f, v in flags.items() if v is not None})
 
             score: float | None = None
             if has_score:
-                raw_score = (row[col_of["score"]] or "").strip()
+                raw_score = (row["score"] or "").strip()
                 if raw_score != "":
                     try:
                         score = float(raw_score)
@@ -398,7 +395,6 @@ def validate_cohort(cohort: Cohort, filters: FilterSpec | None = None) -> tuple[
 class SplitSpec:
     train_fraction: float
     seed: int
-    disjointness: str = "participant"
 
 
 def split_cohort(cohort: Cohort, spec: SplitSpec) -> tuple[Cohort, Cohort]:

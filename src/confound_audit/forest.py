@@ -14,7 +14,6 @@ same ensemble with the audio score appended as one more numeric predictor.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -252,13 +251,13 @@ class TreeEnsemble:
         return out / len(self.trees)
 
 
-def fit_forest(x: np.ndarray, y: np.ndarray, n_trees: int = 100, seed: int = 0,
-               threads: int = 1) -> TreeEnsemble:
+def fit_forest(x: np.ndarray, y: np.ndarray, n_trees: int = 100, seed: int = 0) -> TreeEnsemble:
     """Fit the bagging ensemble on a design matrix.
 
-    Per-tree RNG streams are derived from (seed, tree index), so results are
-    independent of the parallel schedule.
+    Per-tree RNG streams are derived from (seed, tree index).
     """
+    if n_trees < 1:
+        raise ValueError("n_trees must be >= 1")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=int)
     if not ((y == 1).any() and (y == 0).any()):
@@ -274,11 +273,7 @@ def fit_forest(x: np.ndarray, y: np.ndarray, n_trees: int = 100, seed: int = 0,
         oob_mask[boot] = False
         return tree, oob_mask
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_tree, range(n_trees)))
-    else:
-        results = [one_tree(t) for t in range(n_trees)]
+    results = [one_tree(t) for t in range(n_trees)]
 
     trees = [tree for tree, _ in results]
     oob_sum = np.zeros(n)
@@ -301,7 +296,6 @@ def train_symptoms_model(
     predictors=DEFAULT_SYMPTOM_PREDICTORS,
     n_trees: int = 100,
     seed: int = 0,
-    threads: int = 1,
 ) -> TreeEnsemble:
     """Fit the symptoms/demographics baseline on a cohort."""
     if encoding is None:
@@ -310,7 +304,7 @@ def train_symptoms_model(
     y = train.labels()
     if (y == -1).any():
         raise EncodingMismatch("training cohort has unlabelled records")
-    model = fit_forest(x, y, n_trees=n_trees, seed=seed, threads=threads)
+    model = fit_forest(x, y, n_trees=n_trees, seed=seed)
     model.encoding = encoding
     return model
 

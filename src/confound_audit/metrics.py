@@ -274,9 +274,6 @@ class TableStats:
     specificity: float
     auc: float
 
-    def mi_bits(self) -> float:
-        return self.mi / math.log(2.0)
-
 
 def table_2x2_stats(joint) -> TableStats:
     """Statistics of a 2x2 predictor-by-label table.

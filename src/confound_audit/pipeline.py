@@ -49,12 +49,11 @@ _SYNTH_DEFAULTS = dict(
 class RunConfig:
     pipeline: str = "bias-demo"
     seed: int = 0
-    threads: int = 1
     out_dir: str = "report"
     n_trees: int = 50
     synth: dict = field(default_factory=dict)
     utility: dict = field(default_factory=dict)  # r_t, epsilon, delta, pi_max
-    probe: dict = field(default_factory=dict)  # k_max, calibration_uar_threshold, distance
+    probe: dict = field(default_factory=dict)  # WeakProbeConfig fields except seed
     metrics: dict = field(default_factory=dict)  # min_per_class, fdr
 
     def to_dict(self) -> dict:
@@ -62,11 +61,18 @@ class RunConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "RunConfig":
-        known = {f.name for f in RunConfig.__dataclass_fields__.values()}
+        # Manifests written before the serial-only forest carry "threads";
+        # it never changed an output, so replaying them ignores it.
+        data = {k: v for k, v in data.items() if k != "threads"}
         for key in data:
-            if key not in known:
+            if key not in RunConfig.__dataclass_fields__:
                 raise ConfigError(key)
         cfg = RunConfig(**data)
+        if cfg.n_trees < 1:
+            raise ConfigError("n_trees", "must be >= 1")
+        for section in ("synth", "probe"):
+            if "seed" in getattr(cfg, section):
+                raise ConfigError(f"{section}.seed", "the run seed sets it; use the top-level seed")
         for key in cfg.synth:
             if key not in SynthConfig.__dataclass_fields__:
                 raise ConfigError(f"synth.{key}")
@@ -76,6 +82,10 @@ class RunConfig:
         for key in cfg.probe:
             if key not in WeakProbeConfig.__dataclass_fields__:
                 raise ConfigError(f"probe.{key}")
+        try:
+            WeakProbeConfig(**cfg.probe)
+        except ValueError as exc:
+            raise ConfigError("probe", str(exc)) from None
         for key in cfg.metrics:
             if key not in ("min_per_class", "fdr"):
                 raise ConfigError(f"metrics.{key}")
@@ -95,10 +105,6 @@ def _any_symptom_table(cohort: Cohort) -> list[list[int]]:
     return t
 
 
-def _scores_map(cohort: Cohort, scores: np.ndarray) -> dict[str, float]:
-    return {r.id: float(s) for r, s in zip(cohort.records, scores)}
-
-
 def bias_demo(cfg: RunConfig) -> ReportBundle:
     synth_cfg = SynthConfig(**{**_SYNTH_DEFAULTS, **cfg.synth, "seed": cfg.seed})
     enrolled, _pop = generate_cohort(synth_cfg)
@@ -107,7 +113,7 @@ def bias_demo(cfg: RunConfig) -> ReportBundle:
     encoding = build_encoding(train, ("features",))
     model = fit_forest(
         encode_cohort(train, encoding), train.labels(),
-        n_trees=cfg.n_trees, seed=cfg.seed, threads=cfg.threads,
+        n_trees=cfg.n_trees, seed=cfg.seed,
     )
     test_scores = model.predict_matrix(encode_cohort(test, encoding))
     randomized = ScoredLabels(test_scores, test.labels())
@@ -158,12 +164,7 @@ def bias_demo(cfg: RunConfig) -> ReportBundle:
     )
     figures["strata"], tables["strata"] = emit_figure("stratified_forest", strata, reference=0.62)
 
-    probe_cfg = WeakProbeConfig(
-        k_max=cfg.probe.get("k_max", 8),
-        calibration_uar_threshold=cfg.probe.get("calibration_uar_threshold", 0.8),
-        seed=cfg.seed,
-        distance=cfg.probe.get("distance", "euclidean"),
-    )
+    probe_cfg = WeakProbeConfig(**{"k_max": 8, **cfg.probe, "seed": cfg.seed})
     calibration = make_calibration_cohort(synth_cfg.feature_dim, n_per_class=300, seed=cfg.seed)
     weak = weak_robust_curate(matched, calibration, probe_cfg)
     figures["probe"], tables["probe"] = emit_figure("weak_robust_curve", weak)

@@ -47,14 +47,13 @@ class PcaModel:
     mean: np.ndarray
     components: np.ndarray  # rows orthonormal, ordered by explained variance
     explained_variances: np.ndarray
-    fitted_on: str = "neg_only"
 
     @property
     def n_components(self) -> int:
         return self.components.shape[0]
 
 
-def pca_fit(features: np.ndarray, n_components: int, fitted_on: str = "neg_only") -> PcaModel:
+def pca_fit(features: np.ndarray, n_components: int) -> PcaModel:
     """Centered PCA via covariance eigendecomposition.
 
     Components whose variance is numerically zero are not returned: if the
@@ -95,12 +94,7 @@ def pca_fit(features: np.ndarray, n_components: int, fitted_on: str = "neg_only"
         j = int(np.argmax(np.abs(components[i])))
         if components[i, j] < 0:
             components[i] = -components[i]
-    return PcaModel(
-        mean=mean,
-        components=components,
-        explained_variances=eigvals[:k],
-        fitted_on=fitted_on,
-    )
+    return PcaModel(mean=mean, components=components, explained_variances=eigvals[:k])
 
 
 def pca_project(model: PcaModel, features: np.ndarray, k: int | None = None) -> np.ndarray:
@@ -227,26 +221,14 @@ class ProbeResult:
         }
 
 
-def _cohort_scores(cohort: Cohort, scores) -> np.ndarray:
-    if scores is None:
-        out = cohort.scores()
-        if np.isnan(out).any():
-            raise ValueError("cohort records lack scores and no score map was given")
-        return out
-    if isinstance(scores, dict):
-        return np.array([scores[r.id] for r in cohort.records], dtype=float)
-    arr = np.asarray(scores, dtype=float)
-    if arr.size != len(cohort):
-        raise ValueError("score sequence does not align with the cohort")
-    return arr
+def _cohort_scores(cohort: Cohort) -> np.ndarray:
+    out = cohort.scores()
+    if np.isnan(out).any():
+        raise ValueError("cohort records lack scores")
+    return out
 
 
-def weak_robust_curate(
-    matched: Cohort,
-    calibration: Cohort,
-    cfg: WeakProbeConfig,
-    main_scores=None,
-) -> ProbeResult:
+def weak_robust_curate(matched: Cohort, calibration: Cohort, cfg: WeakProbeConfig) -> ProbeResult:
     """Run the weak-model curation probe.
 
     For each k = 1..k_max, records are projected onto the first k principal
@@ -268,13 +250,13 @@ def weak_robust_curate(
     x = matched.feature_matrix()
     xc = calibration.feature_matrix()
     yc = calibration.labels()
-    scores = _cohort_scores(matched, main_scores)
+    scores = _cohort_scores(matched)
     ids = matched.ids()
 
     k_cap = min(cfg.k_max, x.shape[1])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RankDeficientWarning)
-        pca = pca_fit(x[y == 0], n_components=k_cap, fitted_on="neg_only")
+        pca = pca_fit(x[y == 0], n_components=k_cap)
     k_cap = pca.n_components
     z_all = pca_project(pca, x)
     z_cal = pca_project(pca, xc)
@@ -355,7 +337,7 @@ def nn_substitute(matched: Cohort, cfg: WeakProbeConfig, rescore=None) -> ProbeR
     substituted[pos_idx] = x[neg_idx[nearest]]
 
     if rescore is None:
-        pre_scores = _cohort_scores(matched, None)
+        pre_scores = _cohort_scores(matched)
         post_scores = pre_scores.copy()
         post_scores[pos_idx] = pre_scores[neg_idx[nearest]]
     else:

@@ -123,7 +123,6 @@ class SynthConfig:
 class SynthRecord:
     record: ParticipantRecord
     latent_signal: float
-    enrolled: bool = False
 
 
 def covariate_loadings(cfg: SynthConfig) -> np.ndarray:
@@ -208,6 +207,7 @@ def enrol(population: list[SynthRecord], cfg: SynthConfig) -> Cohort:
     rng = substream(cfg.seed, "enrol")
 
     if cfg.enrolment in ("symptoms_based", "random"):
+        kept = []
         for sr in population:
             if cfg.enrolment == "random":
                 p = cfg.random_p
@@ -220,14 +220,14 @@ def enrol(population: list[SynthRecord], cfg: SynthConfig) -> Cohort:
                     else cfg.w_sym_neg if sym
                     else cfg.w_asym_neg
                 )
-            sr.enrolled = bool(rng.random() < p)
-        records = tuple(sr.record for sr in population if sr.enrolled)
-        if not records:
+            if rng.random() < p:
+                kept.append(sr.record)
+        if not kept:
             raise EmptyEnrolment("no individual enrolled")
         manifest = make_manifest(
-            f"synth(seed={cfg.seed})", step="enrol", mode=cfg.enrolment, n=len(records)
+            f"synth(seed={cfg.seed})", step="enrol", mode=cfg.enrolment, n=len(kept)
         )
-        return Cohort(records=records, manifest=manifest)
+        return Cohort(records=tuple(kept), manifest=manifest)
 
     # matched enrolment: balance within strata of the full population
     full = Cohort(
@@ -239,9 +239,6 @@ def enrol(population: list[SynthRecord], cfg: SynthConfig) -> Cohort:
         matched, _report = match_exact(full, spec)
     except Exception as exc:  # EmptyResult
         raise EmptyEnrolment(str(exc)) from exc
-    kept = set(matched.ids())
-    for sr in population:
-        sr.enrolled = sr.record.id in kept
     return matched
 
 

@@ -94,12 +94,10 @@ def test_determinism_incl_bootstrap():
     assert model_to_json(a) != model_to_json(c)
 
 
-def test_threads_do_not_change_results():
-    rng = np.random.default_rng(7)
-    x, y = _noise_xy(rng)
-    a = fit_forest(x, y, n_trees=12, seed=13, threads=1)
-    b = fit_forest(x, y, n_trees=12, seed=13, threads=4)
-    assert model_to_json(a) == model_to_json(b)
+def test_zero_trees_rejected():
+    x, y = _noise_xy(np.random.default_rng(7))
+    with pytest.raises(ValueError):
+        fit_forest(x, y, n_trees=0, seed=13)
 
 
 def test_monotone_recoding_invariance_on_train():

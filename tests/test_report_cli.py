@@ -82,6 +82,35 @@ def test_pipeline_rejects_unknown_keys():
     assert "n_pop" in str(err.value)
 
 
+@pytest.mark.parametrize("data", [
+    {"synth": {"seed": 5}},
+    {"probe": {"seed": 99}},
+    {"probe": {"k_max": 0}},
+    {"n_trees": 0},
+])
+def test_pipeline_rejects_ignored_or_invalid_settings(data):
+    with pytest.raises(ConfigError):
+        RunConfig.from_dict(data)
+
+
+def test_pipeline_probe_settings_take_effect():
+    base = {"seed": 9, "n_trees": 12, "synth": {"n_population": 2500, "feature_dim": 8},
+            "metrics": {"min_per_class": 5}}
+
+    def run(probe):
+        return run_pipeline(RunConfig.from_dict({**base, "probe": probe})).tables
+
+    default = run({})
+    assert run({"k_max": 8, "calibration_uar_threshold": 0.8, "distance": "euclidean"}) == default
+    strict = run({"nn_auc_threshold": 0.999})
+    lax = run({"nn_auc_threshold": 0.0, "nn_min_distinct_fraction": 0.0})
+    assert "attribution_flag,0" in strict["nn_probe"]
+    assert "attribution_flag,1" in lax["nn_probe"]
+    assert {k: v for k, v in strict.items() if k != "nn_probe"} == {
+        k: v for k, v in default.items() if k != "nn_probe"
+    }
+
+
 # -- CLI ---------------------------------------------------------------------------
 
 
@@ -150,6 +179,8 @@ def test_cli_synth_probe_flow(tmp_path):
     truth_rows = list(csv.DictReader(open(truth)))
     assert len(truth_rows) == 2500
     assert {r["enrolled"] for r in truth_rows} == {"0", "1"}
+    enrolled = [r["id"] for r in truth_rows if r["enrolled"] == "1"]
+    assert enrolled == [r["id"] for r in csv.DictReader(open(parts))]
 
     matched = tmp_path / "matched.csv"
     assert main([
@@ -220,6 +251,15 @@ def test_cli_report_manifest_rerun_byte_identical(tmp_path):
     for name in csvs1:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    # manifests written before the forest went serial-only carry "threads"
+    old = json.load(open(manifest))
+    old["config"]["threads"] = 1
+    manifest.write_text(json.dumps(old))
+    out3 = tmp_path / "run3"
+    assert main(["report", "--manifest", str(manifest), "--out-dir", str(out3)]) == 0
+    for name in csvs1:
+        assert (out1 / name).read_bytes() == (out3 / name).read_bytes()
+
 
 def test_cli_invalid_config_key_exit_2(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
@@ -251,21 +291,37 @@ def test_cli_runtime_error_exit_1(tmp_path, capsys):
     assert code == 1
 
 
-def test_cli_env_threads_override(tmp_path, monkeypatch):
+@pytest.mark.parametrize("argv, code, message", [
+    (["baseline", "train", "--in", "{pool}", "--model", "{out}", "--n-trees", "0"], 2, "n-trees"),
+    (["eval", "--in", "{missing}", "--stratified", "--fdr", "1.5", "--out", "{out}"], 2, "fdr"),
+    (["utility", "--roc", "{pool}", "--rt", "1.5", "--eps", "0.2", "--out", "{out}"], 1, "threshold"),
+    (["probe", "nn", "--matched", "{pool}", "--scores", "{short}", "--out", "{out}"], 1, "'r7'"),
+])
+def test_cli_errors_exit_with_one_line(tmp_path, capsys, argv, code, message):
+    paths = {name: str(tmp_path / name) for name in ("pool", "short", "missing", "out")}
+    _write_pool(paths["pool"], n=60)
+    with open(paths["short"], "w", encoding="utf-8") as fh:
+        fh.write("id,score\n" + "".join(f"r{i},0.5\n" for i in range(7)))
+    assert main([a.format(**paths) for a in argv]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    assert "Traceback" not in err
+    assert not os.path.exists(paths["out"])
+
+
+def test_cli_eval_train_preset_drops_channel(tmp_path):
     pool = tmp_path / "pool.csv"
-    _write_pool(pool, n=300)
-    model = tmp_path / "model.json"
-    monkeypatch.setenv("CONFOUND_AUDIT_THREADS", "2")
-    assert main([
-        "baseline", "train", "--in", str(pool), "--model", str(model),
-        "--n-trees", "8", "--seed", "1", "--threads", "1",
-    ]) == 0
-    monkeypatch.setenv("CONFOUND_AUDIT_THREADS", "not-a-number")
-    code = main([
-        "baseline", "train", "--in", str(pool), "--model", str(model),
-        "--n-trees", "8", "--seed", "1",
-    ])
-    assert code == 2
+    _write_pool(pool, n=400)
+    keys = {}
+    for preset in ("test", "train"):
+        out = tmp_path / f"{preset}.json"
+        assert main([
+            "eval", "--in", str(pool), "--stratified", "--preset", preset,
+            "--min-per-class", "2", "--out", str(out),
+        ]) == 0
+        keys[preset] = [s["key"] for s in json.load(open(out))["strata"]]
+    assert keys["test"] and all(k[0] == "TT" for k in keys["test"])
+    assert keys["train"] and all("TT" not in k for k in keys["train"])
 
 
 def test_cli_manifest_out(tmp_path):

@@ -29,11 +29,10 @@ def test_invalid_configs():
 def test_determinism():
     cfg = SynthConfig(n_population=500, prevalence=0.3, signal_strength=1.0,
                       confounder_strength=2.0, feature_dim=5, seed=123)
-    c1, pop1 = generate_cohort(cfg)
-    c2, pop2 = generate_cohort(cfg)
+    c1, _ = generate_cohort(cfg)
+    c2, _ = generate_cohort(cfg)
     assert c1.ids() == c2.ids()
     assert np.array_equal(c1.feature_matrix(), c2.feature_matrix())
-    assert [sr.enrolled for sr in pop1] == [sr.enrolled for sr in pop2]
 
 
 def test_different_seed_differs():
@@ -116,8 +115,15 @@ def test_matched_enrolment_balances_strata_exactly():
     assert per_stratum
     for neg, pos in per_stratum.values():
         assert neg == pos
-    enrolled_ids = {sr.record.id for sr in pop if sr.enrolled}
-    assert enrolled_ids == set(cohort.ids())
+
+
+def test_second_enrolment_leaves_first_cohort_unchanged():
+    base = dict(n_population=2000, prevalence=0.3, feature_dim=2, seed=8)
+    cfg = SynthConfig(**base)
+    pop = generate_population(cfg)
+    ids = enrol(pop, cfg).ids()
+    assert enrol(pop, SynthConfig(**base, enrolment="random")).ids() != ids
+    assert enrol(pop, cfg).ids() == ids
 
 
 def test_empty_population_rejected():
