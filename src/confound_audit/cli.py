@@ -23,7 +23,7 @@ from .cohort import (
     write_cohort,
     write_features,
 )
-from .errors import ConfigError, ConfoundAuditError, MissingColumn, MissingScore
+from .errors import BadValue, ConfigError, ConfoundAuditError, MissingColumn, MissingScore
 from .forest import (
     DEFAULT_SYMPTOM_PREDICTORS,
     build_encoding,
@@ -73,10 +73,24 @@ def _load_scored_cohort(path: str, features: str | None = None) -> Cohort:
 
 
 def _read_score_map(path: str) -> dict[str, float]:
+    """Read an ``id,score`` CSV; scores must be numbers in [0, 1], ids unique."""
     out: dict[str, float] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            out[row["id"]] = float(row["score"])
+        reader = csv.DictReader(fh)
+        for column in ("id", "score"):
+            if column not in (reader.fieldnames or []):
+                raise MissingColumn(column)
+        for i, row in enumerate(reader, start=1):
+            rid, raw = row["id"], row["score"]
+            if rid in out:
+                raise BadValue(i, "id", rid)
+            try:
+                score = float(raw)
+            except (TypeError, ValueError):
+                raise BadValue(i, "score", raw) from None
+            if not (0.0 <= score <= 1.0):
+                raise BadValue(i, "score", raw)
+            out[rid] = score
     return out
 
 

@@ -267,26 +267,70 @@ def load_cohort(path: str) -> Cohort:
     return Cohort(records=tuple(records), manifest=manifest)
 
 
+# feature rows parsed per numpy call; the cells wait in one flat list of
+# strings, which the cyclic garbage collector does not track
+_PARSE_ROWS = 4096
+
+
+def _parse_rows(cells: list[str], first_row: int, n_rows: int, dim: int) -> np.ndarray:
+    """Parse ``n_rows`` rows of numeric strings; a malformed one raises ``BadValue``."""
+    try:
+        return np.array(cells, dtype=float).reshape(n_rows, dim)
+    except ValueError:
+        for k in range(n_rows):
+            row = cells[k * dim : (k + 1) * dim]
+            try:
+                [float(v) for v in row]
+            except ValueError:
+                raise BadValue(first_row + k, "features", row) from None
+        raise
+
+
 def load_features(cohort: Cohort, path: str) -> Cohort:
-    """Attach feature vectors from a sidecar ``id,f0,f1,...`` CSV."""
+    """Attach feature vectors from a sidecar ``id,f0,f1,...`` CSV.
+
+    A malformed, NaN or infinite value, or a repeated id, raises ``BadValue``
+    with the 1-based data row and the column. The manifest counts the
+    feature rows that match no record and the records left without a vector.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or header[0] != "id":
             raise MissingColumn("id")
         dim = len(header) - 1
-        vectors: dict[str, np.ndarray] = {}
+        row_of: dict[str, int] = {}
+        blocks: list[np.ndarray] = []
+        cells: list[str] = []
         for i, row in enumerate(reader, start=1):
             if len(row) - 1 != dim:
                 raise BadValue(i, "features", f"expected {dim} values")
-            try:
-                vectors[row[0]] = np.array([float(x) for x in row[1:]], dtype=float)
-            except ValueError:
-                raise BadValue(i, "features", row[1:]) from None
+            if row[0] in row_of:
+                raise BadValue(i, "id", row[0])
+            row_of[row[0]] = i - 1
+            cells += row[1:]
+            if i % _PARSE_ROWS == 0:
+                blocks.append(_parse_rows(cells, i - _PARSE_ROWS + 1, _PARSE_ROWS, dim))
+                cells = []
+        tail = len(row_of) % _PARSE_ROWS
+        blocks.append(_parse_rows(cells, len(row_of) - tail + 1, tail, dim))
+    block = np.concatenate(blocks)
+    bad = np.argwhere(~np.isfinite(block))
+    if bad.size:
+        i, j = bad[0]
+        raise BadValue(int(i) + 1, header[j + 1], float(block[i, j]))
     records = tuple(
-        r.with_features(vectors[r.id]) if r.id in vectors else r for r in cohort.records
+        r.with_features(block[row_of[r.id]]) if r.id in row_of else r for r in cohort.records
     )
-    return Cohort(records=records, manifest=child_manifest(cohort.manifest, "load_features", features=path))
+    matched = sum(r.id in row_of for r in cohort.records)
+    manifest = child_manifest(
+        cohort.manifest,
+        "load_features",
+        features=path,
+        unmatched_feature_rows=len(row_of) - matched,
+        records_without_features=len(cohort.records) - matched,
+    )
+    return Cohort(records=records, manifest=manifest)
 
 
 def _fmt_bool(v: bool) -> str:

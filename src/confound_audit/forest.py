@@ -137,93 +137,105 @@ def encode_cohort(cohort: Cohort, encoding: FeatureEncoding) -> np.ndarray:
 # -- CART trees --------------------------------------------------------------------
 
 
+# a tree is one array per node field, indexed by node number; -1 marks
+# "none" (a leaf's feature and children, an inner node's leaf_frac)
+TREE_ARRAYS = {"feature": int, "threshold": float, "left": int, "right": int, "leaf_frac": float}
+
+
+def _best_split(
+    xt: np.ndarray, y: np.ndarray, counts: np.ndarray, order: np.ndarray, rows: np.ndarray, pos: int
+):
+    """Score every cut of the features ``rows`` (ascending) as one block.
+
+    ``order`` is the node's (p, size) presorted index matrix, ``y`` the 0/1
+    labels as floats and ``counts`` the floats 1, 2, ..., n - 1. Returns the
+    feature, the cut position in its sorted row, that row's values and the
+    positives left of the cut, or None when every candidate is constant.
+    """
+    size = order.shape[1]
+    idx = order[rows]
+    xs = xt[rows[:, None], idx]
+    lp = y[idx].cumsum(axis=1)[:, :-1]  # positives left of each cut, exact in float
+    ln = counts[: size - 1]
+    rn = counts[size - 2 :: -1]
+    rp = pos - lp
+    # weighted Gini impurity, up to the constant factor 1/n_node
+    imp = (ln - (lp * lp + (ln - lp) ** 2) / ln) + (rn - (rp * rp + (rn - rp) ** 2) / rn)
+    imp[xs[:, 1:] == xs[:, :-1]] = np.inf  # cut only between distinct values
+    # the first minimum in row-major order: lowest impurity, then lowest
+    # feature, then lowest threshold
+    r, j = divmod(int(imp.argmin()), size - 1)
+    if imp[r, j] == np.inf:
+        return None
+    return int(rows[r]), j, xs[r], int(lp[r, j])
+
+
 def _grow_tree(x: np.ndarray, y: np.ndarray, rng: np.random.Generator, m_try: int) -> dict:
     """Grow one unpruned CART tree; returns parallel node arrays.
 
     Split rule: go left when value <= threshold (thresholds are midpoints of
     consecutive distinct values). Ties in impurity resolve to the lowest
     feature index then lowest threshold, so regrowth is reproducible.
+
+    Presorted CART (SLIQ, Mehta et al. 1996): every feature is argsorted
+    once per tree into a (p, n) index matrix, and each stack entry carries
+    its node's (p, size) rows of it. A split partitions those rows with one
+    boolean mask (left when the split feature is <= the last value left of
+    the cut); filtering keeps each row sorted, so no node sorts again. The
+    order among tied values changes no count, cut or threshold, so the sort
+    need not be stable. The ``m_try`` candidates are scored as one block,
+    from the same integer counts by the same Gini expression as one feature
+    at a time, and the first minimum in row-major order keeps the tie rule.
+    When every candidate is constant on the node, all p features are scored
+    the same way. Nodes are numbered depth-first, left child first, and
+    ``rng`` is drawn once per impure node in that order.
     """
     n, p = x.shape
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    leaf_frac: list[float] = []
+    xt = np.ascontiguousarray(x.T)
+    y = np.asarray(y, dtype=float)
+    counts = np.arange(1, n, dtype=float)
+    nodes: dict[str, list] = {name: [] for name in TREE_ARRAYS}
+    feature, threshold, left, right, leaf_frac = nodes.values()
 
-    def new_node() -> int:
+    def new_node(size: int, pos: int) -> int:
         feature.append(-1)
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
-        leaf_frac.append(-1.0)
+        leaf_frac.append(pos / size if pos == 0 or pos == size or size < 2 else -1.0)
         return len(feature) - 1
 
-    root = new_node()
-    stack = [(root, np.arange(n))]
+    pos = int(y.sum())
+    root = new_node(n, pos)
+    stack = [(root, np.argsort(xt, axis=1), pos)] if leaf_frac[root] < 0.0 else []
     while stack:
-        node, idx = stack.pop()
-        ys = y[idx]
-        pos = int(ys.sum())
-        if pos == 0 or pos == idx.size or idx.size < 2:
-            leaf_frac[node] = pos / idx.size
-            continue
-
-        candidates = np.sort(rng.choice(p, size=m_try, replace=False))
-        best = None  # (impurity, feat, thr, order, split_at)
-        for attempt in (candidates, np.arange(p)):
-            for f in attempt:
-                xs_raw = x[idx, f]
-                order = np.argsort(xs_raw, kind="stable")
-                xs = xs_raw[order]
-                if xs[0] == xs[-1]:
-                    continue
-                ysrt = ys[order]
-                cum_pos = np.cumsum(ysrt)
-                cut = np.nonzero(xs[1:] != xs[:-1])[0]  # split after position cut
-                ln = (cut + 1).astype(float)
-                rn = idx.size - ln
-                lp = cum_pos[cut].astype(float)
-                rp = pos - lp
-                # weighted Gini impurity, up to the constant factor 1/n_node
-                imp = (ln - (lp * lp + (ln - lp) ** 2) / ln) + (rn - (rp * rp + (rn - rp) ** 2) / rn)
-                j = int(np.argmin(imp))
-                cand = (float(imp[j]), int(f), float((xs[cut[j]] + xs[cut[j] + 1]) / 2.0))
-                if best is None or (cand[0], cand[1], cand[2]) < (best[0], best[1], best[2]):
-                    best = cand + (order, int(cut[j]))
-            if best is not None:
-                break  # fall back to scanning all features only if needed
+        node, order, pos = stack.pop()
+        size = order.shape[1]
+        candidates = rng.choice(p, size=m_try, replace=False)
+        candidates.sort()
+        best = _best_split(xt, y, counts, order, candidates, pos)
         if best is None:
-            leaf_frac[node] = pos / idx.size
+            best = _best_split(xt, y, counts, order, np.arange(p), pos)
+        if best is None:
+            leaf_frac[node] = pos / size
             continue
 
-        _, f, thr, order, split_at = best
-        left_idx = idx[order[: split_at + 1]]
-        right_idx = idx[order[split_at + 1 :]]
+        f, j, xs, lp = best
         feature[node] = f
-        threshold[node] = thr
-        lnode, rnode = new_node(), new_node()
+        threshold[node] = float((xs[j] + xs[j + 1]) / 2.0)
+        lnode, rnode = new_node(j + 1, lp), new_node(size - j - 1, pos - lp)
         left[node] = lnode
         right[node] = rnode
-        stack.append((rnode, right_idx))
-        stack.append((lnode, left_idx))
+        go_left = xt[f][order] <= xs[j]
+        for child, mask, child_pos in ((rnode, ~go_left, pos - lp), (lnode, go_left, lp)):
+            if leaf_frac[child] < 0.0:  # a pure or single-record child is a leaf already
+                stack.append((child, order[mask].reshape(p, -1), child_pos))
 
-    return {
-        "feature": feature,
-        "threshold": threshold,
-        "left": left,
-        "right": right,
-        "leaf_frac": leaf_frac,
-    }
+    return {name: np.array(nodes[name], dtype=dtype) for name, dtype in TREE_ARRAYS.items()}
 
 
 def _tree_predict(tree: dict, x: np.ndarray) -> np.ndarray:
-    feature = np.asarray(tree["feature"], dtype=int)
-    threshold = np.asarray(tree["threshold"], dtype=float)
-    left = np.asarray(tree["left"], dtype=int)
-    right = np.asarray(tree["right"], dtype=int)
-    leaf_frac = np.asarray(tree["leaf_frac"], dtype=float)
-
+    feature, threshold, left, right = tree["feature"], tree["threshold"], tree["left"], tree["right"]
     node = np.zeros(x.shape[0], dtype=int)
     active = feature[node] >= 0
     while active.any():
@@ -232,7 +244,7 @@ def _tree_predict(tree: dict, x: np.ndarray) -> np.ndarray:
         go_left = x[idx, feature[cur]] <= threshold[cur]
         node[idx] = np.where(go_left, left[cur], right[cur])
         active[idx] = feature[node[idx]] >= 0
-    return leaf_frac[node]
+    return tree["leaf_frac"][node]
 
 
 @dataclass
@@ -252,7 +264,7 @@ class TreeEnsemble:
 
 
 def fit_forest(x: np.ndarray, y: np.ndarray, n_trees: int = 100, seed: int = 0) -> TreeEnsemble:
-    """Fit the bagging ensemble on a design matrix.
+    """Fit the bagging ensemble on a finite design matrix.
 
     Per-tree RNG streams are derived from (seed, tree index).
     """
@@ -260,6 +272,8 @@ def fit_forest(x: np.ndarray, y: np.ndarray, n_trees: int = 100, seed: int = 0) 
         raise ValueError("n_trees must be >= 1")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=int)
+    if not np.isfinite(x).all():
+        raise EncodingMismatch("design matrix has NaN or infinite values")
     if not ((y == 1).any() and (y == 0).any()):
         raise OneClassOnly("training requires both classes")
     n, p = x.shape
@@ -346,7 +360,7 @@ def model_to_json(model: TreeEnsemble) -> str:
         "seed": model.seed,
         "m_try": model.m_try,
         "oob_accuracy": model.oob_accuracy,
-        "trees": model.trees,
+        "trees": [{name: a.tolist() for name, a in tree.items()} for tree in model.trees],
         "encoding": None
         if model.encoding is None
         else {
@@ -372,7 +386,10 @@ def model_from_json(text: str) -> TreeEnsemble:
         )
     return TreeEnsemble(
         n_trees=int(payload["n_trees"]),
-        trees=payload["trees"],
+        trees=[
+            {name: np.asarray(tree[name], dtype=dtype) for name, dtype in TREE_ARRAYS.items()}
+            for tree in payload["trees"]
+        ],
         seed=int(payload["seed"]),
         m_try=int(payload["m_try"]),
         oob_accuracy=payload["oob_accuracy"],

@@ -7,6 +7,7 @@ from confound_audit.cohort import (
     SymptomProfile,
     derive_any_symptom,
     load_cohort,
+    load_features,
     split_cohort,
     validate_cohort,
     write_cohort,
@@ -100,6 +101,58 @@ def test_features_sidecar_round_trip(tmp_path):
     feats2 = tmp_path / "f2.csv"
     write_features(loaded, str(feats2))
     assert feats.read_bytes() == feats2.read_bytes()
+
+
+def _features_fixture(tmp_path, text):
+    cohort = make_cohort([make_record("a", 1), make_record("b", 0), make_record("c", 1)])
+    parts = tmp_path / "p.csv"
+    feats = tmp_path / "f.csv"
+    write_cohort(cohort, str(parts))
+    feats.write_text(text, encoding="utf-8")
+    return lambda: load_features(load_cohort(str(parts)), str(feats))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+def test_load_features_rejects_non_finite(tmp_path, value):
+    load = _features_fixture(tmp_path, f"id,f0,f1\na,0.5,1.0\nb,0.25,{value}\n")
+    with pytest.raises(BadValue) as err:
+        load()
+    assert (err.value.row, err.value.column) == (2, "f1")
+
+
+def test_load_features_rejects_repeated_id(tmp_path):
+    load = _features_fixture(tmp_path, "id,f0\na,0.5\nb,0.25\na,0.75\n")
+    with pytest.raises(BadValue) as err:
+        load()
+    assert (err.value.row, err.value.column) == (3, "id")
+
+
+def test_load_features_rejects_non_numeric_row(tmp_path):
+    load = _features_fixture(tmp_path, "id,f0\na,0.5\nb,x\n")
+    with pytest.raises(BadValue) as err:
+        load()
+    assert (err.value.row, err.value.column) == (2, "features")
+
+
+@pytest.mark.parametrize("bad_row, value, column", [(4098, "x", "features"), (4100, "inf", "f0")])
+def test_load_features_reports_rows_past_the_first_parse_block(tmp_path, bad_row, value, column):
+    rows = [f"z{i},{i}.5" for i in range(1, 4101)]
+    good = _features_fixture(tmp_path, "id,f0\na,0.25\n" + "\n".join(rows) + "\n")()
+    assert good.records[0].features.tolist() == [0.25]
+    assert good.manifest["unmatched_feature_rows"] == 4100
+    rows[bad_row - 2] = f"z{bad_row - 1},{value}"
+    load = _features_fixture(tmp_path, "id,f0\na,0.25\n" + "\n".join(rows) + "\n")
+    with pytest.raises(BadValue) as err:
+        load()
+    assert (err.value.row, err.value.column) == (bad_row, column)
+
+
+def test_load_features_counts_unmatched_rows_and_bare_records(tmp_path):
+    load = _features_fixture(tmp_path, "id,f0\na,0.5\nzz,0.25\nyy,1.0\n")
+    cohort = load()
+    assert [r.features is not None for r in cohort.records] == [True, False, False]
+    assert cohort.manifest["unmatched_feature_rows"] == 2
+    assert cohort.manifest["records_without_features"] == 2
 
 
 def test_validate_rejects_minors():

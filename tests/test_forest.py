@@ -1,9 +1,16 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confound_audit.errors import EncodingMismatch, MissingScore, OneClassOnly
 from confound_audit.forest import (
     DEFAULT_SYMPTOM_PREDICTORS,
+    TREE_ARRAYS,
+    _grow_tree,
+    _tree_predict,
     build_encoding,
     encode_cohort,
     fit_forest,
@@ -14,8 +21,10 @@ from confound_audit.forest import (
     train_symptoms_model,
 )
 from confound_audit.metrics import ScoredLabels, auc
+from confound_audit.rngs import substream
 
 from conftest import make_cohort, make_record
+from reference_kernels import grow_tree_argsort_per_node, tree_predict_from_lists
 
 
 def _noise_xy(rng, n=120, p=5):
@@ -105,9 +114,6 @@ def test_monotone_recoding_invariance_on_train():
     # orderings, so tree structure and fitted-record routing are unchanged
     # (points strictly between training values may route differently, since
     # midpoint thresholds are not order-determined)
-    from confound_audit.forest import _grow_tree, _tree_predict
-    from confound_audit.rngs import substream
-
     rng = np.random.default_rng(8)
     x, y = _noise_xy(rng, n=80, p=3)
     x[:, 0] = np.abs(x[:, 0]) + 0.1
@@ -116,10 +122,85 @@ def test_monotone_recoding_invariance_on_train():
     for t in range(5):
         tree_a = _grow_tree(x, y, substream(21, "tree", t), 2)
         tree_b = _grow_tree(recoded, y, substream(21, "tree", t), 2)
-        assert tree_a["feature"] == tree_b["feature"]
-        assert tree_a["left"] == tree_b["left"] and tree_a["right"] == tree_b["right"]
-        assert tree_a["leaf_frac"] == tree_b["leaf_frac"]
+        for name in ("feature", "left", "right", "leaf_frac"):
+            assert np.array_equal(tree_a[name], tree_b[name])
         assert np.array_equal(_tree_predict(tree_a, x), _tree_predict(tree_b, recoded))
+
+
+def _tree_json(tree: dict) -> str:
+    """A tree as ``model_to_json`` writes it, for byte-exact comparison."""
+    return json.dumps({name: np.asarray(a).tolist() for name, a in tree.items()}, sort_keys=True)
+
+
+def _assert_same_tree(ref: dict, tree: dict, x: np.ndarray) -> None:
+    for name, dtype in TREE_ARRAYS.items():
+        assert tree[name].dtype == np.dtype(dtype)
+        assert np.array_equal(np.asarray(ref[name]), tree[name])
+    assert _tree_json(ref) == _tree_json(tree)
+    # probe points between and beyond the training values as well
+    probe = np.vstack([x, x + 0.05, x - 0.05])
+    assert np.array_equal(tree_predict_from_lists(ref, probe), _tree_predict(tree, probe))
+
+
+@st.composite
+def tree_inputs(draw):
+    """Small design matrices built to hit every tie rule: values rounded to
+    0-1 decimals, binary and constant columns, and duplicated rows (whose
+    labels may disagree, leaving impure nodes no feature can split)."""
+    n = draw(st.integers(1, 40))
+    p = draw(st.integers(1, 6))
+    columns = []
+    for _ in range(p):
+        kind = draw(st.sampled_from(("rounded", "binary", "constant")))
+        if kind == "rounded":
+            decimals = draw(st.integers(0, 1))
+            value = st.floats(-3.0, 3.0, allow_nan=False).map(lambda v, d=decimals: round(v, d))
+            columns.append(draw(st.lists(value, min_size=n, max_size=n)))
+        elif kind == "binary":
+            columns.append(draw(st.lists(st.sampled_from((0.0, 1.0)), min_size=n, max_size=n)))
+        else:
+            columns.append([draw(st.floats(-3.0, 3.0, allow_nan=False))] * n)
+    x = np.array(columns, dtype=float).T.reshape(n, p)
+    if draw(st.booleans()):
+        x = x[draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))]
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    return x, y, draw(st.integers(1, p)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree_inputs())
+def test_presorted_tree_matches_reference(data):
+    x, y, m_try, seed = data
+    rng_ref, rng = substream(seed, "tree", 0), substream(seed, "tree", 0)
+    ref = grow_tree_argsort_per_node(x, y, rng_ref, m_try)
+    _assert_same_tree(ref, _grow_tree(x, y, rng, m_try), x)
+    assert rng_ref.random() == rng.random()  # the same draws, in the same order
+
+
+def test_presorted_trees_match_reference_on_bias_demo_matrix():
+    from confound_audit.cohort import SplitSpec, split_cohort
+    from confound_audit.synth import SynthConfig, generate_cohort
+
+    cfg = SynthConfig(
+        n_population=20_000, prevalence=0.25, enrolment="symptoms_based",
+        signal_strength=0.0, confounder_strength=5.0, feature_dim=12, seed=1,
+    )
+    train, _ = split_cohort(generate_cohort(cfg)[0], SplitSpec(train_fraction=0.5, seed=1))
+    x = encode_cohort(train, build_encoding(train, ("features",)))
+    y = train.labels()
+    model = fit_forest(x, y, n_trees=50, seed=1)
+    for t, tree in enumerate(model.trees):
+        rng = substream(1, "tree", t)
+        boot = rng.integers(0, y.size, size=y.size)
+        _assert_same_tree(grow_tree_argsort_per_node(x[boot], y[boot], rng, model.m_try), tree, x)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_design_matrix_rejected(bad):
+    x, y = _noise_xy(np.random.default_rng(14), n=7, p=2)
+    x[3, 1] = bad
+    with pytest.raises(EncodingMismatch):
+        fit_forest(x, y, n_trees=3, seed=0)
 
 
 def test_one_class_raises():
@@ -221,6 +302,31 @@ def test_json_round_trip():
     clone = model_from_json(model_to_json(model))
     assert np.allclose(predict_proba(model, cohort), predict_proba(clone, cohort))
     assert clone.encoding.sources == model.encoding.sources
+
+
+def test_model_json_round_trip_is_byte_identical():
+    rng = np.random.default_rng(13)
+    cohort = _symptom_cohort(rng, n=80)
+    model = train_symptoms_model(cohort, n_trees=6, seed=4)
+    text = model_to_json(model)
+    clone = model_from_json(text)
+    assert model_to_json(clone) == text
+    assert np.array_equal(predict_proba(model, cohort), predict_proba(clone, cohort))
+    for tree, loaded in zip(model.trees, clone.trees):
+        for name, dtype in TREE_ARRAYS.items():
+            assert loaded[name].dtype == np.dtype(dtype)
+            assert np.array_equal(tree[name], loaded[name])
+
+
+def test_model_json_with_list_trees_loads_and_predicts():
+    # the on-disk format: each tree a dict of plain JSON lists
+    tree = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, -1, -1],
+            "right": [2, -1, -1], "leaf_frac": [-1.0, 0.25, 1.0]}
+    text = json.dumps({"n_trees": 1, "seed": 0, "m_try": 1, "oob_accuracy": None,
+                       "trees": [tree], "encoding": None}, sort_keys=True)
+    model = model_from_json(text)
+    assert model_to_json(model) == text
+    assert model.predict_matrix(np.array([[0.0], [0.5], [0.75]])).tolist() == [0.25, 0.25, 1.0]
 
 
 def test_vector_encoding_mismatch():

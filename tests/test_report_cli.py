@@ -296,12 +296,31 @@ def test_cli_runtime_error_exit_1(tmp_path, capsys):
     (["eval", "--in", "{missing}", "--stratified", "--fdr", "1.5", "--out", "{out}"], 2, "fdr"),
     (["utility", "--roc", "{pool}", "--rt", "1.5", "--eps", "0.2", "--out", "{out}"], 1, "threshold"),
     (["probe", "nn", "--matched", "{pool}", "--scores", "{short}", "--out", "{out}"], 1, "'r7'"),
+    (["probe", "nn", "--matched", "{pool}", "--scores", "{word}", "--out", "{out}"], 1, "'score' on data row 4"),
+    (["probe", "nn", "--matched", "{pool}", "--scores", "{noscore}", "--out", "{out}"], 1, "'score'"),
+    (["probe", "nn", "--matched", "{pool}", "--scores", "{nan}", "--out", "{out}"], 1, "'score' on data row 4"),
+    (["probe", "nn", "--matched", "{pool}", "--scores", "{above}", "--out", "{out}"], 1, "'score' on data row 4"),
+    (["probe", "nn", "--matched", "{pool}", "--scores", "{repeat}", "--out", "{out}"], 1, "'id' on data row 61"),
+    (["baseline", "train", "--in", "{pool}", "--features", "{nanfeat}", "--predictors", "features",
+      "--model", "{out}"], 1, "'f1' on data row 2"),
 ])
 def test_cli_errors_exit_with_one_line(tmp_path, capsys, argv, code, message):
-    paths = {name: str(tmp_path / name) for name in ("pool", "short", "missing", "out")}
+    names = ("pool", "short", "word", "noscore", "nan", "above", "repeat", "nanfeat", "missing", "out")
+    paths = {name: str(tmp_path / name) for name in names}
     _write_pool(paths["pool"], n=60)
-    with open(paths["short"], "w", encoding="utf-8") as fh:
-        fh.write("id,score\n" + "".join(f"r{i},0.5\n" for i in range(7)))
+    scores = [f"r{i},0.5\n" for i in range(60)]
+    files = {
+        "short": "id,score\n" + "".join(scores[:7]),
+        "word": "id,score\n" + "".join(scores[:3]) + "r3,high\n" + "".join(scores[4:]),
+        "noscore": "id,prob\n" + "".join(scores),
+        "nan": "id,score\n" + "".join(scores[:3]) + "r3,nan\n" + "".join(scores[4:]),
+        "above": "id,score\n" + "".join(scores[:3]) + "r3,1.5\n" + "".join(scores[4:]),
+        "repeat": "id,score\n" + "".join(scores) + "r0,0.25\n",
+        "nanfeat": "id,f0,f1\n" + "".join(f"r{i},0.5,{'nan' if i == 1 else 0.25}\n" for i in range(60)),
+    }
+    for name, text in files.items():
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            fh.write(text)
     assert main([a.format(**paths) for a in argv]) == code
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
