@@ -197,14 +197,20 @@ def cmd_eval(args) -> int:
     if not (0.0 < args.fdr < 1.0):
         raise ConfigError("fdr", "must lie in (0, 1)")
     cohort = _load_scored_cohort(getattr(args, "in"), args.features)
-    cohort, _ = validate_cohort(cohort)
+    cohort, rejections = validate_cohort(cohort)
     scores = cohort.scores()
     labels = cohort.labels()
     if np.isnan(scores).any():
         raise ConfoundAuditError("cohort has records without scores; cannot evaluate")
     data = ScoredLabels(scores, labels)
     wanted = args.metrics.split(",")
-    result: dict = {"n_pos": int((labels == 1).sum()), "n_neg": int((labels == 0).sum())}
+    result: dict = {
+        "n_pos": int((labels == 1).sum()),
+        "n_neg": int((labels == 0).sum()),
+        # a record may count under several reasons
+        "n_rejected": rejections.total_removed,
+        "rejected": dict(sorted(rejections.counts.items())),
+    }
     if "roc" in wanted:
         ci = auc_ci(data, method=args.ci)
         curve = roc_curve(data)

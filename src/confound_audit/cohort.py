@@ -13,8 +13,11 @@ Canonical CSV schema (``participants.csv``)::
 
 Feature vectors live in a sidecar file (``features.csv``) keyed by id with
 columns ``id,f0,f1,...``; wide mixed files degrade diffing and tooling.
-Unknown extra columns are preserved as categorical covariates and written
-back in sorted order after ``score``.
+An optional ``any_symptom`` column carries a self-reported aggregate flag
+(see :attr:`SymptomProfile.reported_any`); it is written back after
+``score`` only when some record has it. Unknown extra columns are preserved
+as categorical covariates and written back in sorted order after those.
+A blank symptom cell is a missing flag, and is written back blank.
 """
 
 from __future__ import annotations
@@ -22,7 +25,9 @@ from __future__ import annotations
 import csv
 import datetime as _dt
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import compress
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -53,6 +58,8 @@ ACUTE_SYMPTOM_FIELDS = (
 )
 
 CSV_COLUMNS = ("id", "label", "age_years", "gender", "channel") + SYMPTOM_FIELDS + ("score",)
+# optional self-reported aggregate, read into ``SymptomProfile.reported_any``
+REPORTED_ANY_COLUMN = "any_symptom"
 
 GENDERS = ("male", "female", "other")
 CHANNELS = ("TT", "REACT", "synthetic")
@@ -65,6 +72,8 @@ class SymptomProfile:
     ``reported_any`` optionally carries an externally supplied aggregate flag;
     it is kept only so validation can detect self-inconsistent data. The
     authoritative aggregate is always recomputed by :func:`derive_any_symptom`.
+    Profiles are immutable, so the generator and the CSV loader share one
+    instance per distinct set of values (see :func:`symptom_profile`).
     """
 
     cough: bool = False
@@ -90,7 +99,28 @@ class SymptomProfile:
 
 def derive_any_symptom(s: SymptomProfile) -> bool:
     """OR over the six acute respiratory flags."""
-    return any(getattr(s, f) for f in ACUTE_SYMPTOM_FIELDS)
+    return bool(
+        s.cough
+        or s.sore_throat
+        or s.asthma
+        or s.shortness_of_breath
+        or s.runny_blocked_nose
+        or s.new_continuous_cough
+    )
+
+
+# one shared profile per (nine flags in SYMPTOM_FIELDS order, reported_any);
+# at most 2**9 * 3 entries
+_PROFILES: dict[tuple, SymptomProfile] = {}
+
+
+def symptom_profile(flags: tuple[bool, ...], reported_any: bool | None = None) -> SymptomProfile:
+    """The shared profile with these flags (``SYMPTOM_FIELDS`` order)."""
+    key = (*flags, reported_any)
+    profile = _PROFILES.get(key)
+    if profile is None:
+        profile = _PROFILES[key] = SymptomProfile(*map(bool, flags), reported_any=reported_any)
+    return profile
 
 
 @dataclass(frozen=True)
@@ -108,10 +138,16 @@ class ParticipantRecord:
     features: np.ndarray | None = None
 
     def with_score(self, score: float) -> "ParticipantRecord":
-        return replace(self, score=score)
+        return ParticipantRecord(
+            self.id, self.label, self.symptoms, self.age_years, self.gender, self.channel,
+            self.other_covariates, score, self.features,
+        )
 
     def with_features(self, features: np.ndarray) -> "ParticipantRecord":
-        return replace(self, features=np.asarray(features, dtype=float))
+        return ParticipantRecord(
+            self.id, self.label, self.symptoms, self.age_years, self.gender, self.channel,
+            self.other_covariates, self.score, np.asarray(features, dtype=float),
+        )
 
 
 @dataclass(frozen=True)
@@ -122,11 +158,12 @@ class Cohort:
     manifest: dict
 
     def __post_init__(self):
-        seen = set()
-        for r in self.records:
-            if r.id in seen:
-                raise DuplicateId(r.id)
-            seen.add(r.id)
+        if len({r.id for r in self.records}) != len(self.records):
+            seen = set()
+            for r in self.records:
+                if r.id in seen:
+                    raise DuplicateId(r.id)
+                seen.add(r.id)
         dims = {r.features.shape[0] for r in self.records if r.features is not None}
         if len(dims) > 1:
             raise BadValue(-1, "features", f"inconsistent feature dimensions {sorted(dims)}")
@@ -169,53 +206,77 @@ def child_manifest(parent: dict, step: str, **extra) -> dict:
 # -- CSV ingestion ----------------------------------------------------------
 
 
-def _parse_bool(raw: str, row: int, column: str) -> bool | None:
-    v = raw.strip().lower()
-    if v == "":
-        return None
-    if v in ("1", "true", "yes"):
-        return True
-    if v in ("0", "false", "no"):
-        return False
-    raise BadValue(row, column, raw)
+# cell spellings, after strip().lower(); a blank cell is a missing value
+_BOOLS = {"": None, "1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+_LABELS = {"": None, "0": 0, "1": 1}
+# canonical strings, so records share them instead of one copy per row
+_GENDERS = {g: g for g in GENDERS}
+_CHANNELS = {c: c for c in CHANNELS}
+
+
+def _parse_profile(cells: tuple[str, ...], columns: tuple[str, ...], row: int):
+    """The shared profile for the symptom cells of one row, and the names of
+    its blank flags joined by commas (``None`` if there are none)."""
+    values = []
+    for raw, column in zip(cells, columns):
+        v = raw.strip().lower()
+        if v not in _BOOLS:
+            raise BadValue(row, column, raw)
+        values.append(_BOOLS[v])
+    flags = values[: len(SYMPTOM_FIELDS)]
+    reported_any = values[len(SYMPTOM_FIELDS)] if len(values) > len(SYMPTOM_FIELDS) else None
+    missing = ",".join(f for f, v in zip(SYMPTOM_FIELDS, flags) if v is None) or None
+    return symptom_profile(tuple(v is True for v in flags), reported_any), missing
 
 
 def load_cohort(path: str) -> Cohort:
     """Read a participants CSV into a cohort.
 
-    Any header outside ``CSV_COLUMNS`` becomes an ``other_covariates``
-    entry. Empty cells in optional columns yield missing values (to be
-    handled by :func:`validate_cohort`); malformed non-empty cells raise
-    ``BadValue`` with the 1-based data row number.
+    Any header outside ``CSV_COLUMNS`` and the optional ``any_symptom``
+    column becomes an ``other_covariates`` entry. Empty cells in optional
+    columns yield missing values (to be handled by :func:`validate_cohort`);
+    a blank symptom flag is listed in ``other_covariates["_missing_flags"]``.
+    Malformed non-empty cells raise ``BadValue`` with the 1-based data row
+    number. Blank lines are skipped and not counted.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        col = {h: j for j, h in enumerate(header)}
         for column in ("id", "label", "age_years", "gender", "channel") + SYMPTOM_FIELDS:
-            if column not in header:
+            if column not in col:
                 raise MissingColumn(column)
-        has_score = "score" in header
-        extra_cols = [h for h in header if h not in CSV_COLUMNS]
+        j_id, j_label, j_age, j_gender, j_channel = (col[c] for c in CSV_COLUMNS[:5])
+        j_score = col.get("score")
+        flag_columns = SYMPTOM_FIELDS + ((REPORTED_ANY_COLUMN,) if REPORTED_ANY_COLUMN in col else ())
+        flag_cells = itemgetter(*(col[c] for c in flag_columns))
+        extra = {h: col[h] for h in header if h not in CSV_COLUMNS and h != REPORTED_ANY_COLUMN}
+        width = len(header)
 
+        # parsed symptom cells, keyed by their raw text
+        profiles: dict[tuple[str, ...], tuple[SymptomProfile, str | None]] = {}
         records: list[ParticipantRecord] = []
         seen: set[str] = set()
-        for i, row in enumerate(reader, start=1):
-            rid = (row["id"] or "").strip()
+        i = 0
+        for row in reader:
+            if not row:
+                continue
+            i += 1
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            rid = row[j_id].strip()
             if not rid:
-                raise BadValue(i, "id", row["id"])
+                raise BadValue(i, "id", row[j_id])
             if rid in seen:
                 raise DuplicateId(rid)
             seen.add(rid)
 
-            raw_label = (row["label"] or "").strip()
-            if raw_label == "":
-                label: int | None = None
-            elif raw_label in ("0", "1"):
-                label = int(raw_label)
-            else:
+            raw_label = row[j_label].strip()
+            if raw_label not in _LABELS:
                 raise BadValue(i, "label", raw_label)
+            label = _LABELS[raw_label]
 
-            raw_age = (row["age_years"] or "").strip()
+            raw_age = row[j_age].strip()
             if raw_age == "":
                 age: int | None = None
             else:
@@ -224,22 +285,21 @@ def load_cohort(path: str) -> Cohort:
                 except ValueError:
                     raise BadValue(i, "age_years", raw_age) from None
 
-            gender = (row["gender"] or "").strip().lower()
-            if gender not in GENDERS:
-                gender = "other"
-            channel = (row["channel"] or "").strip()
-            if channel not in CHANNELS:
+            gender = _GENDERS.get(row[j_gender].strip().lower(), "other")
+            channel = row[j_channel].strip()
+            if channel not in _CHANNELS:
                 raise BadValue(i, "channel", channel)
+            channel = _CHANNELS[channel]
 
-            flags = {}
-            for f in SYMPTOM_FIELDS:
-                flags[f] = _parse_bool(row[f] or "", i, f)
-            missing_flags = [f for f, v in flags.items() if v is None]
-            symptoms = SymptomProfile(**{f: bool(v) for f, v in flags.items() if v is not None})
+            cells = flag_cells(row)
+            parsed = profiles.get(cells)
+            if parsed is None:
+                parsed = profiles[cells] = _parse_profile(cells, flag_columns, i)
+            symptoms, missing_flags = parsed
 
             score: float | None = None
-            if has_score:
-                raw_score = (row["score"] or "").strip()
+            if j_score is not None:
+                raw_score = row[j_score].strip()
                 if raw_score != "":
                     try:
                         score = float(raw_score)
@@ -248,20 +308,11 @@ def load_cohort(path: str) -> Cohort:
                     if not (0.0 <= score <= 1.0):
                         raise BadValue(i, "score", raw_score)
 
-            other = {c: (row[c] or "").strip() for c in extra_cols}
+            other = {c: row[j].strip() for c, j in extra.items()}
             if missing_flags:
-                other["_missing_flags"] = ",".join(missing_flags)
+                other["_missing_flags"] = missing_flags
             records.append(
-                ParticipantRecord(
-                    id=rid,
-                    label=label,
-                    symptoms=symptoms,
-                    age_years=age,
-                    gender=gender,
-                    channel=channel,
-                    other_covariates=other,
-                    score=score,
-                )
+                ParticipantRecord(rid, label, symptoms, age, gender, channel, other, score)
             )
     manifest = make_manifest(path, rows=len(records), step="load")
     return Cohort(records=tuple(records), manifest=manifest)
@@ -341,14 +392,23 @@ def _fmt_float(v: float) -> str:
     return repr(float(v))
 
 
+_FLAGS = attrgetter(*SYMPTOM_FIELDS)
+
+
 def write_cohort(cohort: Cohort, path: str) -> None:
-    """Write the canonical participants CSV (byte-stable for round-trips)."""
+    """Write the canonical participants CSV (byte-stable for round-trips).
+
+    A flag listed in ``_missing_flags`` is written as a blank cell. The
+    ``any_symptom`` column is written only when some record has
+    ``reported_any``.
+    """
     extra_cols = sorted(
         {k for r in cohort.records for k in r.other_covariates if not k.startswith("_")}
     )
+    reported = any(r.symptoms.reported_any is not None for r in cohort.records)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(CSV_COLUMNS) + extra_cols)
+        writer.writerow(list(CSV_COLUMNS) + ([REPORTED_ANY_COLUMN] if reported else []) + extra_cols)
         for r in cohort.records:
             row = [
                 r.id,
@@ -357,21 +417,27 @@ def write_cohort(cohort: Cohort, path: str) -> None:
                 r.gender,
                 r.channel,
             ]
-            row += [_fmt_bool(r.symptoms.flag(f)) for f in SYMPTOM_FIELDS]
+            flags = ["1" if v else "0" for v in _FLAGS(r.symptoms)]
+            if "_missing_flags" in r.other_covariates:
+                blank = r.other_covariates["_missing_flags"].split(",")
+                flags = ["" if f in blank else v for f, v in zip(SYMPTOM_FIELDS, flags)]
+            row += flags
             row.append("" if r.score is None else _fmt_float(r.score))
+            if reported:
+                row.append("" if r.symptoms.reported_any is None else _fmt_bool(r.symptoms.reported_any))
             row += [r.other_covariates.get(c, "") for c in extra_cols]
             writer.writerow(row)
 
 
 def write_features(cohort: Cohort, path: str) -> None:
-    dims = {r.features.shape[0] for r in cohort.records if r.features is not None}
-    dim = dims.pop() if dims else 0
+    records = [r for r in cohort.records if r.features is not None]
+    dim = records[0].features.shape[0] if records else 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id"] + [f"f{j}" for j in range(dim)])
-        for r in cohort.records:
-            if r.features is not None:
-                writer.writerow([r.id] + [_fmt_float(x) for x in r.features])
+        writer.writerows(
+            [r.id, *map(repr, np.asarray(r.features, dtype=float).tolist())] for r in records
+        )
 
 
 # -- validation ---------------------------------------------------------------
@@ -455,9 +521,10 @@ def split_cohort(cohort: Cohort, spec: SplitSpec) -> tuple[Cohort, Cohort]:
     n_train = int(math.floor(spec.train_fraction * n + 0.5))
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed & 0xFFFFFFFFFFFFFFFF, 0x5B17]))
     order = rng.permutation(n)
-    train_idx = set(order[:n_train].tolist())
-    train = tuple(r for i, r in enumerate(cohort.records) if i in train_idx)
-    test = tuple(r for i, r in enumerate(cohort.records) if i not in train_idx)
+    in_train = np.zeros(n, dtype=bool)
+    in_train[order[:n_train]] = True
+    train = tuple(compress(cohort.records, in_train.tolist()))
+    test = tuple(compress(cohort.records, (~in_train).tolist()))
     mt = child_manifest(cohort.manifest, "split_train", seed=spec.seed, fraction=spec.train_fraction)
     me = child_manifest(cohort.manifest, "split_test", seed=spec.seed, fraction=spec.train_fraction)
     return Cohort(records=train, manifest=mt), Cohort(records=test, manifest=me)

@@ -14,8 +14,10 @@ given label=1 equals that given label=0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import attrgetter
 
-from .cohort import Cohort, ParticipantRecord, child_manifest
+from .cohort import ACUTE_SYMPTOM_FIELDS, Cohort, ParticipantRecord, SymptomProfile, child_manifest
 from .errors import EmptyResult, MissingCovariate, OverlappingInputs
 from .rngs import substream
 
@@ -48,8 +50,10 @@ TRAIN_SET = (
 )
 
 
+@lru_cache(maxsize=1024, typed=True)
 def age_bin(age_years: int) -> str:
-    """10-year bins anchored at 18 with an open final bin."""
+    """10-year bins anchored at 18 with an open final bin (memoised: ages
+    take few distinct values)."""
     if age_years >= AGE_OPEN_BIN_START:
         return f"{AGE_OPEN_BIN_START}+"
     lo = AGE_BIN_START + AGE_BIN_WIDTH * ((age_years - AGE_BIN_START) // AGE_BIN_WIDTH)
@@ -68,20 +72,47 @@ class MatchSpec:
         object.__setattr__(self, "covariates", tuple(self.covariates))
 
 
+def stratum_keyer(spec: MatchSpec):
+    """``record -> stratum key`` for ``spec``, with the covariate names
+    checked once. Every record maps to exactly one stratum; a record without
+    an age, or with a blank flag behind a matched covariate (for
+    ``any_symptom``, any acute flag), raises ``MissingCovariate``."""
+    names = spec.covariates
+    # an unknown name fails on the first record that has an age, as a
+    # per-record check would
+    unknown = next((n for n in names if not hasattr(SymptomProfile, n)), None)
+    get = attrgetter(*names)
+    read_flags = get if len(names) > 1 else lambda symptoms: (get(symptoms),)
+    needed = [ACUTE_SYMPTOM_FIELDS if n == "any_symptom" else (n,) for n in names]
+    include_channel = spec.include_channel
+    # flag part of the key per profile object (profiles are shared); each
+    # entry holds its profile, so the id cannot be reused while it is cached
+    parts: dict[int, tuple[SymptomProfile, tuple[int, ...]]] = {}
+
+    def key(record: ParticipantRecord) -> tuple:
+        if record.age_years is None:
+            raise MissingCovariate("age_years")
+        if unknown is not None:
+            raise MissingCovariate(unknown)
+        if "_missing_flags" in record.other_covariates:
+            blank = record.other_covariates["_missing_flags"].split(",")
+            for name, flags in zip(names, needed):
+                if any(f in blank for f in flags):
+                    raise MissingCovariate(name)
+        symptoms = record.symptoms
+        part = parts.get(id(symptoms))
+        if part is None:
+            part = parts[id(symptoms)] = (symptoms, tuple(map(int, map(bool, read_flags(symptoms)))))
+        if include_channel:
+            return (record.channel, age_bin(record.age_years), record.gender, *part[1])
+        return (age_bin(record.age_years), record.gender, *part[1])
+
+    return key
+
+
 def stratum_key(record: ParticipantRecord, spec: MatchSpec) -> tuple:
     """Total, deterministic key; every record maps to exactly one stratum."""
-    if record.age_years is None:
-        raise MissingCovariate("age_years")
-    parts: list = []
-    if spec.include_channel:
-        parts.append(record.channel)
-    parts.append(age_bin(record.age_years))
-    parts.append(record.gender)
-    for name in spec.covariates:
-        if name != "any_symptom" and not hasattr(record.symptoms, name):
-            raise MissingCovariate(name)
-        parts.append(int(record.symptoms.flag(name)))
-    return tuple(parts)
+    return stratum_keyer(spec)(record)
 
 
 @dataclass(frozen=True)
@@ -134,12 +165,16 @@ def match_exact(
                 f"{len(overlap)} participant(s) appear in both inputs, e.g. {sorted(overlap)[:3]}"
             )
 
+    key_of = stratum_keyer(spec)
     strata: dict[tuple, dict[int, list[str]]] = {}
     for r in cohort.records:
         if r.label is None:
             raise MissingCovariate("label")
-        key = stratum_key(r, spec)
-        strata.setdefault(key, {0: [], 1: []})[r.label].append(r.id)
+        key = key_of(r)
+        members = strata.get(key)
+        if members is None:
+            members = strata[key] = {0: [], 1: []}
+        members[r.label].append(r.id)
 
     kept_ids: set[str] = set()
     balances: list[StratumBalance] = []

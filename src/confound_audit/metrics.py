@@ -399,13 +399,14 @@ def stratified_auc(cohort, spec, min_per_class: int = 10, q: float = 0.05) -> li
     flags across the included strata. Strata with fewer than ``min_per_class``
     records in either class are excluded; output is sorted by stratum size
     descending (ties by key)."""
-    from .matching import stratum_key  # local import avoids a cycle
+    from .matching import stratum_keyer  # local import avoids a cycle
 
+    key_of = stratum_keyer(spec)
     groups: dict[tuple, tuple[list[float], list[int]]] = {}
     for r in cohort.records:
         if r.score is None or r.label is None:
             raise ValueError(f"record {r.id} lacks a score or label")
-        key = stratum_key(r, spec)
+        key = key_of(r)
         scores, labels = groups.setdefault(key, ([], []))
         scores.append(r.score)
         labels.append(r.label)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cohort import Cohort, child_manifest
+from .cohort import Cohort, child_manifest, derive_any_symptom
 from .errors import InsufficientPool
 from .matching import age_bin
 from .rngs import substream
@@ -96,7 +96,7 @@ def _pool_index(pool: Cohort) -> dict[tuple, list[str]]:
     for r in pool.records:
         if r.label is None or r.age_years is None:
             continue
-        key = (r.label, r.symptoms.any_symptom, r.gender, age_bin(r.age_years))
+        key = (r.label, derive_any_symptom(r.symptoms), r.gender, age_bin(r.age_years))
         index.setdefault(key, []).append(r.id)
     for members in index.values():
         members.sort()

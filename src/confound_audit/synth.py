@@ -34,8 +34,9 @@ from .cohort import (
     ACUTE_SYMPTOM_FIELDS,
     Cohort,
     ParticipantRecord,
-    SymptomProfile,
+    derive_any_symptom,
     make_manifest,
+    symptom_profile,
 )
 from .errors import EmptyEnrolment, InvalidConfig
 from .matching import TEST_SET, MatchSpec, match_exact
@@ -167,30 +168,24 @@ def generate_population(cfg: SynthConfig) -> list[SynthRecord]:
     features += cfg.confounder_strength * codes @ loadings
     features[:, 0] += cfg.signal_strength * w
 
-    out: list[SynthRecord] = []
-    for i in range(n):
-        symptoms = SymptomProfile(
-            cough=bool(acute[i, 0]),
-            sore_throat=bool(acute[i, 1]),
-            asthma=bool(acute[i, 2]),
-            shortness_of_breath=bool(acute[i, 3]),
-            runny_blocked_nose=bool(acute[i, 4]),
-            new_continuous_cough=bool(acute[i, 5]),
-            copd_emphysema=bool(copd[i]),
-            other_respiratory=bool(other_resp[i]),
-            smoker=bool(smoker[i]),
+    # symptom flags in SYMPTOM_FIELDS order, one shared profile per distinct row
+    flag_rows = np.column_stack([acute, copd, other_resp, smoker])
+    row_codes = flag_rows @ (1 << np.arange(flag_rows.shape[1]))
+    _, first, inverse = np.unique(row_codes, return_index=True, return_inverse=True)
+    shared = [symptom_profile(tuple(row)) for row in flag_rows[first].tolist()]
+    profiles = map(shared.__getitem__, inverse.tolist())
+    genders = ["male" if m else "female" for m in male.tolist()]
+    return [
+        SynthRecord(
+            record=ParticipantRecord(
+                f"syn-{i:07d}", label, profile, age_i, gender, "synthetic", features=features[i]
+            ),
+            latent_signal=w_i,
         )
-        rec = ParticipantRecord(
-            id=f"syn-{i:07d}",
-            label=int(y[i]),
-            symptoms=symptoms,
-            age_years=int(age[i]),
-            gender="male" if male[i] else "female",
-            channel="synthetic",
-            features=features[i],
+        for i, label, profile, age_i, gender, w_i in zip(
+            range(n), y.tolist(), profiles, age.tolist(), genders, w.tolist()
         )
-        out.append(SynthRecord(record=rec, latent_signal=float(w[i])))
-    return out
+    ]
 
 
 def enrol(population: list[SynthRecord], cfg: SynthConfig) -> Cohort:
@@ -207,21 +202,19 @@ def enrol(population: list[SynthRecord], cfg: SynthConfig) -> Cohort:
     rng = substream(cfg.seed, "enrol")
 
     if cfg.enrolment in ("symptoms_based", "random"):
-        kept = []
-        for sr in population:
-            if cfg.enrolment == "random":
-                p = cfg.random_p
-            else:
-                sym = sr.record.symptoms.any_symptom
-                pos = sr.record.label == 1
-                p = (
-                    cfg.w_sym_pos if (sym and pos)
-                    else cfg.w_asym_pos if pos
-                    else cfg.w_sym_neg if sym
-                    else cfg.w_asym_neg
-                )
-            if rng.random() < p:
-                kept.append(sr.record)
+        records = [sr.record for sr in population]
+        if cfg.enrolment == "random":
+            p = cfg.random_p
+        else:
+            sym = np.array([derive_any_symptom(r.symptoms) for r in records])
+            pos = np.array([r.label == 1 for r in records])
+            p = np.where(
+                pos,
+                np.where(sym, cfg.w_sym_pos, cfg.w_asym_pos),
+                np.where(sym, cfg.w_sym_neg, cfg.w_asym_neg),
+            )
+        # one draw per person, in order: the same stream as per-person rng.random()
+        kept = [records[i] for i in np.flatnonzero(rng.random(len(records)) < p).tolist()]
         if not kept:
             raise EmptyEnrolment("no individual enrolled")
         manifest = make_manifest(

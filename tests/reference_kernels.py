@@ -1,17 +1,38 @@
-"""Slow reference implementations of the rank, max-EU and CART kernels.
+"""Slow reference implementations of the rank, max-EU, CART and
+per-record kernels.
 
 These are the direct O(m*n), per-element and enumerating forms of
-``metrics`` and ``utility`` internals, and the argsort-per-node-per-feature
-CART of ``forest``. The fast kernels must return exactly the same floats;
-``test_rank_kernels.py`` and ``test_forest.py`` compare the two. None of
-these accept NaN: ``midranks_loop`` never terminates on it.
+``metrics`` and ``utility`` internals, the argsort-per-node-per-feature
+CART of ``forest``, and the per-record loops of ``synth``, ``matching`` and
+``cohort`` (one profile object per person, one RNG draw per person, a
+covariate check per record, ``csv.DictReader``). The fast kernels must
+return exactly the same values; ``test_rank_kernels.py``, ``test_forest.py``
+and ``test_record_kernels.py`` compare the two. None of the rank kernels
+accept NaN: ``midranks_loop`` never terminates on it.
 """
 
 from __future__ import annotations
 
+import csv
 from itertools import combinations
 
 import numpy as np
+
+from confound_audit.cohort import (
+    ACUTE_SYMPTOM_FIELDS,
+    CHANNELS,
+    CSV_COLUMNS,
+    GENDERS,
+    SYMPTOM_FIELDS,
+    Cohort,
+    ParticipantRecord,
+    SymptomProfile,
+    make_manifest,
+)
+from confound_audit.errors import BadValue, DuplicateId, EmptyEnrolment, MissingColumn, MissingCovariate
+from confound_audit.matching import AGE_BIN_START, AGE_BIN_WIDTH, AGE_OPEN_BIN_START, MatchSpec
+from confound_audit.rngs import substream
+from confound_audit.synth import _EMBEDDED_COVARIATES, P_COPD, P_OTHER_RESP, P_SMOKER, SynthRecord, covariate_loadings
 
 
 def midranks_loop(x: np.ndarray) -> np.ndarray:
@@ -175,3 +196,206 @@ def tree_predict_from_lists(tree: dict, x: np.ndarray) -> np.ndarray:
         node[idx] = np.where(go_left, left[cur], right[cur])
         active[idx] = feature[node[idx]] >= 0
     return leaf_frac[node]
+
+
+def generate_population_loop(cfg) -> list[SynthRecord]:
+    """``synth.generate_population`` with one profile built per person and
+    every field read as a numpy scalar."""
+    cfg.validate()
+    rng = substream(cfg.seed, "population")
+    n, d = cfg.n_population, cfg.feature_dim
+    n_flags = len(ACUTE_SYMPTOM_FIELDS)
+
+    y = (rng.random(n) < cfg.prevalence).astype(int)
+    any_sym = rng.random(n) < np.where(y == 1, cfg.p_sym_given_pos, cfg.p_sym_given_neg)
+    richness = np.where(y == 1, cfg.flag_rate_pos, cfg.flag_rate_neg)
+    acute = (rng.random((n, n_flags)) < richness[:, None]) & any_sym[:, None]
+    empty = np.nonzero(any_sym & ~acute.any(axis=1))[0]
+    acute[empty, rng.integers(0, n_flags, size=empty.size)] = True
+    copd = rng.random(n) < P_COPD
+    smoker = rng.random(n) < P_SMOKER
+    other_resp = rng.random(n) < P_OTHER_RESP
+    age = rng.integers(18, 81, size=n)
+    male = rng.random(n) < 0.5
+
+    codes = np.empty((n, len(_EMBEDDED_COVARIATES)))
+    flags = np.column_stack([acute[:, :5], copd, other_resp, smoker])
+    codes[:, :8] = 2.0 * flags - 1.0
+    codes[:, 8] = np.where(male, 1.0, -1.0)
+    codes[:, 9] = (age - 49.0) / 31.0
+
+    loadings = covariate_loadings(cfg)
+    w = y.astype(float)
+    features = rng.normal(0.0, cfg.noise_sd, size=(n, d))
+    features += cfg.confounder_strength * codes @ loadings
+    features[:, 0] += cfg.signal_strength * w
+
+    out: list[SynthRecord] = []
+    for i in range(n):
+        symptoms = SymptomProfile(
+            cough=bool(acute[i, 0]),
+            sore_throat=bool(acute[i, 1]),
+            asthma=bool(acute[i, 2]),
+            shortness_of_breath=bool(acute[i, 3]),
+            runny_blocked_nose=bool(acute[i, 4]),
+            new_continuous_cough=bool(acute[i, 5]),
+            copd_emphysema=bool(copd[i]),
+            other_respiratory=bool(other_resp[i]),
+            smoker=bool(smoker[i]),
+        )
+        rec = ParticipantRecord(
+            id=f"syn-{i:07d}",
+            label=int(y[i]),
+            symptoms=symptoms,
+            age_years=int(age[i]),
+            gender="male" if male[i] else "female",
+            channel="synthetic",
+            features=features[i],
+        )
+        out.append(SynthRecord(record=rec, latent_signal=float(w[i])))
+    return out
+
+
+def enrol_loop(population: list[SynthRecord], cfg) -> list[str]:
+    """Ids enrolled by ``synth.enrol`` under ``symptoms_based`` or
+    ``random``, with one scalar RNG draw per person."""
+    if not population:
+        raise EmptyEnrolment("population is empty")
+    cfg.validate()
+    rng = substream(cfg.seed, "enrol")
+    kept = []
+    for sr in population:
+        if cfg.enrolment == "random":
+            p = cfg.random_p
+        else:
+            sym = sr.record.symptoms.any_symptom
+            pos = sr.record.label == 1
+            p = (
+                cfg.w_sym_pos if (sym and pos)
+                else cfg.w_asym_pos if pos
+                else cfg.w_sym_neg if sym
+                else cfg.w_asym_neg
+            )
+        if rng.random() < p:
+            kept.append(sr.record.id)
+    if not kept:
+        raise EmptyEnrolment("no individual enrolled")
+    return kept
+
+
+def age_bin_arith(age_years: int) -> str:
+    """``matching.age_bin`` without the memo."""
+    if age_years >= AGE_OPEN_BIN_START:
+        return f"{AGE_OPEN_BIN_START}+"
+    lo = AGE_BIN_START + AGE_BIN_WIDTH * ((age_years - AGE_BIN_START) // AGE_BIN_WIDTH)
+    return f"{lo}-{lo + AGE_BIN_WIDTH - 1}"
+
+
+def stratum_key_loop(record: ParticipantRecord, spec: MatchSpec) -> tuple:
+    """``matching.stratum_key`` with every covariate name checked on every
+    record; it does not look at blank flags."""
+    if record.age_years is None:
+        raise MissingCovariate("age_years")
+    parts: list = []
+    if spec.include_channel:
+        parts.append(record.channel)
+    parts.append(age_bin_arith(record.age_years))
+    parts.append(record.gender)
+    for name in spec.covariates:
+        if name != "any_symptom" and not hasattr(record.symptoms, name):
+            raise MissingCovariate(name)
+        parts.append(int(record.symptoms.flag(name)))
+    return tuple(parts)
+
+
+def _parse_bool(raw: str, row: int, column: str) -> bool | None:
+    v = raw.strip().lower()
+    if v == "":
+        return None
+    if v in ("1", "true", "yes"):
+        return True
+    if v in ("0", "false", "no"):
+        return False
+    raise BadValue(row, column, raw)
+
+
+def load_cohort_dictreader(path: str) -> Cohort:
+    """``cohort.load_cohort`` through ``csv.DictReader``, one profile per
+    row; it has no ``any_symptom`` column (such a column is a covariate)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        for column in ("id", "label", "age_years", "gender", "channel") + SYMPTOM_FIELDS:
+            if column not in header:
+                raise MissingColumn(column)
+        has_score = "score" in header
+        extra_cols = [h for h in header if h not in CSV_COLUMNS]
+
+        records: list[ParticipantRecord] = []
+        seen: set[str] = set()
+        for i, row in enumerate(reader, start=1):
+            rid = (row["id"] or "").strip()
+            if not rid:
+                raise BadValue(i, "id", row["id"])
+            if rid in seen:
+                raise DuplicateId(rid)
+            seen.add(rid)
+
+            raw_label = (row["label"] or "").strip()
+            if raw_label == "":
+                label: int | None = None
+            elif raw_label in ("0", "1"):
+                label = int(raw_label)
+            else:
+                raise BadValue(i, "label", raw_label)
+
+            raw_age = (row["age_years"] or "").strip()
+            if raw_age == "":
+                age: int | None = None
+            else:
+                try:
+                    age = int(raw_age)
+                except ValueError:
+                    raise BadValue(i, "age_years", raw_age) from None
+
+            gender = (row["gender"] or "").strip().lower()
+            if gender not in GENDERS:
+                gender = "other"
+            channel = (row["channel"] or "").strip()
+            if channel not in CHANNELS:
+                raise BadValue(i, "channel", channel)
+
+            flags = {}
+            for f in SYMPTOM_FIELDS:
+                flags[f] = _parse_bool(row[f] or "", i, f)
+            missing_flags = [f for f, v in flags.items() if v is None]
+            symptoms = SymptomProfile(**{f: bool(v) for f, v in flags.items() if v is not None})
+
+            score: float | None = None
+            if has_score:
+                raw_score = (row["score"] or "").strip()
+                if raw_score != "":
+                    try:
+                        score = float(raw_score)
+                    except ValueError:
+                        raise BadValue(i, "score", raw_score) from None
+                    if not (0.0 <= score <= 1.0):
+                        raise BadValue(i, "score", raw_score)
+
+            other = {c: (row[c] or "").strip() for c in extra_cols}
+            if missing_flags:
+                other["_missing_flags"] = ",".join(missing_flags)
+            records.append(
+                ParticipantRecord(
+                    id=rid,
+                    label=label,
+                    symptoms=symptoms,
+                    age_years=age,
+                    gender=gender,
+                    channel=channel,
+                    other_covariates=other,
+                    score=score,
+                )
+            )
+    manifest = make_manifest(path, rows=len(records), step="load")
+    return Cohort(records=tuple(records), manifest=manifest)

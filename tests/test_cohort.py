@@ -235,3 +235,42 @@ def test_derive_any_symptom():
     assert derive_any_symptom(SymptomProfile(smoker=True)) is False
     assert derive_any_symptom(SymptomProfile(copd_emphysema=True)) is False
     assert derive_any_symptom(SymptomProfile(new_continuous_cough=True)) is True
+
+
+def test_blank_flag_round_trips_and_is_rejected(tmp_csv, tmp_path):
+    text = "\n".join([HEADER, row("a"), row("b", flags=[""] + ["0"] * 8), row("c", flags="0" * 8 + "1")]) + "\n"
+    cohort = load_cohort(tmp_csv("p.csv", text))
+    assert cohort.records[1].other_covariates == {"_missing_flags": "cough"}
+    out = tmp_path / "again.csv"
+    write_cohort(cohort, str(out))
+    assert out.read_text() == text
+    assert out.read_text().splitlines()[2] == "b,1,30,female,TT,,0,0,0,0,0,0,0,0,"
+    kept, report = validate_cohort(load_cohort(str(out)))
+    assert kept.ids() == ["a", "c"]
+    assert report.counts == {"missing_predictors": 1}
+
+
+def test_any_symptom_column_sets_reported_any(tmp_csv, tmp_path):
+    text = "\n".join([
+        HEADER + ",any_symptom",
+        row("a") + ",1",  # no acute flag: self-inconsistent
+        row("b", flags="100000000") + ",1",
+        row("c") + ",",
+        row("d", flags="000000001") + ",0",
+    ]) + "\n"
+    cohort = load_cohort(tmp_csv("p.csv", text))
+    assert [r.symptoms.reported_any for r in cohort.records] == [True, True, None, False]
+    assert all(r.other_covariates == {} for r in cohort.records)
+    kept, report = validate_cohort(cohort)
+    assert kept.ids() == ["b", "c", "d"]
+    assert report.counts == {"self_inconsistent_symptoms": 1}
+    out = tmp_path / "again.csv"
+    write_cohort(cohort, str(out))
+    assert out.read_text() == text
+
+
+def test_any_symptom_column_rejects_bad_value(tmp_csv):
+    text = "\n".join([HEADER + ",any_symptom", row("a") + ",0", row("b") + ",sometimes"]) + "\n"
+    with pytest.raises(BadValue) as err:
+        load_cohort(tmp_csv("p.csv", text))
+    assert (err.value.row, err.value.column) == (2, "any_symptom")

@@ -156,3 +156,26 @@ def test_disjoint_from_refuses_overlap():
     other = make_cohort([cohort.records[0]], source="other")
     with pytest.raises(OverlappingInputs):
         match_exact(cohort, MatchSpec(covariates=("cough",), seed=0), disjoint_from=other)
+
+
+@pytest.mark.parametrize("blank, covariates, name", [
+    ("cough", TEST_SET, "cough"),
+    ("new_continuous_cough", TEST_SET, "any_symptom"),
+    ("smoker", TRAIN_SET, "smoker"),
+    ("asthma,smoker", ("cough", "asthma", "smoker"), "asthma"),
+])
+def test_blank_matched_flag_raises(blank, covariates, name):
+    r = make_record("a", 1, other={"_missing_flags": blank})
+    spec = MatchSpec(covariates=covariates)
+    with pytest.raises(MissingCovariate) as err:
+        stratum_key(r, spec)
+    assert err.value.name == name
+    with pytest.raises(MissingCovariate):
+        match_exact(make_cohort([r, make_record("b", 0)]), spec)
+
+
+def test_blank_unmatched_flag_is_ignored():
+    r = make_record("a", 1, cough=True, other={"_missing_flags": "smoker,copd_emphysema"})
+    assert stratum_key(r, MatchSpec(covariates=TEST_SET, include_channel=False)) == (
+        "28-37", "female", 1, 0, 0, 0, 0, 1
+    )

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from confound_audit.cli import main
+from confound_audit.cohort import CSV_COLUMNS
 from confound_audit.errors import ConfigError, ShapeMismatch
 from confound_audit.metrics import ScoredLabels, auc_ci, calibration_bins, roc_curve
 from confound_audit.pipeline import RunConfig, run_pipeline
@@ -303,11 +304,16 @@ def test_cli_runtime_error_exit_1(tmp_path, capsys):
     (["probe", "nn", "--matched", "{pool}", "--scores", "{repeat}", "--out", "{out}"], 1, "'id' on data row 61"),
     (["baseline", "train", "--in", "{pool}", "--features", "{nanfeat}", "--predictors", "features",
       "--model", "{out}"], 1, "'f1' on data row 2"),
+    (["match", "--in", "{blankflag}", "--out", "{out}"], 1, "covariate 'cough'"),
 ])
 def test_cli_errors_exit_with_one_line(tmp_path, capsys, argv, code, message):
-    names = ("pool", "short", "word", "noscore", "nan", "above", "repeat", "nanfeat", "missing", "out")
+    names = ("pool", "short", "word", "noscore", "nan", "above", "repeat", "nanfeat", "blankflag", "missing", "out")
     paths = {name: str(tmp_path / name) for name in names}
     _write_pool(paths["pool"], n=60)
+    with open(paths["pool"], encoding="utf-8") as fh:
+        pool_rows = fh.read().splitlines(keepends=True)
+    cells = pool_rows[4].split(",")
+    cells[CSV_COLUMNS.index("cough")] = ""
     scores = [f"r{i},0.5\n" for i in range(60)]
     files = {
         "short": "id,score\n" + "".join(scores[:7]),
@@ -317,6 +323,7 @@ def test_cli_errors_exit_with_one_line(tmp_path, capsys, argv, code, message):
         "above": "id,score\n" + "".join(scores[:3]) + "r3,1.5\n" + "".join(scores[4:]),
         "repeat": "id,score\n" + "".join(scores) + "r0,0.25\n",
         "nanfeat": "id,f0,f1\n" + "".join(f"r{i},0.5,{'nan' if i == 1 else 0.25}\n" for i in range(60)),
+        "blankflag": "".join(pool_rows[:4]) + ",".join(cells) + "".join(pool_rows[5:]),
     }
     for name, text in files.items():
         with open(paths[name], "w", encoding="utf-8") as fh:
@@ -366,3 +373,20 @@ def test_cli_match_disjoint_refusal(tmp_path, capsys):
     ])
     assert code == 1
     assert "both inputs" in capsys.readouterr().err
+
+
+def test_cli_eval_counts_rejected_records(tmp_path):
+    pool = tmp_path / "pool.csv"
+    _write_pool(pool, n=200)
+    rows = pool.read_text().splitlines(keepends=True)
+    minor = rows[3].split(",")
+    minor[CSV_COLUMNS.index("age_years")] = "16"
+    unlabelled = rows[5].split(",")
+    unlabelled[CSV_COLUMNS.index("label")] = ""
+    pool.write_text("".join(rows[:3]) + ",".join(minor) + rows[4] + ",".join(unlabelled) + "".join(rows[6:]))
+    out = tmp_path / "metrics.json"
+    assert main(["eval", "--in", str(pool), "--metrics", "pr", "--out", str(out)]) == 0
+    result = json.load(open(out))
+    assert result["n_rejected"] == 2
+    assert result["rejected"] == {"age<18": 1, "missing_label": 1}
+    assert result["n_pos"] + result["n_neg"] == 198
