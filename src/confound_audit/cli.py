@@ -251,18 +251,46 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_utility(args) -> int:
-    with open(args.roc, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
+_ROC_COLUMNS = ("threshold", "sensitivity", "specificity")
+
+
+def _read_roc(path: str) -> RocCurve:
+    """Read operating points from a CSV with threshold, sensitivity and
+    specificity columns, or from the JSON ``eval --metrics roc`` writes (its
+    ``roc_points``, whose last threshold is ``Infinity``). Rates must be
+    numbers in [0, 1] and thresholds numbers; a bad cell raises ``BadValue``
+    with its 1-based row."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        text = fh.read()
+    if text.lstrip().startswith("{"):
+        try:
+            rows = json.loads(text).get("roc_points")
+        except ValueError:
+            raise ConfoundAuditError(f"ROC file {path!r} is not valid JSON") from None
+        if not isinstance(rows, list):
+            raise MissingColumn("roc_points")
+    else:
+        rows = list(csv.DictReader(text.splitlines()))
     if not rows:
         raise ConfoundAuditError("empty ROC file")
-    for column in ("threshold", "sensitivity", "specificity"):
-        if column not in rows[0]:
-            raise MissingColumn(column)
-    thresholds = np.array([float(r["threshold"]) for r in rows])
-    sens = np.array([float(r["sensitivity"]) for r in rows])
-    spec = np.array([float(r["specificity"]) for r in rows])
-    roc = RocCurve(thresholds=thresholds, sensitivities=sens, specificities=spec)
+    values: dict[str, list[float]] = {column: [] for column in _ROC_COLUMNS}
+    for i, row in enumerate(rows, start=1):
+        for column in _ROC_COLUMNS:
+            if not isinstance(row, dict) or column not in row:
+                raise MissingColumn(column)
+            raw = row[column]
+            try:
+                v = float(raw)
+            except (TypeError, ValueError):
+                raise BadValue(i, column, raw) from None
+            if np.isnan(v) or (column != "threshold" and not 0.0 <= v <= 1.0):
+                raise BadValue(i, column, raw)
+            values[column].append(v)
+    return RocCurve(*(np.array(values[column]) for column in _ROC_COLUMNS))
+
+
+def cmd_utility(args) -> int:
+    roc = _read_roc(args.roc)
     params = UtilityParams(r_t=args.rt, epsilon=args.eps, delta=args.delta)
     points = max_eu_curve(roc, params, default_pi_grid(args.pi_max))
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
@@ -329,7 +357,7 @@ def cmd_baseline_train(args) -> int:
     if args.n_trees < 1:
         raise ConfigError("n-trees", "must be >= 1")
     train = _load_scored_cohort(getattr(args, "in"), args.features)
-    train, _ = validate_cohort(train)
+    train, rejections = validate_cohort(train)
     predictors = tuple(args.predictors.split(",")) if args.predictors else DEFAULT_SYMPTOM_PREDICTORS
     if args.hybrid:
         predictors = predictors + ("audio_score",)
@@ -338,9 +366,14 @@ def cmd_baseline_train(args) -> int:
     with open(args.model, "w", encoding="utf-8") as fh:
         fh.write(model_to_json(model))
         fh.write("\n")
-    _write_manifest(args, {"oob_accuracy": model.oob_accuracy})
+    _write_manifest(args, {
+        "oob_accuracy": model.oob_accuracy,
+        "n_rejected": rejections.total_removed,
+        "rejected": dict(sorted(rejections.counts.items())),
+    })
     oob = "n/a" if model.oob_accuracy is None else f"{model.oob_accuracy:.3f}"
-    print(f"trained {model.n_trees} trees (oob accuracy {oob}) -> {args.model}")
+    print(f"trained {model.n_trees} trees (oob accuracy {oob}, {rejections.total_removed} records rejected)"
+          f" -> {args.model}")
     return 0
 
 
@@ -435,7 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("utility", help="max expected utility over a ROC curve")
-    p.add_argument("--roc", required=True, help="CSV with threshold,sensitivity,specificity")
+    p.add_argument("--roc", required=True,
+                   help="CSV with threshold,sensitivity,specificity, or the JSON of eval --metrics roc")
     p.add_argument("--rt", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--delta", type=float, default=0.0)

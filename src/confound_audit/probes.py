@@ -135,7 +135,32 @@ def train_weak_linear(features: np.ndarray, labels: np.ndarray, l2: float = 1.0,
     The update is order-independent (a full-batch sum), initialization is
     zero, and the step schedule is fixed, so identical inputs always yield the
     identical model; flipping every label exactly negates the decision
-    function.
+    function. This is the one-model case of ``_train_weak_prefixes``, the
+    lockstep kernel the weak-robust probe uses.
+    """
+    x = np.asarray(features, dtype=float)
+    if x.ndim != 2:
+        raise ValueError("features and labels must align")
+    return _train_weak_prefixes(x, labels, (x.shape[1],), l2, n_iter)[0]
+
+
+def _train_weak_prefixes(features: np.ndarray, labels: np.ndarray, ks, l2: float = 1.0,
+                         n_iter: int = 200) -> list[WeakModel]:
+    """One weak model per column prefix ``features[:, :k]``, k in ``ks``,
+    trained in lockstep: ``n_iter`` steps in all, not ``n_iter`` per model.
+
+    Each model gets the bits a separate fit on its prefix gets, because every
+    sum keeps that fit's order:
+    - mean, scale and the standardized copy are computed from the prefix view;
+    - margins stay one matvec per model;
+    - the bias gradient is (violating positives - violating negatives) / n,
+      and ``viol @ y`` sums those +-1 terms exactly in any order;
+    - a one-column model sums its gathered violators (pairwise, as numpy sums
+      a 1-D array);
+    - wider models share one row-by-row reduction over their stacked
+      ``y * z`` columns, masked by each column's model. A masked-out row adds
+      nothing; at most the sign of a zero sum changes, which no update of a
+      weight can see.
     """
     x = np.asarray(features, dtype=float)
     y01 = np.asarray(labels, dtype=int)
@@ -144,24 +169,51 @@ def train_weak_linear(features: np.ndarray, labels: np.ndarray, l2: float = 1.0,
     if not ((y01 == 1).any() and (y01 == 0).any()):
         raise OneClassOnly("weak model training needs both classes")
     y = 2.0 * y01 - 1.0
+    n, m = x.shape[0], len(ks)
 
-    mean = x.mean(axis=0)
-    scale = x.std(axis=0)
-    scale[scale == 0.0] = 1.0
-    z = (x - mean) / scale
+    stats, zs = [], []
+    for k in ks:
+        xk = x[:, :k]
+        mean = xk.mean(axis=0)
+        scale = xk.std(axis=0)
+        scale[scale == 0.0] = 1.0
+        stats.append((mean, scale))
+        zs.append((xk - mean) / scale)
 
-    n = z.shape[0]
-    w = np.zeros(z.shape[1])
-    b = 0.0
+    widths = np.asarray(ks, dtype=int)
+    ends = np.cumsum(widths)
+    spans = [slice(e - k, e) for k, e in zip(ks, ends)]
+    yz = y[:, None] * np.concatenate(zs, axis=1)  # multiplying by +-1 is exact
+    wide_cols = np.flatnonzero(np.repeat(widths != 1, widths))
+    wide_model = np.repeat(np.arange(m), widths)[wide_cols]
+    wide_yz = np.ascontiguousarray(yz[:, wide_cols])  # C order: reduced row by row
+    single = [(j, spans[j].start, yz[:, spans[j].start].copy()) for j in range(m) if ks[j] == 1]
+
+    w = np.zeros(ends[-1])
+    b = np.zeros(m)
+    margin = np.empty((m, n))
+    viol = np.empty((m, n), dtype=bool)
+    mask = np.empty((wide_cols.size, n), dtype=bool)
+    hinge_sum = np.empty(ends[-1])
     for t in range(1, n_iter + 1):
         eta = 1.0 / (l2 * t)
-        margin = y * (z @ w + b)
-        viol = margin < 1.0
-        grad_w = l2 * w - (y[viol, None] * z[viol]).sum(axis=0) / n
-        grad_b = -y[viol].sum() / n
+        for z, span, row in zip(zs, spans, margin):
+            np.matmul(z, w[span], out=row)
+        margin += b[:, None]
+        margin *= y
+        np.less(margin, 1.0, out=viol)
+        np.take(viol, wide_model, axis=0, out=mask)
+        hinge_sum[wide_cols] = np.add.reduce(wide_yz, axis=0, where=mask.T)
+        for j, col, yz_col in single:
+            hinge_sum[col] = yz_col[viol[j]].sum()
+        grad_w = l2 * w - hinge_sum / n
+        grad_b = -(viol @ y) / n
         w = w - eta * grad_w
         b = b - eta * grad_b
-    return WeakModel(feature_mean=mean, feature_scale=scale, weights=w, bias=float(b))
+    return [
+        WeakModel(feature_mean=mean, feature_scale=scale, weights=w[span].copy(), bias=float(b[j]))
+        for j, ((mean, scale), span) in enumerate(zip(stats, spans))
+    ]
 
 
 # -- probe configuration and results ---------------------------------------------
@@ -240,7 +292,9 @@ def weak_robust_curate(matched: Cohort, calibration: Cohort, cfg: WeakProbeConfi
 
     A weak model that predicts a single class is degenerate (it discriminates
     nothing) and triggers no removals at that k. If the calibration task
-    never passes, tau is None and no attribution region is reported.
+    never passes, tau is None and no attribution region is reported. The
+    k_max models of each cohort are trained in lockstep by one call of
+    ``_train_weak_prefixes``.
     """
     y = matched.labels()
     if (y == -1).any():
@@ -261,16 +315,17 @@ def weak_robust_curate(matched: Cohort, calibration: Cohort, cfg: WeakProbeConfi
     z_all = pca_project(pca, x)
     z_cal = pca_project(pca, xc)
 
-    curated = set(ids)
-    ks, uar_m, uar_c, removed_per_k, curated_auc, curated_sizes = [], [], [], [], [], []
+    ks = range(1, k_cap + 1)
+    models = _train_weak_prefixes(z_all, y, ks)
+    cal_models = _train_weak_prefixes(z_cal, yc, ks)
+    curated = np.ones(len(ids), dtype=bool)
+    uar_m, uar_c, removed_per_k, curated_auc, curated_sizes = [], [], [], [], []
     tau = None
     uncurated_auc = auc(ScoredLabels(scores, y))
-    for k in range(1, k_cap + 1):
-        weak = train_weak_linear(z_all[:, :k], y)
+    for k, weak, weak_cal in zip(ks, models, cal_models):
         preds = weak.predict(z_all[:, :k])
         uar_matched = uar(preds, y)
 
-        weak_cal = train_weak_linear(z_cal[:, :k], yc)
         uar_calib = uar(weak_cal.predict(z_cal[:, :k]), yc)
         if tau is None and uar_calib > cfg.calibration_uar_threshold:
             tau = k
@@ -278,22 +333,21 @@ def weak_robust_curate(matched: Cohort, calibration: Cohort, cfg: WeakProbeConfi
         if preds.min() == preds.max():
             newly_removed: tuple[str, ...] = ()
         else:
-            correct = preds == y
-            newly_removed = tuple(ids[i] for i in range(len(ids)) if correct[i] and ids[i] in curated)
-            curated.difference_update(newly_removed)
+            removed = (preds == y) & curated
+            newly_removed = tuple(ids[i] for i in np.flatnonzero(removed))
+            curated &= ~removed
 
-        keep_mask = np.array([rid in curated for rid in ids])
-        if keep_mask.any() and (y[keep_mask] == 1).any() and (y[keep_mask] == 0).any():
-            cur_auc = auc(ScoredLabels(scores[keep_mask], y[keep_mask]))
+        kept = y[curated]
+        if (kept == 1).any() and (kept == 0).any():
+            cur_auc = auc(ScoredLabels(scores[curated], kept))
         else:
             cur_auc = None
 
-        ks.append(k)
         uar_m.append(float(uar_matched))
         uar_c.append(float(uar_calib))
         removed_per_k.append(newly_removed)
         curated_auc.append(cur_auc)
-        curated_sizes.append(int(keep_mask.sum()))
+        curated_sizes.append(int(kept.size))
 
     return ProbeResult(
         ks=tuple(ks),

@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cohort import Cohort, child_manifest, derive_any_symptom
-from .errors import InsufficientPool
+from .cohort import ACUTE_SYMPTOM_FIELDS, Cohort, child_manifest, derive_any_symptom
+from .errors import InsufficientPool, MissingCovariate
 from .matching import age_bin
 from .rngs import substream
 
@@ -92,10 +92,17 @@ class ResampleReport:
 
 
 def _pool_index(pool: Cohort) -> dict[tuple, list[str]]:
+    """Ids by (label, symptomatic, gender, age bin). A record with a blank
+    acute flag has no known symptomatic status and raises
+    ``MissingCovariate("any_symptom")``, as matching on it does."""
     index: dict[tuple, list[str]] = {}
     for r in pool.records:
         if r.label is None or r.age_years is None:
             continue
+        if "_missing_flags" in r.other_covariates:
+            blank = r.other_covariates["_missing_flags"].split(",")
+            if any(f in blank for f in ACUTE_SYMPTOM_FIELDS):
+                raise MissingCovariate("any_symptom")
         key = (r.label, derive_any_symptom(r.symptoms), r.gender, age_bin(r.age_years))
         index.setdefault(key, []).append(r.id)
     for members in index.values():

@@ -1,19 +1,21 @@
-"""Slow reference implementations of the rank, max-EU, CART and
-per-record kernels.
+"""Slow reference implementations of the rank, max-EU, CART, weak-model
+and per-record kernels.
 
 These are the direct O(m*n), per-element and enumerating forms of
 ``metrics`` and ``utility`` internals, the argsort-per-node-per-feature
-CART of ``forest``, and the per-record loops of ``synth``, ``matching`` and
+CART of ``forest``, the one-model-at-a-time weak linear fit and curation of
+``probes``, and the per-record loops of ``synth``, ``matching`` and
 ``cohort`` (one profile object per person, one RNG draw per person, a
 covariate check per record, ``csv.DictReader``). The fast kernels must
-return exactly the same values; ``test_rank_kernels.py``, ``test_forest.py``
-and ``test_record_kernels.py`` compare the two. None of the rank kernels
-accept NaN: ``midranks_loop`` never terminates on it.
+return exactly the same values; ``test_rank_kernels.py``, ``test_forest.py``,
+``test_probes.py`` and ``test_record_kernels.py`` compare the two. None of
+the rank kernels accept NaN: ``midranks_loop`` never terminates on it.
 """
 
 from __future__ import annotations
 
 import csv
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -29,8 +31,18 @@ from confound_audit.cohort import (
     SymptomProfile,
     make_manifest,
 )
-from confound_audit.errors import BadValue, DuplicateId, EmptyEnrolment, MissingColumn, MissingCovariate
+from confound_audit.errors import (
+    BadValue,
+    DuplicateId,
+    EmptyEnrolment,
+    MissingColumn,
+    MissingCovariate,
+    OneClassOnly,
+    RankDeficientWarning,
+)
 from confound_audit.matching import AGE_BIN_START, AGE_BIN_WIDTH, AGE_OPEN_BIN_START, MatchSpec
+from confound_audit.metrics import ScoredLabels, auc, uar
+from confound_audit.probes import ProbeResult, WeakModel, WeakProbeConfig, _cohort_scores, pca_fit, pca_project
 from confound_audit.rngs import substream
 from confound_audit.synth import _EMBEDDED_COVARIATES, P_COPD, P_OTHER_RESP, P_SMOKER, SynthRecord, covariate_loadings
 
@@ -399,3 +411,108 @@ def load_cohort_dictreader(path: str) -> Cohort:
             )
     manifest = make_manifest(path, rows=len(records), step="load")
     return Cohort(records=tuple(records), manifest=manifest)
+
+
+def train_weak_linear_loop(features: np.ndarray, labels: np.ndarray, l2: float = 1.0,
+                           n_iter: int = 200) -> WeakModel:
+    """``probes.train_weak_linear`` as one model's own 200-step loop, with
+    the masked gradient summed over the gathered violators.
+
+    Deterministic full-batch subgradient descent on L2-regularized hinge
+    loss, after per-column standardization.
+    """
+    x = np.asarray(features, dtype=float)
+    y01 = np.asarray(labels, dtype=int)
+    if x.ndim != 2 or x.shape[0] != y01.size:
+        raise ValueError("features and labels must align")
+    if not ((y01 == 1).any() and (y01 == 0).any()):
+        raise OneClassOnly("weak model training needs both classes")
+    y = 2.0 * y01 - 1.0
+
+    mean = x.mean(axis=0)
+    scale = x.std(axis=0)
+    scale[scale == 0.0] = 1.0
+    z = (x - mean) / scale
+
+    n = z.shape[0]
+    w = np.zeros(z.shape[1])
+    b = 0.0
+    for t in range(1, n_iter + 1):
+        eta = 1.0 / (l2 * t)
+        margin = y * (z @ w + b)
+        viol = margin < 1.0
+        grad_w = l2 * w - (y[viol, None] * z[viol]).sum(axis=0) / n
+        grad_b = -y[viol].sum() / n
+        w = w - eta * grad_w
+        b = b - eta * grad_b
+    return WeakModel(feature_mean=mean, feature_scale=scale, weights=w, bias=float(b))
+
+
+def weak_robust_curate_loop(matched: Cohort, calibration: Cohort, cfg: WeakProbeConfig) -> ProbeResult:
+    """``probes.weak_robust_curate`` with one ``train_weak_linear_loop`` fit
+    per k and cohort, the curated set kept as a set of ids and the kept mask
+    rebuilt by a membership walk."""
+    y = matched.labels()
+    if (y == -1).any():
+        raise ValueError("matched cohort has unlabelled records")
+    if not ((y == 1).any() and (y == 0).any()):
+        raise OneClassOnly("matched cohort needs both classes")
+    x = matched.feature_matrix()
+    xc = calibration.feature_matrix()
+    yc = calibration.labels()
+    scores = _cohort_scores(matched)
+    ids = matched.ids()
+
+    k_cap = min(cfg.k_max, x.shape[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RankDeficientWarning)
+        pca = pca_fit(x[y == 0], n_components=k_cap)
+    k_cap = pca.n_components
+    z_all = pca_project(pca, x)
+    z_cal = pca_project(pca, xc)
+
+    curated = set(ids)
+    ks, uar_m, uar_c, removed_per_k, curated_auc, curated_sizes = [], [], [], [], [], []
+    tau = None
+    uncurated_auc = auc(ScoredLabels(scores, y))
+    for k in range(1, k_cap + 1):
+        weak = train_weak_linear_loop(z_all[:, :k], y)
+        preds = weak.predict(z_all[:, :k])
+        uar_matched = uar(preds, y)
+
+        weak_cal = train_weak_linear_loop(z_cal[:, :k], yc)
+        uar_calib = uar(weak_cal.predict(z_cal[:, :k]), yc)
+        if tau is None and uar_calib > cfg.calibration_uar_threshold:
+            tau = k
+
+        if preds.min() == preds.max():
+            newly_removed: tuple[str, ...] = ()
+        else:
+            correct = preds == y
+            newly_removed = tuple(ids[i] for i in range(len(ids)) if correct[i] and ids[i] in curated)
+            curated.difference_update(newly_removed)
+
+        keep_mask = np.array([rid in curated for rid in ids])
+        if keep_mask.any() and (y[keep_mask] == 1).any() and (y[keep_mask] == 0).any():
+            cur_auc = auc(ScoredLabels(scores[keep_mask], y[keep_mask]))
+        else:
+            cur_auc = None
+
+        ks.append(k)
+        uar_m.append(float(uar_matched))
+        uar_c.append(float(uar_calib))
+        removed_per_k.append(newly_removed)
+        curated_auc.append(cur_auc)
+        curated_sizes.append(int(keep_mask.sum()))
+
+    return ProbeResult(
+        ks=tuple(ks),
+        weak_uar_matched=tuple(uar_m),
+        weak_uar_calibration=tuple(uar_c),
+        tau=tau,
+        removed_ids_per_k=tuple(removed_per_k),
+        curated_auc_per_k=tuple(curated_auc),
+        curated_size_per_k=tuple(curated_sizes),
+        uncurated_auc=float(uncurated_auc),
+        curated_auc_at_tau=(curated_auc[tau - 1] if tau is not None else None),
+    )

@@ -1,10 +1,17 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from confound_audit import pipeline
 from confound_audit.errors import NoNegatives, OneClassOnly, RankDeficientWarning
 from confound_audit.metrics import uar
+from confound_audit.pipeline import RunConfig, run_pipeline
 from confound_audit.probes import (
     WeakProbeConfig,
+    _train_weak_prefixes,
     make_calibration_cohort,
     nn_substitute,
     pca_fit,
@@ -15,6 +22,7 @@ from confound_audit.probes import (
 )
 
 from conftest import make_cohort, make_record
+from reference_kernels import train_weak_linear_loop, weak_robust_curate_loop
 
 
 # -- PCA ------------------------------------------------------------------------
@@ -136,6 +144,74 @@ def test_weak_linear_deterministic():
     a = train_weak_linear(x, y)
     b = train_weak_linear(x, y)
     assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
+
+
+WEAK_FIELDS = ("feature_mean", "feature_scale", "weights", "bias")
+
+
+def _same_bits(a, b) -> bool:
+    return all(
+        np.asarray(getattr(a, f), dtype=float).tobytes() == np.asarray(getattr(b, f), dtype=float).tobytes()
+        for f in WEAK_FIELDS
+    )
+
+
+@st.composite
+def weak_fit_inputs(draw):
+    """Features rounded to 0-2 decimals, some columns constant or all zero,
+    either class possibly rare, C or Fortran order."""
+    n = draw(st.integers(2, 300))
+    d = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = np.round(rng.normal(0.0, draw(st.sampled_from([0.1, 1.0, 7.0])), size=(n, d)), draw(st.integers(0, 2)))
+    for col in draw(st.lists(st.integers(0, d - 1), max_size=3)):
+        x[:, col] = draw(st.sampled_from([0.0, 1.0, -2.5]))
+    y = (rng.random(n) < draw(st.sampled_from([0.02, 0.1, 0.5]))).astype(int)
+    if y.min() == y.max():
+        y[draw(st.integers(0, n - 1))] ^= 1
+    if draw(st.booleans()):
+        y = 1 - y
+    if draw(st.booleans()):
+        x = np.asfortranarray(x)
+    return x, y, draw(st.sampled_from([0.01, 0.3, 1.0, 4.0])), draw(st.integers(0, 120))
+
+
+def _assert_kernel_matches_loop(x, y, l2, n_iter):
+    """Every prefix model of one lockstep fit, and the one-model
+    ``train_weak_linear``, has the loop's bits."""
+    models = _train_weak_prefixes(x, y, range(1, x.shape[1] + 1), l2, n_iter)
+    for k, model in enumerate(models, start=1):
+        assert _same_bits(model, train_weak_linear_loop(x[:, :k], y, l2, n_iter)), k
+    assert _same_bits(train_weak_linear(x, y, l2, n_iter), train_weak_linear_loop(x, y, l2, n_iter))
+
+
+@settings(max_examples=80, deadline=None)
+@given(weak_fit_inputs())
+def test_lockstep_weak_kernel_matches_loop_bits(case):
+    _assert_kernel_matches_loop(*case)
+
+
+def _margin_tie_case(seed: int):
+    """A fit whose second step puts one row's margin at exactly 1 in exact
+    arithmetic: ``l2`` is chosen from that row's first-step margin. Margins
+    reach the weights only through ``margin < 1``, so a change in how they
+    are rounded shows only at such a tie."""
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(4, 60)), int(rng.integers(2, 8))
+    x = np.round(rng.normal(size=(n, d)), int(rng.integers(0, 3)))
+    y = (rng.random(n) < 0.5).astype(int)
+    y[:2] = [0, 1]
+    xk = x[:, : int(rng.integers(2, d + 1))]
+    scale = xk.std(axis=0)
+    scale[scale == 0.0] = 1.0
+    yz = (2.0 * y - 1.0)[:, None] * (xk - xk.mean(axis=0)) / scale
+    l2 = abs(yz[int(rng.integers(0, n))] @ yz.sum(axis=0) + (2.0 * y - 1.0).sum()) / n
+    return x, y, max(l2, 0.01), int(rng.integers(2, 6))
+
+
+def test_lockstep_weak_kernel_matches_loop_at_margin_ties():
+    for seed in range(150):
+        _assert_kernel_matches_loop(*_margin_tie_case(seed))
 
 
 # -- probe fixtures --------------------------------------------------------------------
@@ -308,3 +384,35 @@ def test_calibration_cohort_solvable_at_full_dimension():
     y = cohort.labels()
     model = train_weak_linear(x, y)
     assert uar(model.predict(x), y) >= 0.9
+
+
+def _random_probe_cohort(seed: int, n: int, dim: int) -> tuple:
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.normal(size=(n, dim)), int(rng.integers(0, 3)))
+    y = (rng.random(n) < 0.4).astype(int)
+    y[:2] = [0, 1]
+    x[y == 1, 0] += 1.0
+    scores = np.round(rng.random(n), 2)
+    records = [make_record(f"r{i}", int(y[i]), score=float(scores[i]), features=x[i]) for i in range(n)]
+    return make_cohort(records), make_calibration_cohort(dim, n_per_class=60, seed=seed)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_weak_robust_matches_loop_on_random_cohorts(seed):
+    cohort, calibration = _random_probe_cohort(seed, n=40 + 50 * seed, dim=2 + seed)
+    cfg = WeakProbeConfig(k_max=1 + seed, seed=seed)
+    assert weak_robust_curate(cohort, calibration, cfg) == weak_robust_curate_loop(cohort, calibration, cfg)
+
+
+def test_weak_robust_matches_loop_on_pipeline_cohort():
+    calls = []
+
+    def capture(*args):
+        calls.append((args, weak_robust_curate(*args)))
+        return calls[-1][1]
+
+    with mock.patch.object(pipeline, "weak_robust_curate", side_effect=capture):
+        run_pipeline(RunConfig(seed=1))
+    (args, result), = calls
+    assert result == weak_robust_curate_loop(*args)
+    assert sum(map(len, result.removed_ids_per_k)) > 0

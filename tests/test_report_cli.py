@@ -234,6 +234,27 @@ def test_cli_utility(tmp_path):
     assert float(rows[0]["max_eu"]) == 0.0
 
 
+def test_cli_utility_reads_eval_roc_json(tmp_path):
+    pool = tmp_path / "pool.csv"
+    _write_pool(pool, n=400)
+    metrics = tmp_path / "metrics.json"
+    assert main(["eval", "--in", str(pool), "--metrics", "roc", "--out", str(metrics)]) == 0
+    points = json.load(open(metrics))["roc_points"]
+    assert points[-1]["threshold"] == float("inf")
+    roc_csv = tmp_path / "roc.csv"
+    with open(roc_csv, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["threshold", "sensitivity", "specificity"])
+        w.writerows([p["threshold"], p["sensitivity"], p["specificity"]] for p in points)
+    outs = []
+    for roc in (metrics, roc_csv):
+        out = tmp_path / f"eu-{roc.suffix[1:]}.csv"
+        assert main(["utility", "--roc", str(roc), "--rt", "1.5", "--eps", "0.2", "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert len(outs[0].splitlines()) == 102
+
+
 def test_cli_report_manifest_rerun_byte_identical(tmp_path):
     out1 = tmp_path / "run1"
     out2 = tmp_path / "run2"
@@ -305,9 +326,16 @@ def test_cli_runtime_error_exit_1(tmp_path, capsys):
     (["baseline", "train", "--in", "{pool}", "--features", "{nanfeat}", "--predictors", "features",
       "--model", "{out}"], 1, "'f1' on data row 2"),
     (["match", "--in", "{blankflag}", "--out", "{out}"], 1, "covariate 'cough'"),
+    (["resample", "--in", "{blankflag}", "--n-pos", "10", "--n-neg", "10", "--out", "{out}"], 1,
+     "covariate 'any_symptom'"),
+    (["utility", "--roc", "{badroc}", "--rt", "1.5", "--eps", "0.2", "--out", "{out}"], 1,
+     "'threshold' on data row 2: 'abc'"),
+    (["utility", "--roc", "{badjson}", "--rt", "1.5", "--eps", "0.2", "--out", "{out}"], 1,
+     "'sensitivity' on data row 1"),
 ])
 def test_cli_errors_exit_with_one_line(tmp_path, capsys, argv, code, message):
-    names = ("pool", "short", "word", "noscore", "nan", "above", "repeat", "nanfeat", "blankflag", "missing", "out")
+    names = ("pool", "short", "word", "noscore", "nan", "above", "repeat", "nanfeat", "blankflag", "badroc", "badjson",
+             "missing", "out")
     paths = {name: str(tmp_path / name) for name in names}
     _write_pool(paths["pool"], n=60)
     with open(paths["pool"], encoding="utf-8") as fh:
@@ -324,6 +352,8 @@ def test_cli_errors_exit_with_one_line(tmp_path, capsys, argv, code, message):
         "repeat": "id,score\n" + "".join(scores) + "r0,0.25\n",
         "nanfeat": "id,f0,f1\n" + "".join(f"r{i},0.5,{'nan' if i == 1 else 0.25}\n" for i in range(60)),
         "blankflag": "".join(pool_rows[:4]) + ",".join(cells) + "".join(pool_rows[5:]),
+        "badroc": "threshold,sensitivity,specificity\n0.2,1.0,0.0\nabc,0.7,0.8\n",
+        "badjson": '{"roc_points": [{"threshold": Infinity, "sensitivity": "high", "specificity": 1.0}]}\n',
     }
     for name, text in files.items():
         with open(paths[name], "w", encoding="utf-8") as fh:
@@ -390,3 +420,23 @@ def test_cli_eval_counts_rejected_records(tmp_path):
     assert result["n_rejected"] == 2
     assert result["rejected"] == {"age<18": 1, "missing_label": 1}
     assert result["n_pos"] + result["n_neg"] == 198
+
+
+def test_cli_baseline_train_counts_rejected_records(tmp_path, capsys):
+    pool = tmp_path / "pool.csv"
+    _write_pool(pool, n=200)
+    rows = pool.read_text().splitlines(keepends=True)
+    minor = rows[3].split(",")
+    minor[CSV_COLUMNS.index("age_years")] = "16"
+    unlabelled = rows[5].split(",")
+    unlabelled[CSV_COLUMNS.index("label")] = ""
+    pool.write_text("".join(rows[:3]) + ",".join(minor) + rows[4] + ",".join(unlabelled) + "".join(rows[6:]))
+    man = tmp_path / "manifest.json"
+    assert main([
+        "baseline", "train", "--in", str(pool), "--model", str(tmp_path / "model.json"),
+        "--n-trees", "3", "--manifest-out", str(man),
+    ]) == 0
+    payload = json.load(open(man))
+    assert payload["n_rejected"] == 2
+    assert payload["rejected"] == {"age<18": 1, "missing_label": 1}
+    assert "2 records rejected" in capsys.readouterr().out

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from confound_audit.errors import InsufficientPool
+from confound_audit.cohort import CSV_COLUMNS, load_cohort, write_cohort
+from confound_audit.errors import InsufficientPool, MissingCovariate
 from confound_audit.matching import age_bin
 from confound_audit.resample import PopulationSpec, resample_general_population
 
@@ -106,3 +107,33 @@ def test_exact_fraction_after_rounding():
     assert by.get((0, True), 0) == round(47 * 0.3 + 1e-9)  # 14
     assert sum(v for (lbl, _), v in by.items() if lbl == 1) == 33
     assert sum(v for (lbl, _), v in by.items() if lbl == 0) == 47
+
+
+def _pool_csv_with_blank(tmp_path, flag: str) -> str:
+    """400-row pool CSV whose row ``r0`` has a blank ``flag`` cell and no
+    acute flag set."""
+    records = [make_record("r0", label=0, age=30, gender="male")]
+    records += [r for r in big_pool(seed=5, n=400).records if r.id != "r0"][:399]
+    path = tmp_path / "pool.csv"
+    write_cohort(make_cohort(records), str(path))
+    rows = path.read_text().splitlines(keepends=True)
+    cells = rows[1].split(",")
+    assert cells[0] == "r0"
+    cells[CSV_COLUMNS.index(flag)] = ""
+    path.write_text(rows[0] + ",".join(cells) + "".join(rows[2:]))
+    return str(path)
+
+
+def test_blank_acute_flag_raises_missing_covariate(tmp_path):
+    pool = load_cohort(_pool_csv_with_blank(tmp_path, "cough"))
+    assert len(pool) == 400
+    spec = PopulationSpec(n_pos=20, n_neg=20, seed=1)
+    with pytest.raises(MissingCovariate) as err:
+        resample_general_population(pool, spec)
+    assert err.value.name == "any_symptom"
+
+
+def test_blank_non_acute_flag_is_ignored(tmp_path):
+    pool = load_cohort(_pool_csv_with_blank(tmp_path, "smoker"))
+    out, report = resample_general_population(pool, PopulationSpec(n_pos=20, n_neg=20, seed=1))
+    assert report.n_total() == 40
