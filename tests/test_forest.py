@@ -1,8 +1,11 @@
+import functools
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from confound_audit.errors import EncodingMismatch, MissingScore, OneClassOnly
@@ -111,20 +114,22 @@ def test_zero_trees_rejected():
 
 def test_monotone_recoding_invariance_on_train():
     # recoding a numeric feature by a strictly increasing map preserves split
-    # orderings, so tree structure and fitted-record routing are unchanged
-    # (points strictly between training values may route differently, since
-    # midpoint thresholds are not order-determined)
+    # orderings, so tree structure and the routing of each tree's in-bag
+    # records are unchanged (points strictly between training values, such
+    # as out-of-bag records, may route differently, since midpoint thresholds
+    # are not order-determined)
     rng = np.random.default_rng(8)
     x, y = _noise_xy(rng, n=80, p=3)
     x[:, 0] = np.abs(x[:, 0]) + 0.1
     recoded = x.copy()
     recoded[:, 0] = recoded[:, 0] ** 3  # strictly increasing on positives
-    for t in range(5):
-        tree_a = _grow_tree(x, y, substream(21, "tree", t), 2)
-        tree_b = _grow_tree(recoded, y, substream(21, "tree", t), 2)
+    model_a = fit_forest(x, y, n_trees=5, seed=21)
+    model_b = fit_forest(recoded, y, n_trees=5, seed=21)
+    for t, (tree_a, tree_b) in enumerate(zip(model_a.trees, model_b.trees)):
         for name in ("feature", "left", "right", "leaf_frac"):
             assert np.array_equal(tree_a[name], tree_b[name])
-        assert np.array_equal(_tree_predict(tree_a, x), _tree_predict(tree_b, recoded))
+        boot = substream(21, "tree", t).integers(0, y.size, size=y.size)
+        assert np.array_equal(_tree_predict(tree_a, x[boot]), _tree_predict(tree_b, recoded[boot]))
 
 
 def _tree_json(tree: dict) -> str:
@@ -177,22 +182,96 @@ def test_presorted_tree_matches_reference(data):
     assert rng_ref.random() == rng.random()  # the same draws, in the same order
 
 
-def test_presorted_trees_match_reference_on_bias_demo_matrix():
+@functools.lru_cache(maxsize=None)
+def _bias_demo_matrices(seed: int):
+    """The ``bias-demo`` pipeline's train matrix, labels and test matrix."""
     from confound_audit.cohort import SplitSpec, split_cohort
     from confound_audit.synth import SynthConfig, generate_cohort
 
     cfg = SynthConfig(
         n_population=20_000, prevalence=0.25, enrolment="symptoms_based",
-        signal_strength=0.0, confounder_strength=5.0, feature_dim=12, seed=1,
+        signal_strength=0.0, confounder_strength=5.0, feature_dim=12, seed=seed,
     )
-    train, _ = split_cohort(generate_cohort(cfg)[0], SplitSpec(train_fraction=0.5, seed=1))
-    x = encode_cohort(train, build_encoding(train, ("features",)))
-    y = train.labels()
+    train, test = split_cohort(generate_cohort(cfg)[0], SplitSpec(train_fraction=0.5, seed=seed))
+    encoding = build_encoding(train, ("features",))
+    return encode_cohort(train, encoding), train.labels(), encode_cohort(test, encoding)
+
+
+def test_presorted_trees_match_reference_on_bias_demo_matrix():
+    x, y, _ = _bias_demo_matrices(1)
     model = fit_forest(x, y, n_trees=50, seed=1)
     for t, tree in enumerate(model.trees):
         rng = substream(1, "tree", t)
         boot = rng.integers(0, y.size, size=y.size)
         _assert_same_tree(grow_tree_argsort_per_node(x[boot], y[boot], rng, model.m_try), tree, x)
+
+
+def _reference_forest(x: np.ndarray, y: np.ndarray, n_trees: int, seed: int):
+    """Trees, OOB accuracy and a predictor from the one-tree-at-a-time oracle:
+    tree ``t`` grows on its bootstrap from ``substream(seed, "tree", t)``, and
+    scores add up tree by tree, in order."""
+    n, p = x.shape
+    m_try = max(1, int(round(np.sqrt(p))))
+    trees, oob_sum, oob_count = [], np.zeros(n), np.zeros(n)
+    for t in range(n_trees):
+        rng = substream(seed, "tree", t)
+        boot = rng.integers(0, n, size=n)
+        trees.append(grow_tree_argsort_per_node(x[boot], y[boot], rng, m_try))
+        oob = np.ones(n, dtype=bool)
+        oob[boot] = False
+        if oob.any():
+            oob_sum[oob] += tree_predict_from_lists(trees[-1], x[oob])
+            oob_count[oob] += 1
+    covered = oob_count > 0
+    oob_accuracy = None
+    if covered.any():
+        oob_accuracy = float(np.mean((oob_sum[covered] / oob_count[covered] >= 0.5) == (y[covered] == 1)))
+
+    def predict(z: np.ndarray) -> np.ndarray:
+        out = np.zeros(z.shape[0])
+        for tree in trees:
+            out += tree_predict_from_lists(tree, z)
+        return out / n_trees
+
+    return trees, oob_accuracy, predict
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree_inputs(), st.integers(1, 8))
+def test_forest_matches_per_tree_reference(data, n_trees):
+    x, y, _, seed = data
+    assume((y == 0).any() and (y == 1).any())
+    model = fit_forest(x, y, n_trees=n_trees, seed=seed)
+    trees, oob_accuracy, predict = _reference_forest(x, y, n_trees, seed)
+    assert len(model.trees) == n_trees
+    for ref, tree in zip(trees, model.trees):
+        _assert_same_tree(ref, tree, x)
+    assert model.oob_accuracy == oob_accuracy
+    probe = np.vstack([x, x + 0.05, x - 0.05])
+    assert model.predict_matrix(probe).tobytes() == predict(probe).tobytes()
+
+
+def test_bias_demo_forest_golden_digests():
+    # sha256 of the model JSON and of the test-set score bytes, pinned from
+    # the one-tree-at-a-time forest; any change to a tree, a threshold, the
+    # OOB figure or the order scores add up in moves them
+    x, y, test_x = _bias_demo_matrices(3)
+    model = fit_forest(x, y, 50, 3)
+    model_digest = hashlib.sha256(model_to_json(model).encode()).hexdigest()
+    score_digest = hashlib.sha256(model.predict_matrix(test_x).tobytes()).hexdigest()
+    assert model_digest == "4318dcebf488d4fe922c5c2e6b09c908f6ccaef4667e60f2a78e4dafd73e9cd9"
+    assert score_digest == "cdd9ec1f18cfe7ede2318838a0dbd7e49c76d573b586c1f4ac01349ef85edd37"
+
+
+def test_fit_forest_memory_peak_on_bias_demo_matrix():
+    x, y, _ = _bias_demo_matrices(3)
+    tracemalloc.start()
+    try:
+        fit_forest(x, y, 50, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
