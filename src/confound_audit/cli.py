@@ -183,13 +183,15 @@ def cmd_resample(args) -> int:
                 {
                     "achieved": {"|".join(map(str, k)): v for k, v in sorted(report.achieved.items(), key=str)},
                     "shortfalls": [list(map(str, c)) for c in report.shortfalls],
+                    "skipped": report.skipped,
                 },
                 fh,
                 indent=2,
             )
             fh.write("\n")
-    _write_manifest(args, {"n": report.n_total()})
-    print(f"drew {report.n_total()} records -> {args.out}")
+    n_skipped = sum(report.skipped.values())
+    _write_manifest(args, {"n": report.n_total(), "n_skipped": n_skipped, "skipped": report.skipped})
+    print(f"drew {report.n_total()} records ({n_skipped} pool records skipped) -> {args.out}")
     return 0
 
 

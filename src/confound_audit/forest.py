@@ -7,6 +7,13 @@ settings" are pinned explicitly because defaults are implementation-relative:
 100 trees, Gini impurity, sqrt(p) candidate features per split, bootstrap
 resamples of size n, grown until pure.
 
+All trees grow in lockstep (``_grow_trees``): each step takes the next
+node of every tree and scores them together as one block. Each tree still
+draws from its own (seed, tree index) stream in its own depth-first order,
+so the trees are the ones grown one at a time. Prediction and the
+out-of-bag pass route every (tree, row) pair at once and add the scores up
+tree by tree, in order.
+
 Models serialize to JSON (portable and diffable). A hybrid classifier is the
 same ensemble with the audio score appended as one more numeric predictor.
 """
@@ -141,110 +148,198 @@ def encode_cohort(cohort: Cohort, encoding: FeatureEncoding) -> np.ndarray:
 # "none" (a leaf's feature and children, an inner node's leaf_frac)
 TREE_ARRAYS = {"feature": int, "threshold": float, "left": int, "right": int, "leaf_frac": float}
 
+# nodes are scored in blocks of at most this many concatenated columns (a
+# larger node is a block by itself), which bounds the block's temporaries;
+# on the bias-demo matrix, 4096 fits as fast as 16384 with a smaller peak
+_BLOCK_COLUMNS = 4096
+# (tree, row) pairs routed at once, which bounds the routing temporaries
+_ROUTE_PAIRS = 1 << 14
 
-def _best_split(
-    xt: np.ndarray, y: np.ndarray, counts: np.ndarray, order: np.ndarray, rows: np.ndarray, pos: int
-):
-    """Score every cut of the features ``rows`` (ascending) as one block.
 
-    ``order`` is the node's (p, size) presorted index matrix, ``y`` the 0/1
-    labels as floats and ``counts`` the floats 1, 2, ..., n - 1. Returns the
-    feature, the cut position in its sorted row, that row's values and the
-    positives left of the cut, or None when every candidate is constant.
+def _best_cuts(xt: np.ndarray, y: np.ndarray, orders: list, rows: np.ndarray, pos: np.ndarray) -> tuple:
+    """Score every cut of every node's candidate features as one block.
+
+    ``orders`` holds each node's (p, size) matrix of presorted row ids,
+    ``rows`` its candidate features (ascending, one row per node), ``pos``
+    its positive counts and ``y`` the 0/1 labels as floats. The nodes' (r,
+    size) blocks are concatenated into one (r, sum of sizes) block. A global
+    cumulative sum minus each segment's base gives the positives left of
+    each cut as the same integer-valued floats, and the Gini expression is
+    elementwise, so every impurity has the bits a node scored alone has.
+    Returns, per node, whether any cut exists, the feature, the cut
+    position j in its sorted row, the positives left of the cut, the value
+    left of the cut and the threshold.
     """
-    size = order.shape[1]
-    idx = order[rows]
-    xs = xt[rows[:, None], idx]
-    lp = y[idx].cumsum(axis=1)[:, :-1]  # positives left of each cut, exact in float
-    ln = counts[: size - 1]
-    rn = counts[size - 2 :: -1]
-    rp = pos - lp
+    sizes = np.array([o.shape[1] for o in orders])
+    starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
+    ends = starts + sizes - 1
+    width = int(sizes.sum())
+    idx = np.concatenate([o.take(r, axis=0) for o, r in zip(orders, rows)], axis=1)
+    xs = xt.ravel().take(idx + np.repeat(rows.T * xt.shape[1], sizes, axis=1))
+    lp = y.take(idx).cumsum(axis=1)  # positives up to each column, exact in float
+    base = np.zeros((lp.shape[0], sizes.size))
+    base[:, 1:] = lp[:, ends[:-1]]
+    lp -= np.repeat(base, sizes, axis=1)
+    ln = np.arange(1.0, width + 1.0) - np.repeat(starts, sizes)
+    rn = np.repeat(sizes, sizes) - ln
+    rn[ends] = 1.0  # no cut after a segment's last position; keep 0/0 out
+    rp = np.repeat(pos, sizes) - lp
     # weighted Gini impurity, up to the constant factor 1/n_node
     imp = (ln - (lp * lp + (ln - lp) ** 2) / ln) + (rn - (rp * rp + (rn - rp) ** 2) / rn)
-    imp[xs[:, 1:] == xs[:, :-1]] = np.inf  # cut only between distinct values
-    # the first minimum in row-major order: lowest impurity, then lowest
-    # feature, then lowest threshold
-    r, j = divmod(int(imp.argmin()), size - 1)
-    if imp[r, j] == np.inf:
-        return None
-    return int(rows[r]), j, xs[r], int(lp[r, j])
+    imp[:, :-1][xs[:, 1:] == xs[:, :-1]] = np.inf  # cut only between distinct values
+    imp[:, ends] = np.inf
+    # the first minimum of each node in row-major order: lowest impurity,
+    # then lowest feature, then lowest threshold
+    row_min = np.minimum.reduceat(imp, starts, axis=1)
+    node_min = row_min.min(axis=0)
+    r = (row_min == node_min).argmax(axis=0)
+    hits = np.flatnonzero(imp[np.repeat(r, sizes), np.arange(width)] == np.repeat(node_min, sizes))
+    col = hits[np.searchsorted(hits, starts)]
+    return (
+        node_min < np.inf,
+        rows[np.arange(sizes.size), r],
+        col - starts,
+        lp[r, col],
+        xs[r, col],
+        (xs[r, col] + xs[r, col + 1]) / 2.0,
+    )
 
 
-def _grow_tree(x: np.ndarray, y: np.ndarray, rng: np.random.Generator, m_try: int) -> dict:
-    """Grow one unpruned CART tree; returns parallel node arrays.
+def _score_step(xt: np.ndarray, y: np.ndarray, orders: list, rows: np.ndarray, pos: np.ndarray) -> list:
+    """``_best_cuts`` over consecutive blocks of at most ``_BLOCK_COLUMNS``
+    columns; each output is concatenated back into one array per field."""
+    parts, lo, width = [], 0, 0
+    for i, o in enumerate(orders):
+        if width and width + o.shape[1] > _BLOCK_COLUMNS:
+            parts.append(_best_cuts(xt, y, orders[lo:i], rows[lo:i], pos[lo:i]))
+            lo, width = i, 0
+        width += o.shape[1]
+    parts.append(_best_cuts(xt, y, orders[lo:], rows[lo:], pos[lo:]))
+    return [np.concatenate(field) for field in zip(*parts)]
+
+
+def _leaf_frac(pos: int, size: int) -> float:
+    """A pure or single-record node's positive fraction; -1 for a node to split."""
+    return pos / size if pos == 0 or pos == size or size < 2 else -1.0
+
+
+def _grow_trees(xt: np.ndarray, y: np.ndarray, boots: list, rngs: list, m_try: int) -> list[dict]:
+    """Grow one unpruned CART tree per bootstrap, all in lockstep; returns
+    each tree's parallel node arrays.
 
     Split rule: go left when value <= threshold (thresholds are midpoints of
     consecutive distinct values). Ties in impurity resolve to the lowest
     feature index then lowest threshold, so regrowth is reproducible.
 
-    Presorted CART (SLIQ, Mehta et al. 1996): every feature is argsorted
-    once per tree into a (p, n) index matrix, and each stack entry carries
-    its node's (p, size) rows of it. A split partitions those rows with one
-    boolean mask (left when the split feature is <= the last value left of
-    the cut); filtering keeps each row sorted, so no node sorts again. The
-    order among tied values changes no count, cut or threshold, so the sort
-    need not be stable. The ``m_try`` candidates are scored as one block,
-    from the same integer counts by the same Gini expression as one feature
-    at a time, and the first minimum in row-major order keeps the tie rule.
-    When every candidate is constant on the node, all p features are scored
-    the same way. Nodes are numbered depth-first, left child first, and
-    ``rng`` is drawn once per impure node in that order.
-    """
-    n, p = x.shape
-    xt = np.ascontiguousarray(x.T)
-    y = np.asarray(y, dtype=float)
-    counts = np.arange(1, n, dtype=float)
-    nodes: dict[str, list] = {name: [] for name in TREE_ARRAYS}
-    feature, threshold, left, right, leaf_frac = nodes.values()
+    Presorted CART (SLIQ, Mehta et al. 1996): each bootstrap (an array of
+    original row ids) is argsorted once per feature and kept as a (p, n)
+    matrix of those row ids, so no tree copies the data; values and labels
+    are gathered from ``xt`` and ``y``. Each stack entry carries its node's
+    (p, size) rows of that matrix. A split partitions them with one boolean mask (left when the
+    split feature is <= the last value left of the cut); filtering keeps
+    each row sorted, so no node sorts again. The order among tied values
+    changes no count, cut or threshold, so the sort need not be stable.
 
-    def new_node(size: int, pos: int) -> int:
+    Trees are independent, so each step pops the top node of every
+    non-empty stack, draws that node's ``m_try`` candidates from its own
+    tree's ``rng`` and scores all popped nodes together (``_score_step``).
+    When every candidate is constant on a node, all p features are scored
+    the same way. Nodes are numbered depth-first, left child first, and each
+    ``rng`` is drawn once per impure node in that order, as when the tree is
+    grown alone.
+    """
+    p = xt.shape[0]
+    # per tree, one list per TREE_ARRAYS field: feature, threshold, left, right, leaf_frac
+    trees = [tuple([] for _ in TREE_ARRAYS) for _ in boots]
+    stacks: list[list] = []
+    for (feature, threshold, left, right, leaf_frac), boot in zip(trees, boots):
+        pos = int(y[boot].sum())
         feature.append(-1)
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
-        leaf_frac.append(pos / size if pos == 0 or pos == size or size < 2 else -1.0)
-        return len(feature) - 1
+        leaf_frac.append(_leaf_frac(pos, boot.size))
+        stacks.append([(0, boot[np.argsort(xt[:, boot], axis=1)], pos)] if leaf_frac[0] < 0.0 else [])
 
-    pos = int(y.sum())
-    root = new_node(n, pos)
-    stack = [(root, np.argsort(xt, axis=1), pos)] if leaf_frac[root] < 0.0 else []
-    while stack:
-        node, order, pos = stack.pop()
-        size = order.shape[1]
-        candidates = rng.choice(p, size=m_try, replace=False)
-        candidates.sort()
-        best = _best_split(xt, y, counts, order, candidates, pos)
-        if best is None:
-            best = _best_split(xt, y, counts, order, np.arange(p), pos)
-        if best is None:
-            leaf_frac[node] = pos / size
-            continue
+    live = [t for t, stack in enumerate(stacks) if stack]
+    while live:
+        popped = [stacks[t].pop() for t in live]
+        orders = [order for _, order, _ in popped]
+        pos = np.array([node_pos for _, _, node_pos in popped], dtype=float)
+        rows = np.array([rngs[t].choice(p, size=m_try, replace=False) for t in live])
+        rows.sort(axis=1)
+        best = _score_step(xt, y, orders, rows, pos)
+        retry = np.flatnonzero(~best[0])
+        if retry.size:
+            every = np.broadcast_to(np.arange(p), (retry.size, p))
+            for field, redone in zip(best, _score_step(xt, y, [orders[i] for i in retry], every, pos[retry])):
+                field[retry] = redone
+        del orders  # only ``popped`` holds the parents now
 
-        f, j, xs, lp = best
-        feature[node] = f
-        threshold[node] = float((xs[j] + xs[j + 1]) / 2.0)
-        lnode, rnode = new_node(j + 1, lp), new_node(size - j - 1, pos - lp)
-        left[node] = lnode
-        right[node] = rnode
-        go_left = xt[f][order] <= xs[j]
-        for child, mask, child_pos in ((rnode, ~go_left, pos - lp), (lnode, go_left, lp)):
-            if leaf_frac[child] < 0.0:  # a pure or single-record child is a leaf already
-                stack.append((child, order[mask].reshape(p, -1), child_pos))
+        found, split_feature, cut, left_pos, value, split_threshold = best
+        for i, (t, ok, f, j, lp, v, thr) in enumerate(zip(
+            live, found.tolist(), split_feature.tolist(), cut.tolist(), left_pos.astype(int).tolist(),
+            value.tolist(), split_threshold.tolist(),
+        )):
+            (node, order, node_pos), popped[i] = popped[i], None  # free each parent once split
+            feature, threshold, left, right, leaf_frac = trees[t]
+            size = order.shape[1]
+            if not ok:
+                leaf_frac[node] = node_pos / size
+                continue
+            lnode = len(feature)
+            feature[node] = f
+            threshold[node] = thr
+            left[node] = lnode
+            right[node] = lnode + 1
+            feature += (-1, -1)
+            threshold += (0.0, 0.0)
+            left += (-1, -1)
+            right += (-1, -1)
+            rp = node_pos - lp
+            lfrac, rfrac = _leaf_frac(lp, j + 1), _leaf_frac(rp, size - j - 1)
+            leaf_frac += (lfrac, rfrac)
+            if lfrac >= 0.0 and rfrac >= 0.0:
+                continue  # a pure or single-record child is a leaf already
+            go_left = xt[f].take(order) <= v
+            if rfrac < 0.0:
+                stacks[t].append((lnode + 1, order[~go_left].reshape(p, -1), rp))
+            if lfrac < 0.0:
+                stacks[t].append((lnode, order[go_left].reshape(p, -1), lp))
+        live = [t for t in live if stacks[t]]
 
-    return {name: np.array(nodes[name], dtype=dtype) for name, dtype in TREE_ARRAYS.items()}
+    return [
+        {name: np.array(values, dtype=dtype) for (name, dtype), values in zip(TREE_ARRAYS.items(), tree)}
+        for tree in trees
+    ]
 
 
-def _tree_predict(tree: dict, x: np.ndarray) -> np.ndarray:
-    feature, threshold, left, right = tree["feature"], tree["threshold"], tree["left"], tree["right"]
-    node = np.zeros(x.shape[0], dtype=int)
-    active = feature[node] >= 0
-    while active.any():
-        idx = np.nonzero(active)[0]
-        cur = node[idx]
-        go_left = x[idx, feature[cur]] <= threshold[cur]
-        node[idx] = np.where(go_left, left[cur], right[cur])
-        active[idx] = feature[node[idx]] >= 0
-    return tree["leaf_frac"][node]
+def _flatten(trees: list[dict]) -> tuple:
+    """All trees' node arrays end to end, children renumbered into the one
+    array; returns them with each tree's root and the largest split
+    feature (-1 when every tree is a single leaf)."""
+    sizes = [tree["feature"].size for tree in trees]
+    roots = np.concatenate(([0], np.cumsum(sizes[:-1]))).astype(np.intp)
+    feature = np.concatenate([tree["feature"] for tree in trees])
+    threshold = np.concatenate([tree["threshold"] for tree in trees])
+    left = np.concatenate([tree["left"] + root for tree, root in zip(trees, roots)])
+    right = np.concatenate([tree["right"] + root for tree, root in zip(trees, roots)])
+    leaf_frac = np.concatenate([tree["leaf_frac"] for tree in trees])
+    return (feature, threshold, left, right, leaf_frac), roots, int(feature.max())
+
+
+def _route(flat: tuple, node: np.ndarray, row: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Leaf fraction reached by each (start node, row of ``x``) pair; every
+    pair descends one level per step, all at once (``node`` is overwritten)."""
+    feature, threshold, left, right, leaf_frac = flat
+    active = np.flatnonzero(feature[node] >= 0)
+    while active.size:
+        cur = node[active]
+        go_left = x[row[active], feature[cur]] <= threshold[cur]
+        nxt = np.where(go_left, left[cur], right[cur])
+        node[active] = nxt
+        active = active[feature[nxt] >= 0]
+    return leaf_frac[node]
 
 
 @dataclass
@@ -257,45 +352,73 @@ class TreeEnsemble:
     encoding: FeatureEncoding | None = None
 
     def predict_matrix(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros(x.shape[0])
-        for tree in self.trees:
-            out += _tree_predict(tree, x)
+        """Mean leaf fraction over the trees, added up tree by tree in order."""
+        if not self.trees:
+            raise EncodingMismatch("model has no trees")
+        flat, roots, max_feature = _flatten(self.trees)
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or x.shape[1] <= max_feature:
+            raise EncodingMismatch(
+                f"design matrix of shape {x.shape} does not cover split feature {max_feature}"
+            )
+        m = x.shape[0]
+        out = np.zeros(m)
+        step = max(1, _ROUTE_PAIRS // roots.size)
+        for lo in range(0, m, step):
+            rows = np.arange(lo, min(m, lo + step))
+            leaves = _route(flat, np.repeat(roots, rows.size), np.tile(rows, roots.size), x)
+            part = out[lo : lo + step]
+            for tree_leaves in leaves.reshape(roots.size, rows.size):
+                part += tree_leaves
         return out / len(self.trees)
 
 
 def fit_forest(x: np.ndarray, y: np.ndarray, n_trees: int = 100, seed: int = 0) -> TreeEnsemble:
-    """Fit the bagging ensemble on a finite design matrix.
+    """Fit the bagging ensemble on a finite design matrix and 0/1 labels.
 
-    Per-tree RNG streams are derived from (seed, tree index).
+    Per-tree RNG streams are derived from (seed, tree index). A design
+    matrix that is not 2-D with at least one column, a label count other
+    than its row count, a non-finite value or a label other than 0 and 1
+    raises ``EncodingMismatch``.
     """
     if n_trees < 1:
         raise ValueError("n_trees must be >= 1")
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=int)
+    y = np.asarray(y)
+    if x.ndim != 2 or x.shape[1] < 1:
+        raise EncodingMismatch(f"design matrix must be 2-D with at least one column, not of shape {x.shape}")
+    n, p = x.shape
+    if y.shape != (n,):
+        raise EncodingMismatch(f"{y.size} labels for a design matrix of {n} rows")
     if not np.isfinite(x).all():
         raise EncodingMismatch("design matrix has NaN or infinite values")
+    if not np.isin(y, (0, 1)).all():
+        raise EncodingMismatch("labels must be 0 or 1")
+    y = y.astype(int)
     if not ((y == 1).any() and (y == 0).any()):
         raise OneClassOnly("training requires both classes")
-    n, p = x.shape
     m_try = max(1, int(round(np.sqrt(p))))
 
-    def one_tree(t: int) -> tuple[dict, np.ndarray]:
-        rng = substream(seed, "tree", t)
-        boot = rng.integers(0, n, size=n)
-        tree = _grow_tree(x[boot], y[boot], rng, m_try)
-        oob_mask = np.ones(n, dtype=bool)
-        oob_mask[boot] = False
-        return tree, oob_mask
+    rngs = [substream(seed, "tree", t) for t in range(n_trees)]
+    # row ids in the narrowest unsigned type that holds them
+    boots = [rng.integers(0, n, size=n).astype(np.min_scalar_type(n - 1)) for rng in rngs]
+    trees = _grow_trees(np.ascontiguousarray(x.T), y.astype(float), boots, rngs, m_try)
 
-    results = [one_tree(t) for t in range(n_trees)]
-
-    trees = [tree for tree, _ in results]
+    # each tree scores only its out-of-bag rows, and the sums add up tree by tree
+    oob_rows = [np.flatnonzero(np.bincount(boot, minlength=n) == 0) for boot in boots]
+    del boots  # free the bootstraps before routing
+    counts = [rows.size for rows in oob_rows]
+    flat, roots, _ = _flatten(trees)
+    node, row = np.repeat(roots, counts), np.concatenate(oob_rows)
+    leaves = np.empty(node.size)
+    for lo in range(0, node.size, _ROUTE_PAIRS):
+        hi = lo + _ROUTE_PAIRS
+        leaves[lo:hi] = _route(flat, node[lo:hi], row[lo:hi], x)
     oob_sum = np.zeros(n)
     oob_count = np.zeros(n)
-    for tree, mask in results:
-        if mask.any():
-            oob_sum[mask] += _tree_predict(tree, x[mask])
-            oob_count[mask] += 1
+    for rows, tree_leaves in zip(oob_rows, np.split(leaves, np.cumsum(counts[:-1]))):
+        oob_sum[rows] += tree_leaves
+        oob_count[rows] += 1
     covered = oob_count > 0
     oob_accuracy = None
     if covered.any():

@@ -86,18 +86,27 @@ class ResampleReport:
     # achieved counts per (label, symptomatic, gender, age_bin)
     achieved: dict[tuple, int]
     shortfalls: tuple[tuple, ...]
+    # pool records never drawn from, by reason: a blank label ("no_label",
+    # checked first) or a blank age ("no_age")
+    skipped: dict[str, int]
 
     def n_total(self) -> int:
         return sum(self.achieved.values())
 
 
-def _pool_index(pool: Cohort) -> dict[tuple, list[str]]:
-    """Ids by (label, symptomatic, gender, age bin). A record with a blank
-    acute flag has no known symptomatic status and raises
+def _pool_index(pool: Cohort) -> tuple[dict[tuple, list[str]], dict[str, int]]:
+    """Ids by (label, symptomatic, gender, age bin), and the count of
+    records skipped for a blank label or age, by reason. A record with a
+    blank acute flag has no known symptomatic status and raises
     ``MissingCovariate("any_symptom")``, as matching on it does."""
     index: dict[tuple, list[str]] = {}
+    skipped = {"no_label": 0, "no_age": 0}
     for r in pool.records:
-        if r.label is None or r.age_years is None:
+        if r.label is None:
+            skipped["no_label"] += 1
+            continue
+        if r.age_years is None:
+            skipped["no_age"] += 1
             continue
         if "_missing_flags" in r.other_covariates:
             blank = r.other_covariates["_missing_flags"].split(",")
@@ -107,7 +116,7 @@ def _pool_index(pool: Cohort) -> dict[tuple, list[str]]:
         index.setdefault(key, []).append(r.id)
     for members in index.values():
         members.sort()
-    return index
+    return index, skipped
 
 
 def resample_general_population(
@@ -120,7 +129,7 @@ def resample_general_population(
     flagged in the report.
     """
     spec.validate()
-    index = _pool_index(pool)
+    index, skipped = _pool_index(pool)
     genders = ("male", "female")
 
     # bins present for either class, in a stable order
@@ -197,4 +206,4 @@ def resample_general_population(
             equalize_age=spec.equalize_age,
         ),
     )
-    return out, ResampleReport(achieved=achieved, shortfalls=tuple(shortfalls))
+    return out, ResampleReport(achieved=achieved, shortfalls=tuple(shortfalls), skipped=skipped)

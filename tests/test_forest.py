@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import json
 import tracemalloc
@@ -8,12 +7,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from confound_audit import forest
 from confound_audit.errors import EncodingMismatch, MissingScore, OneClassOnly
 from confound_audit.forest import (
     DEFAULT_SYMPTOM_PREDICTORS,
     TREE_ARRAYS,
-    _grow_tree,
-    _tree_predict,
+    TreeEnsemble,
+    _grow_trees,
     build_encoding,
     encode_cohort,
     fit_forest,
@@ -129,7 +129,11 @@ def test_monotone_recoding_invariance_on_train():
         for name in ("feature", "left", "right", "leaf_frac"):
             assert np.array_equal(tree_a[name], tree_b[name])
         boot = substream(21, "tree", t).integers(0, y.size, size=y.size)
-        assert np.array_equal(_tree_predict(tree_a, x[boot]), _tree_predict(tree_b, recoded[boot]))
+        assert np.array_equal(_predict_tree(tree_a, x[boot]), _predict_tree(tree_b, recoded[boot]))
+
+
+def _predict_tree(tree: dict, x: np.ndarray) -> np.ndarray:
+    return TreeEnsemble(n_trees=1, trees=[tree], seed=0, m_try=1, oob_accuracy=None).predict_matrix(x)
 
 
 def _tree_json(tree: dict) -> str:
@@ -144,7 +148,7 @@ def _assert_same_tree(ref: dict, tree: dict, x: np.ndarray) -> None:
     assert _tree_json(ref) == _tree_json(tree)
     # probe points between and beyond the training values as well
     probe = np.vstack([x, x + 0.05, x - 0.05])
-    assert np.array_equal(tree_predict_from_lists(ref, probe), _tree_predict(tree, probe))
+    assert np.array_equal(tree_predict_from_lists(ref, probe), _predict_tree(tree, probe))
 
 
 @st.composite
@@ -178,11 +182,11 @@ def test_presorted_tree_matches_reference(data):
     x, y, m_try, seed = data
     rng_ref, rng = substream(seed, "tree", 0), substream(seed, "tree", 0)
     ref = grow_tree_argsort_per_node(x, y, rng_ref, m_try)
-    _assert_same_tree(ref, _grow_tree(x, y, rng, m_try), x)
+    (tree,) = _grow_trees(np.ascontiguousarray(x.T), y.astype(float), [np.arange(y.size)], [rng], m_try)
+    _assert_same_tree(ref, tree, x)
     assert rng_ref.random() == rng.random()  # the same draws, in the same order
 
 
-@functools.lru_cache(maxsize=None)
 def _bias_demo_matrices(seed: int):
     """The ``bias-demo`` pipeline's train matrix, labels and test matrix."""
     from confound_audit.cohort import SplitSpec, split_cohort
@@ -280,6 +284,50 @@ def test_non_finite_design_matrix_rejected(bad):
     x[3, 1] = bad
     with pytest.raises(EncodingMismatch):
         fit_forest(x, y, n_trees=3, seed=0)
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        (np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([0, 1, 2, 1])),  # a label outside {0, 1}
+        (np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([0, 1, -1, 1])),
+        (np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([0.0, 1.0, 0.5, 1.0])),
+        (np.array([0.0, 1.0, 2.0, 3.0]), np.array([0, 1, 0, 1])),  # 1-D design matrix
+        (np.zeros((4, 0)), np.array([0, 1, 0, 1])),  # no columns
+        (np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([0, 1, 0])),  # fewer labels than rows
+        (np.array([[0.0], [1.0], [2.0]]), np.array([0, 1, 0, 1])),  # more labels than rows
+        (np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([[0, 1], [0, 1]])),  # 2-D labels
+    ],
+)
+def test_fit_forest_rejects_bad_inputs(x, y):
+    with pytest.raises(EncodingMismatch):
+        fit_forest(x, y, n_trees=3, seed=0)
+
+
+def test_predict_matrix_checks_its_input():
+    x, y = _noise_xy(np.random.default_rng(15), n=60, p=3)
+    model = fit_forest(x, y, n_trees=4, seed=0)
+    top = max(int(tree["feature"].max()) for tree in model.trees)
+    assert model.predict_matrix(x[:, : top + 1]).shape == (60,)  # extra columns are not needed
+    for bad in (x[:, :top], x[0], x[None]):
+        with pytest.raises(EncodingMismatch):
+            model.predict_matrix(bad)
+    assert model.predict_matrix(np.zeros((0, 3))).shape == (0,)
+    model.trees = []
+    with pytest.raises(EncodingMismatch):
+        model.predict_matrix(x)
+
+
+def test_block_sizes_change_no_bit(monkeypatch):
+    # nodes are scored, and (tree, row) pairs routed, in blocks of a bounded
+    # size; neither size changes a tree, the OOB figure or a score bit
+    x, y = _noise_xy(np.random.default_rng(16), n=90, p=4)
+    model = fit_forest(x, y, n_trees=7, seed=2)
+    whole = model.predict_matrix(x)
+    monkeypatch.setattr(forest, "_ROUTE_PAIRS", 20)
+    monkeypatch.setattr(forest, "_BLOCK_COLUMNS", 1)
+    assert model.predict_matrix(x).tobytes() == whole.tobytes()
+    assert model_to_json(fit_forest(x, y, n_trees=7, seed=2)) == model_to_json(model)
 
 
 def test_one_class_raises():

@@ -440,3 +440,25 @@ def test_cli_baseline_train_counts_rejected_records(tmp_path, capsys):
     assert payload["n_rejected"] == 2
     assert payload["rejected"] == {"age<18": 1, "missing_label": 1}
     assert "2 records rejected" in capsys.readouterr().out
+
+
+def test_cli_resample_counts_skipped_records(tmp_path, capsys):
+    pool = tmp_path / "pool.csv"
+    _write_pool(pool, n=400)
+    rows = pool.read_text().splitlines(keepends=True)
+    for row, column in ((2, "label"), (4, "age_years")):
+        cells = rows[row].split(",")
+        cells[CSV_COLUMNS.index(column)] = ""
+        rows[row] = ",".join(cells)
+    pool.write_text("".join(rows))
+    report, man = tmp_path / "report.json", tmp_path / "manifest.json"
+    assert main([
+        "resample", "--in", str(pool), "--n-pos", "20", "--n-neg", "20", "--seed", "1",
+        "--out", str(tmp_path / "genpop.csv"), "--report", str(report), "--manifest-out", str(man),
+    ]) == 0
+    assert json.load(open(report))["skipped"] == {"no_label": 1, "no_age": 1}
+    payload = json.load(open(man))
+    assert payload["n"] == 40
+    assert payload["n_skipped"] == 2
+    assert payload["skipped"] == {"no_label": 1, "no_age": 1}
+    assert "2 pool records skipped" in capsys.readouterr().out

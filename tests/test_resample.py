@@ -137,3 +137,32 @@ def test_blank_non_acute_flag_is_ignored(tmp_path):
     pool = load_cohort(_pool_csv_with_blank(tmp_path, "smoker"))
     out, report = resample_general_population(pool, PopulationSpec(n_pos=20, n_neg=20, seed=1))
     assert report.n_total() == 40
+
+
+def _pool_csv_unlabelled_and_ageless(tmp_path) -> str:
+    """400-row pool CSV whose first row has a blank label and second row a
+    blank age."""
+    path = tmp_path / "pool.csv"
+    write_cohort(big_pool(seed=5, n=400), str(path))
+    rows = path.read_text().splitlines(keepends=True)
+    for row, column in ((1, "label"), (2, "age_years")):
+        cells = rows[row].split(",")
+        cells[CSV_COLUMNS.index(column)] = ""
+        rows[row] = ",".join(cells)
+    path.write_text("".join(rows))
+    return str(path)
+
+
+def test_skipped_records_counted_by_reason(tmp_path):
+    pool = load_cohort(_pool_csv_unlabelled_and_ageless(tmp_path))
+    assert len(pool) == 400
+    spec = PopulationSpec(n_pos=20, n_neg=20, seed=1)
+    out, report = resample_general_population(pool, spec)
+    assert report.skipped == {"no_label": 1, "no_age": 1}
+    skipped_ids = {r.id for r in pool.records if r.label is None or r.age_years is None}
+    assert len(skipped_ids) == 2 and not skipped_ids & set(out.ids())
+    # the skipped rows change no draw: the same pool without them gives the same records
+    kept = make_cohort([r for r in pool.records if r.id not in skipped_ids])
+    again, kept_report = resample_general_population(kept, spec)
+    assert again.ids() == out.ids()
+    assert kept_report.skipped == {"no_label": 0, "no_age": 0}
