@@ -23,10 +23,11 @@ from .cohort import (
     write_cohort,
     write_features,
 )
-from .errors import BadValue, ConfigError, ConfoundAuditError, MissingColumn, MissingScore
+from .errors import BadValue, ConfigError, ConfoundAuditError, MissingColumn
 from .forest import (
     DEFAULT_SYMPTOM_PREDICTORS,
     build_encoding,
+    hybrid_features,
     model_from_json,
     model_to_json,
     predict_proba,
@@ -259,8 +260,9 @@ _ROC_COLUMNS = ("threshold", "sensitivity", "specificity")
 def _read_roc(path: str) -> RocCurve:
     """Read operating points from a CSV with threshold, sensitivity and
     specificity columns, or from the JSON ``eval --metrics roc`` writes (its
-    ``roc_points``, whose last threshold is ``Infinity``). Rates must be
-    numbers in [0, 1] and thresholds numbers; a bad cell raises ``BadValue``
+    ``roc_points``, whose last threshold is ``Infinity``). The file holds one
+    curve: rates must be numbers in [0, 1] and thresholds numbers, each above
+    the one before (the ``RocCurve`` order); a bad cell raises ``BadValue``
     with its 1-based row."""
     with open(path, newline="", encoding="utf-8") as fh:
         text = fh.read()
@@ -286,6 +288,8 @@ def _read_roc(path: str) -> RocCurve:
             except (TypeError, ValueError):
                 raise BadValue(i, column, raw) from None
             if np.isnan(v) or (column != "threshold" and not 0.0 <= v <= 1.0):
+                raise BadValue(i, column, raw)
+            if column == "threshold" and values[column] and v <= values[column][-1]:
                 raise BadValue(i, column, raw)
             values[column].append(v)
     return RocCurve(*(np.array(values[column]) for column in _ROC_COLUMNS))
@@ -314,14 +318,7 @@ def _probe_inputs(args) -> tuple[Cohort, WeakProbeConfig]:
     ))
     matched = _load_scored_cohort(args.matched, args.features)
     if args.scores:
-        score_map = _read_score_map(args.scores)
-        missing = next((r.id for r in matched.records if r.id not in score_map), None)
-        if missing is not None:
-            raise MissingScore(missing)
-        matched = Cohort(
-            records=tuple(r.with_score(score_map[r.id]) for r in matched.records),
-            manifest=matched.manifest,
-        )
+        matched = hybrid_features(matched, _read_score_map(args.scores))
     return matched, cfg
 
 

@@ -16,8 +16,9 @@ columns ``id,f0,f1,...``; wide mixed files degrade diffing and tooling.
 An optional ``any_symptom`` column carries a self-reported aggregate flag
 (see :attr:`SymptomProfile.reported_any`); it is written back after
 ``score`` only when some record has it. Unknown extra columns are preserved
-as categorical covariates and written back in sorted order after those.
-A blank symptom cell is a missing flag, and is written back blank.
+as categorical covariates, whatever their names, and written back in sorted
+order after those. A blank symptom cell is a missing flag (see
+:attr:`SymptomProfile.missing`), and is written back blank.
 """
 
 from __future__ import annotations
@@ -72,8 +73,9 @@ class SymptomProfile:
     ``reported_any`` optionally carries an externally supplied aggregate flag;
     it is kept only so validation can detect self-inconsistent data. The
     authoritative aggregate is always recomputed by :func:`derive_any_symptom`.
-    Profiles are immutable, so the generator and the CSV loader share one
-    instance per distinct set of values (see :func:`symptom_profile`).
+    ``missing`` names the flags whose cell was blank; each of them reads as
+    False. Profiles are immutable, so the generator and the CSV loader share
+    one instance per distinct set of values (see :func:`symptom_profile`).
     """
 
     cough: bool = False
@@ -86,6 +88,7 @@ class SymptomProfile:
     other_respiratory: bool = False
     smoker: bool = False
     reported_any: bool | None = None
+    missing: frozenset[str] = frozenset()
 
     @property
     def any_symptom(self) -> bool:
@@ -109,17 +112,19 @@ def derive_any_symptom(s: SymptomProfile) -> bool:
     )
 
 
-# one shared profile per (nine flags in SYMPTOM_FIELDS order, reported_any);
-# at most 2**9 * 3 entries
+# one shared profile per (nine flags in SYMPTOM_FIELDS order, reported_any,
+# missing); at most 2**9 * 3 entries without blank flags
 _PROFILES: dict[tuple, SymptomProfile] = {}
 
 
-def symptom_profile(flags: tuple[bool, ...], reported_any: bool | None = None) -> SymptomProfile:
+def symptom_profile(
+    flags: tuple[bool, ...], reported_any: bool | None = None, missing: frozenset[str] = frozenset()
+) -> SymptomProfile:
     """The shared profile with these flags (``SYMPTOM_FIELDS`` order)."""
-    key = (*flags, reported_any)
+    key = (*flags, reported_any, missing)
     profile = _PROFILES.get(key)
     if profile is None:
-        profile = _PROFILES[key] = SymptomProfile(*map(bool, flags), reported_any=reported_any)
+        profile = _PROFILES[key] = SymptomProfile(*map(bool, flags), reported_any=reported_any, missing=missing)
     return profile
 
 
@@ -214,9 +219,8 @@ _GENDERS = {g: g for g in GENDERS}
 _CHANNELS = {c: c for c in CHANNELS}
 
 
-def _parse_profile(cells: tuple[str, ...], columns: tuple[str, ...], row: int):
-    """The shared profile for the symptom cells of one row, and the names of
-    its blank flags joined by commas (``None`` if there are none)."""
+def _parse_profile(cells: tuple[str, ...], columns: tuple[str, ...], row: int) -> SymptomProfile:
+    """The shared profile for the symptom cells of one row."""
     values = []
     for raw, column in zip(cells, columns):
         v = raw.strip().lower()
@@ -225,8 +229,8 @@ def _parse_profile(cells: tuple[str, ...], columns: tuple[str, ...], row: int):
         values.append(_BOOLS[v])
     flags = values[: len(SYMPTOM_FIELDS)]
     reported_any = values[len(SYMPTOM_FIELDS)] if len(values) > len(SYMPTOM_FIELDS) else None
-    missing = ",".join(f for f, v in zip(SYMPTOM_FIELDS, flags) if v is None) or None
-    return symptom_profile(tuple(v is True for v in flags), reported_any), missing
+    missing = frozenset(f for f, v in zip(SYMPTOM_FIELDS, flags) if v is None)
+    return symptom_profile(tuple(v is True for v in flags), reported_any, missing)
 
 
 def load_cohort(path: str) -> Cohort:
@@ -235,7 +239,7 @@ def load_cohort(path: str) -> Cohort:
     Any header outside ``CSV_COLUMNS`` and the optional ``any_symptom``
     column becomes an ``other_covariates`` entry. Empty cells in optional
     columns yield missing values (to be handled by :func:`validate_cohort`);
-    a blank symptom flag is listed in ``other_covariates["_missing_flags"]``.
+    a blank symptom flag is listed in ``SymptomProfile.missing``.
     Malformed non-empty cells raise ``BadValue`` with the 1-based data row
     number. Blank lines are skipped and not counted.
     """
@@ -254,7 +258,7 @@ def load_cohort(path: str) -> Cohort:
         width = len(header)
 
         # parsed symptom cells, keyed by their raw text
-        profiles: dict[tuple[str, ...], tuple[SymptomProfile, str | None]] = {}
+        profiles: dict[tuple[str, ...], SymptomProfile] = {}
         records: list[ParticipantRecord] = []
         seen: set[str] = set()
         i = 0
@@ -292,10 +296,9 @@ def load_cohort(path: str) -> Cohort:
             channel = _CHANNELS[channel]
 
             cells = flag_cells(row)
-            parsed = profiles.get(cells)
-            if parsed is None:
-                parsed = profiles[cells] = _parse_profile(cells, flag_columns, i)
-            symptoms, missing_flags = parsed
+            symptoms = profiles.get(cells)
+            if symptoms is None:
+                symptoms = profiles[cells] = _parse_profile(cells, flag_columns, i)
 
             score: float | None = None
             if j_score is not None:
@@ -309,8 +312,6 @@ def load_cohort(path: str) -> Cohort:
                         raise BadValue(i, "score", raw_score)
 
             other = {c: row[j].strip() for c, j in extra.items()}
-            if missing_flags:
-                other["_missing_flags"] = missing_flags
             records.append(
                 ParticipantRecord(rid, label, symptoms, age, gender, channel, other, score)
             )
@@ -398,13 +399,11 @@ _FLAGS = attrgetter(*SYMPTOM_FIELDS)
 def write_cohort(cohort: Cohort, path: str) -> None:
     """Write the canonical participants CSV (byte-stable for round-trips).
 
-    A flag listed in ``_missing_flags`` is written as a blank cell. The
+    A flag in ``SymptomProfile.missing`` is written as a blank cell. The
     ``any_symptom`` column is written only when some record has
     ``reported_any``.
     """
-    extra_cols = sorted(
-        {k for r in cohort.records for k in r.other_covariates if not k.startswith("_")}
-    )
+    extra_cols = sorted({k for r in cohort.records for k in r.other_covariates})
     reported = any(r.symptoms.reported_any is not None for r in cohort.records)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -418,9 +417,8 @@ def write_cohort(cohort: Cohort, path: str) -> None:
                 r.channel,
             ]
             flags = ["1" if v else "0" for v in _FLAGS(r.symptoms)]
-            if "_missing_flags" in r.other_covariates:
-                blank = r.other_covariates["_missing_flags"].split(",")
-                flags = ["" if f in blank else v for f, v in zip(SYMPTOM_FIELDS, flags)]
+            if r.symptoms.missing:
+                flags = ["" if f in r.symptoms.missing else v for f, v in zip(SYMPTOM_FIELDS, flags)]
             row += flags
             row.append("" if r.score is None else _fmt_float(r.score))
             if reported:
@@ -467,7 +465,7 @@ def _violations(r: ParticipantRecord, filters: FilterSpec) -> list[str]:
     if filters.require_label and r.label is None:
         v.append("missing_label")
     if filters.require_predictors:
-        if r.age_years is None or "_missing_flags" in r.other_covariates:
+        if r.age_years is None or r.symptoms.missing:
             v.append("missing_predictors")
     if filters.min_age is not None and r.age_years is not None and r.age_years < filters.min_age:
         v.append(f"age<{filters.min_age}")

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cohort import SYMPTOM_FIELDS, Cohort, ParticipantRecord
+from .cohort import SYMPTOM_FIELDS, Cohort, ParticipantRecord, child_manifest
 from .errors import EncodingMismatch, MissingScore, OneClassOnly
 from .rngs import substream
 
@@ -121,6 +121,8 @@ def encode_cohort(cohort: Cohort, encoding: FeatureEncoding) -> np.ndarray:
         row: list[float] = []
         for name, kind in encoding.sources:
             if kind == "bool":
+                if name in r.symptoms.missing:
+                    raise EncodingMismatch(f"record {r.id} has a blank {name!r} flag")
                 row.append(float(r.symptoms.flag(name)))
             elif kind == "numeric":
                 if r.age_years is None:
@@ -456,7 +458,9 @@ def predict_proba(model: TreeEnsemble, cohort: Cohort) -> np.ndarray:
 
 def hybrid_features(cohort: Cohort, audio_scores) -> Cohort:
     """Attach an audio score to every record so that ``audio_score`` can be
-    used as an additional numeric predictor; every record must be covered."""
+    used as an additional numeric predictor; every record must be covered.
+    This is the one place scores are attached to a cohort (the pipeline and
+    ``probe --scores`` use it too)."""
     if isinstance(audio_scores, dict):
         lookup = audio_scores
     else:
@@ -469,8 +473,6 @@ def hybrid_features(cohort: Cohort, audio_scores) -> Cohort:
         if r.id not in lookup or lookup[r.id] is None:
             raise MissingScore(r.id)
         records.append(r.with_score(float(lookup[r.id])))
-    from .cohort import child_manifest
-
     return Cohort(records=tuple(records), manifest=child_manifest(cohort.manifest, "hybrid_features"))
 
 
@@ -496,25 +498,82 @@ def model_to_json(model: TreeEnsemble) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+# the keys every model file has; "encoding" may be absent or null
+_MODEL_KEYS = ("n_trees", "seed", "m_try", "oob_accuracy", "trees")
+
+
+def _tree_from_json(t: int, tree) -> dict:
+    """Tree ``t`` of a model file as node arrays, checked so that every
+    route ends at a leaf: the ``TREE_ARRAYS`` fields all present with one
+    length, each inner node's children after it and inside the tree, and
+    each leaf's ``leaf_frac`` in [0, 1]."""
+    if not isinstance(tree, dict):
+        raise EncodingMismatch(f"model tree {t} is not a JSON object")
+    arrays = {}
+    for name, dtype in TREE_ARRAYS.items():
+        if name not in tree:
+            raise EncodingMismatch(f"model tree {t} lacks {name!r}")
+        try:
+            arrays[name] = np.asarray(tree[name], dtype=dtype)
+        except (TypeError, ValueError, OverflowError):
+            raise EncodingMismatch(f"model tree {t} has a non-numeric {name!r}") from None
+        if arrays[name].ndim != 1:
+            raise EncodingMismatch(f"model tree {t} has a {name!r} that is not a list")
+    n = arrays["feature"].size
+    if n == 0:
+        raise EncodingMismatch(f"model tree {t} has no nodes")
+    for name, a in arrays.items():
+        if a.size != n:
+            raise EncodingMismatch(f"model tree {t} has {a.size} {name!r} entries for {n} nodes")
+    inner = np.flatnonzero(arrays["feature"] >= 0)
+    for name in ("left", "right"):
+        child = arrays[name][inner]
+        bad = (child <= inner) | (child >= n)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise EncodingMismatch(
+                f"model tree {t}: node {inner[i]} has {name!r} child {child[i]}, not in ({inner[i]}, {n})"
+            )
+    leaf = arrays["leaf_frac"][arrays["feature"] < 0]
+    if not ((leaf >= 0.0) & (leaf <= 1.0)).all():
+        raise EncodingMismatch(f"model tree {t} has a leaf whose 'leaf_frac' is not in [0, 1]")
+    return arrays
+
+
 def model_from_json(text: str) -> TreeEnsemble:
-    payload = json.loads(text)
-    encoding = None
-    if payload.get("encoding") is not None:
-        e = payload["encoding"]
-        encoding = FeatureEncoding(
-            sources=tuple((n, k) for n, k in e["sources"]),
-            levels={k: tuple(v) for k, v in e["levels"].items()},
-            vector_dim=int(e["vector_dim"]),
-            dropped=tuple(e["dropped"]),
-        )
+    """Read a model that :func:`model_to_json` wrote; a file that is not one
+    raises ``EncodingMismatch`` naming the tree and the field at fault."""
+    try:
+        payload = json.loads(text)
+    except ValueError:
+        raise EncodingMismatch("model file is not valid JSON") from None
+    if not isinstance(payload, dict):
+        raise EncodingMismatch("model file is not a JSON object")
+    for key in _MODEL_KEYS:
+        if key not in payload:
+            raise EncodingMismatch(f"model file lacks {key!r}")
+    trees = payload["trees"]
+    if not isinstance(trees, list) or not trees or payload["n_trees"] != len(trees):
+        raise EncodingMismatch("model file's 'n_trees' is not the number of its 'trees' (at least 1)")
+    trees = [_tree_from_json(t, tree) for t, tree in enumerate(trees)]
+    try:
+        seed, m_try = int(payload["seed"]), int(payload["m_try"])
+        encoding = None
+        if payload.get("encoding") is not None:
+            e = payload["encoding"]
+            encoding = FeatureEncoding(
+                sources=tuple((n, k) for n, k in e["sources"]),
+                levels={k: tuple(v) for k, v in e["levels"].items()},
+                vector_dim=int(e["vector_dim"]),
+                dropped=tuple(e["dropped"]),
+            )
+    except (AttributeError, KeyError, TypeError, ValueError):
+        raise EncodingMismatch("model file has a malformed 'seed', 'm_try' or 'encoding'") from None
     return TreeEnsemble(
-        n_trees=int(payload["n_trees"]),
-        trees=[
-            {name: np.asarray(tree[name], dtype=dtype) for name, dtype in TREE_ARRAYS.items()}
-            for tree in payload["trees"]
-        ],
-        seed=int(payload["seed"]),
-        m_try=int(payload["m_try"]),
+        n_trees=len(trees),
+        trees=trees,
+        seed=seed,
+        m_try=m_try,
         oob_accuracy=payload["oob_accuracy"],
         encoding=encoding,
     )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter
 
-from .cohort import ACUTE_SYMPTOM_FIELDS, Cohort, ParticipantRecord, SymptomProfile, child_manifest
+from .cohort import ACUTE_SYMPTOM_FIELDS, SYMPTOM_FIELDS, Cohort, ParticipantRecord, SymptomProfile, child_manifest
 from .errors import EmptyResult, MissingCovariate, OverlappingInputs
 from .rngs import substream
 
@@ -74,19 +74,21 @@ class MatchSpec:
 
 def stratum_keyer(spec: MatchSpec):
     """``record -> stratum key`` for ``spec``, with the covariate names
-    checked once. Every record maps to exactly one stratum; a record without
-    an age, or with a blank flag behind a matched covariate (for
-    ``any_symptom``, any acute flag), raises ``MissingCovariate``."""
+    checked once. A covariate is one of ``SYMPTOM_FIELDS`` or ``any_symptom``.
+    Every record maps to exactly one stratum; a record without an age, or
+    with a blank flag behind a matched covariate (for ``any_symptom``, any
+    acute flag), raises ``MissingCovariate``."""
     names = spec.covariates
     # an unknown name fails on the first record that has an age, as a
     # per-record check would
-    unknown = next((n for n in names if not hasattr(SymptomProfile, n)), None)
+    unknown = next((n for n in names if n not in SYMPTOM_FIELDS and n != "any_symptom"), None)
     get = attrgetter(*names)
     read_flags = get if len(names) > 1 else lambda symptoms: (get(symptoms),)
     needed = [ACUTE_SYMPTOM_FIELDS if n == "any_symptom" else (n,) for n in names]
     include_channel = spec.include_channel
-    # flag part of the key per profile object (profiles are shared); each
-    # entry holds its profile, so the id cannot be reused while it is cached
+    # flag part of the key per profile object (profiles are shared), cached
+    # only once its blank flags are checked; each entry holds its profile,
+    # so the id cannot be reused while it is cached
     parts: dict[int, tuple[SymptomProfile, tuple[int, ...]]] = {}
 
     def key(record: ParticipantRecord) -> tuple:
@@ -94,14 +96,12 @@ def stratum_keyer(spec: MatchSpec):
             raise MissingCovariate("age_years")
         if unknown is not None:
             raise MissingCovariate(unknown)
-        if "_missing_flags" in record.other_covariates:
-            blank = record.other_covariates["_missing_flags"].split(",")
-            for name, flags in zip(names, needed):
-                if any(f in blank for f in flags):
-                    raise MissingCovariate(name)
         symptoms = record.symptoms
         part = parts.get(id(symptoms))
         if part is None:
+            for name, flags in zip(names, needed):
+                if not symptoms.missing.isdisjoint(flags):
+                    raise MissingCovariate(name)
             part = parts[id(symptoms)] = (symptoms, tuple(map(int, map(bool, read_flags(symptoms)))))
         if include_channel:
             return (record.channel, age_bin(record.age_years), record.gender, *part[1])

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .cohort import Cohort, SplitSpec, split_cohort
 from .errors import ConfigError
-from .forest import build_encoding, encode_cohort, fit_forest
+from .forest import build_encoding, encode_cohort, fit_forest, hybrid_features
 from .matching import MatchSpec, match_exact
 from .metrics import (
     ScoredLabels,
@@ -120,13 +120,7 @@ def bias_demo(cfg: RunConfig) -> ReportBundle:
 
     match_spec = MatchSpec(covariates=("any_symptom",), include_channel=False, seed=cfg.seed)
     matched, balance = match_exact(test, match_spec)
-    matched = Cohort(
-        records=tuple(
-            r.with_score(float(np.clip(s, 0.0, 1.0)))
-            for r, s in zip(matched.records, model.predict_matrix(encode_cohort(matched, encoding)))
-        ),
-        manifest=matched.manifest,
-    )
+    matched = hybrid_features(matched, np.clip(model.predict_matrix(encode_cohort(matched, encoding)), 0.0, 1.0))
     matched_scored = ScoredLabels(matched.scores(), matched.labels())
 
     figures: dict[str, str] = {}

@@ -18,9 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cohort import ACUTE_SYMPTOM_FIELDS, Cohort, child_manifest, derive_any_symptom
-from .errors import InsufficientPool, MissingCovariate
-from .matching import age_bin
+from .cohort import Cohort, child_manifest
+from .errors import InsufficientPool
+from .matching import MatchSpec, stratum_keyer
 from .rngs import substream
 
 
@@ -96,9 +96,10 @@ class ResampleReport:
 
 def _pool_index(pool: Cohort) -> tuple[dict[tuple, list[str]], dict[str, int]]:
     """Ids by (label, symptomatic, gender, age bin), and the count of
-    records skipped for a blank label or age, by reason. A record with a
-    blank acute flag has no known symptomatic status and raises
-    ``MissingCovariate("any_symptom")``, as matching on it does."""
+    records skipped for a blank label or age, by reason. The cells are the
+    strata of matching on ``any_symptom`` without the channel, so a record
+    with a blank acute flag raises ``MissingCovariate("any_symptom")``."""
+    key_of = stratum_keyer(MatchSpec(("any_symptom",), include_channel=False))
     index: dict[tuple, list[str]] = {}
     skipped = {"no_label": 0, "no_age": 0}
     for r in pool.records:
@@ -108,12 +109,9 @@ def _pool_index(pool: Cohort) -> tuple[dict[tuple, list[str]], dict[str, int]]:
         if r.age_years is None:
             skipped["no_age"] += 1
             continue
-        if "_missing_flags" in r.other_covariates:
-            blank = r.other_covariates["_missing_flags"].split(",")
-            if any(f in blank for f in ACUTE_SYMPTOM_FIELDS):
-                raise MissingCovariate("any_symptom")
-        key = (r.label, derive_any_symptom(r.symptoms), r.gender, age_bin(r.age_years))
-        index.setdefault(key, []).append(r.id)
+        b, gender, sym = key_of(r)
+        # the symptomatic status stays a bool: each cell's substream hashes str(cell)
+        index.setdefault((r.label, bool(sym), gender, b), []).append(r.id)
     for members in index.values():
         members.sort()
     return index, skipped
@@ -167,7 +165,6 @@ def resample_general_population(
                 targets[(cls, sym, "female", None)] = size - m
 
     chosen: set[str] = set()
-    achieved: dict[tuple, int] = {}
     shortfalls: list[tuple] = []
     for cell in sorted(targets, key=lambda c: tuple(map(str, c))):
         need = targets[cell]
@@ -190,9 +187,7 @@ def resample_general_population(
         chosen.update(members[i] for i in picked)
 
     records = tuple(r for r in pool.records if r.id in chosen)
-    for r in records:
-        key = (r.label, r.symptoms.any_symptom, r.gender, age_bin(r.age_years))
-        achieved[key] = achieved.get(key, 0) + 1
+    achieved = {key: n for key, members in index.items() if (n := len(chosen.intersection(members)))}
     out = Cohort(
         records=records,
         manifest=child_manifest(

@@ -304,8 +304,9 @@ def age_bin_arith(age_years: int) -> str:
 
 
 def stratum_key_loop(record: ParticipantRecord, spec: MatchSpec) -> tuple:
-    """``matching.stratum_key`` with every covariate name checked on every
-    record; it does not look at blank flags."""
+    """``matching.stratum_key`` with every covariate name (one of
+    ``SYMPTOM_FIELDS`` or ``any_symptom``) checked on every record; it does
+    not look at blank flags."""
     if record.age_years is None:
         raise MissingCovariate("age_years")
     parts: list = []
@@ -314,7 +315,7 @@ def stratum_key_loop(record: ParticipantRecord, spec: MatchSpec) -> tuple:
     parts.append(age_bin_arith(record.age_years))
     parts.append(record.gender)
     for name in spec.covariates:
-        if name != "any_symptom" and not hasattr(record.symptoms, name):
+        if name != "any_symptom" and name not in SYMPTOM_FIELDS:
             raise MissingCovariate(name)
         parts.append(int(record.symptoms.flag(name)))
     return tuple(parts)
@@ -380,8 +381,8 @@ def load_cohort_dictreader(path: str) -> Cohort:
             flags = {}
             for f in SYMPTOM_FIELDS:
                 flags[f] = _parse_bool(row[f] or "", i, f)
-            missing_flags = [f for f, v in flags.items() if v is None]
-            symptoms = SymptomProfile(**{f: bool(v) for f, v in flags.items() if v is not None})
+            missing = frozenset(f for f, v in flags.items() if v is None)
+            symptoms = SymptomProfile(**{f: bool(v) for f, v in flags.items() if v is not None}, missing=missing)
 
             score: float | None = None
             if has_score:
@@ -395,8 +396,6 @@ def load_cohort_dictreader(path: str) -> Cohort:
                         raise BadValue(i, "score", raw_score)
 
             other = {c: (row[c] or "").strip() for c in extra_cols}
-            if missing_flags:
-                other["_missing_flags"] = ",".join(missing_flags)
             records.append(
                 ParticipantRecord(
                     id=rid,

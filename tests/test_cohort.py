@@ -68,6 +68,24 @@ def test_extra_columns_become_covariates(tmp_csv):
     assert cohort.records[0].other_covariates["ethnicity"] == "groupA"
 
 
+def test_extra_columns_of_any_name_round_trip(tmp_csv, tmp_path):
+    # names that once held the blank flags, or started with "_", are plain columns
+    text = "\n".join([
+        HEADER + ",_missing_flags,_site",
+        row("a", flags="100000000") + ",cough,x",
+        row("b") + ",,y",
+    ]) + "\n"
+    cohort = load_cohort(tmp_csv("p.csv", text))
+    assert [r.symptoms.cough for r in cohort.records] == [True, False]
+    assert all(r.symptoms.missing == frozenset() for r in cohort.records)
+    assert cohort.records[0].other_covariates == {"_missing_flags": "cough", "_site": "x"}
+    kept, report = validate_cohort(cohort)
+    assert kept.ids() == ["a", "b"] and report.total_removed == 0
+    out = tmp_path / "again.csv"
+    write_cohort(cohort, str(out))
+    assert out.read_text() == text
+
+
 def test_write_load_round_trip_bytes(tmp_path):
     cohort = make_cohort(
         [
@@ -240,7 +258,8 @@ def test_derive_any_symptom():
 def test_blank_flag_round_trips_and_is_rejected(tmp_csv, tmp_path):
     text = "\n".join([HEADER, row("a"), row("b", flags=[""] + ["0"] * 8), row("c", flags="0" * 8 + "1")]) + "\n"
     cohort = load_cohort(tmp_csv("p.csv", text))
-    assert cohort.records[1].other_covariates == {"_missing_flags": "cough"}
+    assert cohort.records[1].symptoms.missing == {"cough"}
+    assert cohort.records[1].other_covariates == {}
     out = tmp_path / "again.csv"
     write_cohort(cohort, str(out))
     assert out.read_text() == text

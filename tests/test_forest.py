@@ -422,6 +422,15 @@ def test_encode_missing_audio_score_raises():
         encode_cohort(cohort, encoding)
 
 
+def test_encode_blank_flag_raises():
+    cohort = make_cohort([make_record("a", 1, cough=True), make_record("b", 0, missing=frozenset({"cough"}))])
+    encoding = build_encoding(cohort, ("cough", "age"))
+    with pytest.raises(EncodingMismatch, match="record b has a blank 'cough' flag"):
+        encode_cohort(cohort, encoding)
+    # a blank flag the encoding does not use is no obstacle
+    assert encode_cohort(cohort, build_encoding(cohort, ("sore_throat",))).tolist() == [[0.0], [0.0]]
+
+
 def test_json_round_trip():
     rng = np.random.default_rng(12)
     cohort = _symptom_cohort(rng, n=60)
@@ -454,6 +463,40 @@ def test_model_json_with_list_trees_loads_and_predicts():
     model = model_from_json(text)
     assert model_to_json(model) == text
     assert model.predict_matrix(np.array([[0.0], [0.5], [0.75]])).tolist() == [0.25, 0.25, 1.0]
+
+
+def _break_tree(payload, field, edit):
+    edit(payload["trees"][0][field])
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize("breakage, message", [
+    pytest.param(lambda p: _break_tree(p, "left", lambda a: a.__setitem__(0, 10**6)),
+                 "tree 0: node 0 has 'left' child 1000000", id="child-out-of-range"),
+    # a root that is its own left child routed forever before it was checked
+    pytest.param(lambda p: _break_tree(p, "left", lambda a: a.__setitem__(0, 0)),
+                 "tree 0: node 0 has 'left' child 0", id="self-loop"),
+    # so did one node array longer than the others
+    pytest.param(lambda p: _break_tree(p, "feature", lambda a: a.append(-1)), "tree 0 has", id="long-array"),
+    pytest.param(lambda p: _break_tree(p, "leaf_frac", lambda a: a.__setitem__(-1, 1.5)),
+                 "tree 0 has a leaf whose 'leaf_frac'", id="leaf-frac"),
+    pytest.param(lambda p: _break_tree(p, "right", lambda a: a.__setitem__(0, "x")),
+                 "tree 0 has a non-numeric 'right'", id="non-numeric"),
+    pytest.param(lambda p: json.dumps({**p, "trees": p["trees"][:1] + [{"feature": [-1]}] + p["trees"][2:]}),
+                 "tree 1 lacks 'threshold'", id="missing-field"),
+    pytest.param(lambda p: json.dumps({**p, "n_trees": 4}), "'n_trees'", id="n-trees"),
+    pytest.param(lambda p: json.dumps({**p, "n_trees": 0, "trees": []}), "'n_trees'", id="no-trees"),
+    pytest.param(lambda p: json.dumps({k: v for k, v in p.items() if k != "m_try"}), "lacks 'm_try'",
+                 id="missing-key"),
+    pytest.param(lambda p: json.dumps(p)[:200], "not valid JSON", id="truncated"),
+    pytest.param(lambda p: "[1, 2]", "not a JSON object", id="not-an-object"),
+])
+def test_model_from_json_rejects_broken_files(breakage, message):
+    model = train_symptoms_model(_symptom_cohort(np.random.default_rng(14), n=60), n_trees=5, seed=1)
+    text = model_to_json(model)
+    assert model_to_json(model_from_json(text)) == text
+    with pytest.raises(EncodingMismatch, match=message):
+        model_from_json(breakage(json.loads(text)))
 
 
 def test_vector_encoding_mismatch():

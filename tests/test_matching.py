@@ -165,7 +165,7 @@ def test_disjoint_from_refuses_overlap():
     ("asthma,smoker", ("cough", "asthma", "smoker"), "asthma"),
 ])
 def test_blank_matched_flag_raises(blank, covariates, name):
-    r = make_record("a", 1, other={"_missing_flags": blank})
+    r = make_record("a", 1, missing=frozenset(blank.split(",")))
     spec = MatchSpec(covariates=covariates)
     with pytest.raises(MissingCovariate) as err:
         stratum_key(r, spec)
@@ -175,7 +175,7 @@ def test_blank_matched_flag_raises(blank, covariates, name):
 
 
 def test_blank_unmatched_flag_is_ignored():
-    r = make_record("a", 1, cough=True, other={"_missing_flags": "smoker,copd_emphysema"})
+    r = make_record("a", 1, cough=True, missing=frozenset({"smoker", "copd_emphysema"}))
     assert stratum_key(r, MatchSpec(covariates=TEST_SET, include_channel=False)) == (
         "28-37", "female", 1, 0, 0, 0, 0, 1
     )

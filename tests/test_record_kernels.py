@@ -23,6 +23,7 @@ from confound_audit.cohort import (
     SymptomProfile,
     load_cohort,
     symptom_profile,
+    write_cohort,
 )
 from confound_audit.errors import BadValue, DuplicateId, MissingColumn
 from confound_audit.matching import MatchSpec, stratum_key, stratum_keyer
@@ -99,7 +100,8 @@ def test_enrol_matches_per_person_draws(cfg, mode):
     assert _outcome(lambda: enrol(pop, cfg).ids()) == _outcome(lambda: enrol_loop(pop, cfg))
 
 
-COVARIATES = SYMPTOM_FIELDS + ("any_symptom", "reported_any", "flag", "bogus")
+# profile attributes that are not flags must raise like an unknown name
+COVARIATES = SYMPTOM_FIELDS + ("any_symptom", "reported_any", "missing", "flag", "bogus")
 
 
 @st.composite
@@ -151,6 +153,8 @@ CELLS = {
     "score": (["0.5", "", "1", "0", "1e-3", " 0.25 ", "-0.0"], ["1.2", "nan", "abc"]),
     "ethnicity": (["groupA", "", " groupB ", "a,b", 'say "hi"'], []),
     "site": (["x", "y", ""], []),
+    "_missing_flags": (["cough", "", "asthma,smoker"], []),
+    "_site": (["x", ""], []),
 }
 
 
@@ -159,7 +163,7 @@ def participant_csvs(draw):
     columns = list(CSV_COLUMNS[:-1])
     if draw(st.booleans()):
         columns.append("score")
-    columns += draw(st.lists(st.sampled_from(["ethnicity", "site"]), max_size=3))
+    columns += draw(st.lists(st.sampled_from(["ethnicity", "site", "_missing_flags", "_site"]), max_size=3))
     if draw(st.integers(0, 19)) == 0:
         columns.remove(draw(st.sampled_from(columns)))
     columns = draw(st.permutations(columns))
@@ -195,10 +199,15 @@ def test_load_cohort_matches_dictreader(text):
             fh.write(text)
         got = _outcome(lambda: load_cohort(path))
         want = _outcome(lambda: load_cohort_dictreader(path))
+        if got[0] == "ok":
+            again = os.path.join(tmp, "again.csv")
+            write_cohort(got[1], again)
+            reloaded = load_cohort(again)
     if got[0] == "ok" and want[0] == "ok":
         assert [_fields(r) for r in got[1].records] == [_fields(r) for r in want[1].records]
         assert [_types(r) for r in got[1].records] == [_types(r) for r in want[1].records]
         assert got[1].manifest["rows"] == want[1].manifest["rows"]
+        assert [_fields(r) for r in reloaded.records] == [_fields(r) for r in got[1].records]
     else:
         assert got[0] is want[0] and got[0] in (BadValue, DuplicateId, MissingColumn)
         if got[0] is BadValue:

@@ -255,7 +255,7 @@ def test_cli_utility_reads_eval_roc_json(tmp_path):
     assert len(outs[0].splitlines()) == 102
 
 
-def test_cli_report_manifest_rerun_byte_identical(tmp_path):
+def test_cli_report_manifest_rerun_byte_identical(tmp_path, capsys):
     out1 = tmp_path / "run1"
     out2 = tmp_path / "run2"
     cfg = tmp_path / "run.json"
@@ -264,6 +264,12 @@ def test_cli_report_manifest_rerun_byte_identical(tmp_path):
         "metrics": {"min_per_class": 5},
     }))
     assert main(["report", "--config", str(cfg), "--out-dir", str(out1)]) == 0
+    # the report's ROC table holds two curves, not one curve utility can read
+    capsys.readouterr()
+    eu = tmp_path / "eu.csv"
+    assert main(["utility", "--roc", str(out1 / "roc.csv"), "--rt", "1.5", "--eps", "0.2", "--out", str(eu)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "'threshold' on data row" in err and not eu.exists()
     manifest = out1 / "manifest.json"
     assert manifest.exists()
     assert main(["report", "--manifest", str(manifest), "--out-dir", str(out2)]) == 0
@@ -332,10 +338,15 @@ def test_cli_runtime_error_exit_1(tmp_path, capsys):
      "'threshold' on data row 2: 'abc'"),
     (["utility", "--roc", "{badjson}", "--rt", "1.5", "--eps", "0.2", "--out", "{out}"], 1,
      "'sensitivity' on data row 1"),
+    (["baseline", "predict", "--model", "{model}", "--in", "{blankflag}", "--out", "{out}"], 1,
+     "record r3 has a blank 'cough' flag"),
+    (["baseline", "predict", "--model", "{badmodel}", "--in", "{pool}", "--out", "{out}"], 1,
+     "tree 0: node 0 has 'right' child 7"),
+    (["match", "--in", "{pool}", "--covariates", "flag", "--out", "{out}"], 1, "covariate 'flag'"),
 ])
 def test_cli_errors_exit_with_one_line(tmp_path, capsys, argv, code, message):
     names = ("pool", "short", "word", "noscore", "nan", "above", "repeat", "nanfeat", "blankflag", "badroc", "badjson",
-             "missing", "out")
+             "model", "badmodel", "missing", "out")
     paths = {name: str(tmp_path / name) for name in names}
     _write_pool(paths["pool"], n=60)
     with open(paths["pool"], encoding="utf-8") as fh:
@@ -343,6 +354,11 @@ def test_cli_errors_exit_with_one_line(tmp_path, capsys, argv, code, message):
     cells = pool_rows[4].split(",")
     cells[CSV_COLUMNS.index("cough")] = ""
     scores = [f"r{i},0.5\n" for i in range(60)]
+    # a one-split tree on cough; "badmodel" points its right child outside the tree
+    tree = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, -1, -1], "right": [2, -1, -1],
+            "leaf_frac": [-1.0, 0.25, 0.75]}
+    model = {"n_trees": 1, "seed": 0, "m_try": 1, "oob_accuracy": None, "trees": [tree],
+             "encoding": {"sources": [["cough", "bool"]], "levels": {}, "vector_dim": 0, "dropped": []}}
     files = {
         "short": "id,score\n" + "".join(scores[:7]),
         "word": "id,score\n" + "".join(scores[:3]) + "r3,high\n" + "".join(scores[4:]),
@@ -354,6 +370,8 @@ def test_cli_errors_exit_with_one_line(tmp_path, capsys, argv, code, message):
         "blankflag": "".join(pool_rows[:4]) + ",".join(cells) + "".join(pool_rows[5:]),
         "badroc": "threshold,sensitivity,specificity\n0.2,1.0,0.0\nabc,0.7,0.8\n",
         "badjson": '{"roc_points": [{"threshold": Infinity, "sensitivity": "high", "specificity": 1.0}]}\n',
+        "model": json.dumps(model),
+        "badmodel": json.dumps({**model, "trees": [{**tree, "right": [7, -1, -1]}]}),
     }
     for name, text in files.items():
         with open(paths[name], "w", encoding="utf-8") as fh:
