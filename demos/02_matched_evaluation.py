@@ -25,12 +25,12 @@ from confound_audit import (
     encode_cohort,
     fit_forest,
     generate_cohort,
+    hybrid_features,
     match_exact,
     roc_curve,
     split_cohort,
     stratified_auc,
 )
-from confound_audit.cohort import Cohort
 from confound_audit.report import emit_figure
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
@@ -59,10 +59,7 @@ def main():
     spec = MatchSpec(covariates=TEST_SET, include_channel=False, seed=SEED)
     matched, balance = match_exact(test, spec)
     scores = np.clip(model.predict_matrix(encode_cohort(matched, encoding)), 0, 1)
-    matched = Cohort(
-        records=tuple(r.with_score(float(s)) for r, s in zip(matched.records, scores)),
-        manifest=matched.manifest,
-    )
+    matched = hybrid_features(matched, scores)
     md = ScoredLabels(matched.scores(), matched.labels())
     ci_match = auc_ci(md, method="delong")
     print(f"matched test set : AUC {ci_match.estimate:.3f} [{ci_match.lower:.3f}-{ci_match.upper:.3f}]"

@@ -29,6 +29,7 @@ from confound_audit import (
     encode_cohort,
     fit_forest,
     generate_cohort,
+    hybrid_features,
     make_calibration_cohort,
     match_exact,
     nn_substitute,
@@ -55,11 +56,7 @@ def confounded_matched_cohort():
     # matching only on the aggregate leaves profile-level leakage behind,
     # standing in for confounders that were never measured
     matched, _ = match_exact(test, MatchSpec(covariates=("any_symptom",), include_channel=False, seed=SEED))
-    scores = np.clip(model.predict_matrix(encode_cohort(matched, enc)), 0, 1)
-    return Cohort(
-        records=tuple(r.with_score(float(s)) for r, s in zip(matched.records, scores)),
-        manifest=matched.manifest,
-    )
+    return hybrid_features(matched, np.clip(model.predict_matrix(encode_cohort(matched, enc)), 0, 1))
 
 
 def true_signal_cohort():
@@ -81,11 +78,7 @@ def true_signal_cohort():
 
     train, test = draw(300, "tr"), draw(250, "te")
     model = fit_forest(train.feature_matrix(), train.labels(), n_trees=40, seed=SEED)
-    scores = np.clip(model.predict_matrix(test.feature_matrix()), 0, 1)
-    return Cohort(
-        records=tuple(r.with_score(float(s)) for r, s in zip(test.records, scores)),
-        manifest=test.manifest,
-    )
+    return hybrid_features(test, np.clip(model.predict_matrix(test.feature_matrix()), 0, 1))
 
 
 def run_probes(name, cohort):

@@ -23,7 +23,7 @@ from .cohort import (
     write_cohort,
     write_features,
 )
-from .errors import BadValue, ConfigError, ConfoundAuditError, MissingColumn
+from .errors import BadValue, ConfigError, ConfoundAuditError, MissingColumn, TooFewRecords
 from .forest import (
     DEFAULT_SYMPTOM_PREDICTORS,
     build_encoding,
@@ -201,10 +201,10 @@ def cmd_eval(args) -> int:
         raise ConfigError("fdr", "must lie in (0, 1)")
     cohort = _load_scored_cohort(getattr(args, "in"), args.features)
     cohort, rejections = validate_cohort(cohort)
+    if not len(cohort):
+        raise TooFewRecords(f"no record left to evaluate ({rejections.total_removed} rejected by validation)")
     scores = cohort.scores()
     labels = cohort.labels()
-    if np.isnan(scores).any():
-        raise ConfoundAuditError("cohort has records without scores; cannot evaluate")
     data = ScoredLabels(scores, labels)
     wanted = args.metrics.split(",")
     result: dict = {

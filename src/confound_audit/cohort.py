@@ -32,7 +32,7 @@ from operator import attrgetter, itemgetter
 
 import numpy as np
 
-from .errors import BadValue, DuplicateId, MissingColumn, TooFewRecords
+from .errors import BadValue, DuplicateId, MissingColumn, MissingFeatures, MissingLabel, MissingScore, TooFewRecords
 
 SYMPTOM_FIELDS = (
     "cough",
@@ -182,15 +182,31 @@ class Cohort:
     def ids(self) -> list[str]:
         return [r.id for r in self.records]
 
+    # The array accessors are the one place a missing value is caught: each
+    # returns a complete array or raises for the first record that lacks it.
+
     def labels(self) -> np.ndarray:
-        return np.array([-1 if r.label is None else r.label for r in self.records])
+        """The 0/1 labels; ``MissingLabel`` names the first unlabelled record."""
+        labels = [r.label for r in self.records]
+        if None in labels:
+            raise MissingLabel(self.records[labels.index(None)].id)
+        return np.array(labels)
 
     def scores(self) -> np.ndarray:
-        return np.array([math.nan if r.score is None else r.score for r in self.records])
+        """The scores; ``MissingScore`` names the first unscored record."""
+        scores = [r.score for r in self.records]
+        if None in scores:
+            raise MissingScore(self.records[scores.index(None)].id)
+        return np.array(scores, dtype=float)
 
     def feature_matrix(self) -> np.ndarray:
-        if any(r.features is None for r in self.records):
-            raise BadValue(-1, "features", "cohort has records without feature vectors")
+        """One row per record; ``MissingFeatures`` names the first record
+        without a vector, and an empty cohort raises ``TooFewRecords``."""
+        if not self.records:
+            raise TooFewRecords("cohort has no records to stack into a feature matrix")
+        for r in self.records:
+            if r.features is None:
+                raise MissingFeatures(r.id)
         return np.stack([r.features for r in self.records])
 
 def make_manifest(source: str, **extra) -> dict:

@@ -37,6 +37,28 @@ class TooFewRecords(ConfoundAuditError):
     pass
 
 
+class MissingValue(ConfoundAuditError):
+    """A record lacks a value that a cohort array needs (see ``Cohort.labels``)."""
+
+    what = "value"
+
+    def __init__(self, record_id: str):
+        self.record_id = record_id
+        super().__init__(f"record {record_id!r} has no {self.what}")
+
+
+class MissingLabel(MissingValue):
+    what = "label"
+
+
+class MissingScore(MissingValue):
+    what = "score"
+
+
+class MissingFeatures(MissingValue):
+    what = "feature vector"
+
+
 # -- matching and resampling ---------------------------------------------
 
 class MissingCovariate(ConfoundAuditError):
@@ -131,12 +153,6 @@ class RankDeficientWarning(UserWarning):
 
 class EncodingMismatch(ConfoundAuditError):
     pass
-
-
-class MissingScore(ConfoundAuditError):
-    def __init__(self, record_id: str):
-        self.record_id = record_id
-        super().__init__(f"record {record_id!r} has no audio score")
 
 
 # -- reporting ---------------------------------------------------------------

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cohort import SYMPTOM_FIELDS, Cohort, ParticipantRecord, child_manifest
+from .cohort import SYMPTOM_FIELDS, Cohort, child_manifest
 from .errors import EncodingMismatch, MissingScore, OneClassOnly
 from .rngs import substream
 
@@ -36,13 +36,30 @@ OPTIONAL_PREDICTORS = ("ethnicity", "first_language")
 # -- feature encoding -------------------------------------------------------------
 
 
+# every predictor name has one kind: the fixed names below, and any other
+# name (gender, channel, an extra CSV column) is a one-hot categorical
+_SOURCE_KINDS = {
+    **dict.fromkeys(SYMPTOM_FIELDS, "bool"),
+    "age": "numeric",
+    "audio_score": "score",
+    "features": "vector",
+}
+
+
+def _source_kind(name: str) -> str:
+    return _SOURCE_KINDS.get(name, "categorical")
+
+
 @dataclass(frozen=True)
 class FeatureEncoding:
     """Stable record-to-design-matrix mapping.
 
     ``sources`` lists (name, kind) pairs in order; categorical sources carry
     their one-hot level list learned at build time. Unknown categorical
-    levels at predict time encode as an all-zero block.
+    levels at predict time encode as an all-zero block. A source that
+    :func:`build_encoding` could not have produced (a kind other than its
+    name's, a categorical without levels, a vector of no columns) raises
+    ``EncodingMismatch``, so a hand-edited model file fails on load.
     """
 
     sources: tuple[tuple[str, str], ...]
@@ -50,40 +67,28 @@ class FeatureEncoding:
     vector_dim: int = 0
     dropped: tuple[str, ...] = ()
 
-    @property
-    def feature_names(self) -> tuple[str, ...]:
-        names: list[str] = []
+    def __post_init__(self):
         for name, kind in self.sources:
-            if kind == "categorical":
-                names.extend(f"{name}={lvl}" for lvl in self.levels[name])
-            elif kind == "vector":
-                names.extend(f"f{i}" for i in range(self.vector_dim))
-            else:
-                names.append(name)
-        return tuple(names)
+            if kind != _source_kind(name):
+                raise EncodingMismatch(f"encoding source {name!r} has kind {kind!r}, not {_source_kind(name)!r}")
+            levels = self.levels.get(name)
+            if kind == "categorical" and not (levels and all(isinstance(v, str) for v in levels)):
+                raise EncodingMismatch(f"encoding source {name!r} has no levels, or levels that are not strings")
+            if kind == "vector" and self.vector_dim < 1:
+                raise EncodingMismatch(f"encoding source {name!r} has vector_dim {self.vector_dim}, not >= 1")
 
 
-def _source_kind(name: str, record: ParticipantRecord) -> str | None:
-    if name in SYMPTOM_FIELDS:
-        return "bool"
-    if name == "age":
-        return "numeric"
+def _categorical_values(cohort: Cohort, name: str) -> list[str]:
     if name in ("gender", "channel"):
-        return "categorical"
-    if name == "audio_score":
-        return "score"
-    if name == "features":
-        return "vector"
-    if name in record.other_covariates:
-        return "categorical"
-    return None
+        return [getattr(r, name) for r in cohort.records]
+    return [r.other_covariates.get(name, "") for r in cohort.records]
 
 
-def build_encoding(cohort: Cohort, predictors, optional=OPTIONAL_PREDICTORS) -> FeatureEncoding:
+def build_encoding(cohort: Cohort, predictors) -> FeatureEncoding:
     """Learn an encoding from a training cohort.
 
-    Optional predictors absent from the data are dropped (and recorded in
-    ``dropped``) rather than raising.
+    ``OPTIONAL_PREDICTORS`` absent from the data are dropped (and recorded
+    in ``dropped``) rather than raising.
     """
     if len(cohort) == 0:
         raise EncodingMismatch("cannot build an encoding from an empty cohort")
@@ -93,19 +98,15 @@ def build_encoding(cohort: Cohort, predictors, optional=OPTIONAL_PREDICTORS) -> 
     levels: dict[str, tuple[str, ...]] = {}
     vector_dim = 0
     for name in predictors:
-        kind = _source_kind(name, probe)
-        if kind is None:
-            if name in optional:
+        kind = _source_kind(name)
+        if kind == "categorical" and name not in ("gender", "channel") and name not in probe.other_covariates:
+            if name in OPTIONAL_PREDICTORS:
                 dropped.append(name)
                 continue
             raise EncodingMismatch(f"unknown predictor {name!r}")
         sources.append((name, kind))
         if kind == "categorical":
-            if name in ("gender", "channel"):
-                values = {getattr(r, name) for r in cohort.records}
-            else:
-                values = {r.other_covariates.get(name, "") for r in cohort.records}
-            levels[name] = tuple(sorted(values))
+            levels[name] = tuple(sorted(set(_categorical_values(cohort, name))))
         elif kind == "vector":
             if probe.features is None:
                 raise EncodingMismatch("records lack feature vectors")
@@ -116,31 +117,39 @@ def build_encoding(cohort: Cohort, predictors, optional=OPTIONAL_PREDICTORS) -> 
 
 
 def encode_cohort(cohort: Cohort, encoding: FeatureEncoding) -> np.ndarray:
-    rows = []
-    for r in cohort.records:
-        row: list[float] = []
-        for name, kind in encoding.sources:
-            if kind == "bool":
+    """The design matrix: one block of columns per source, in source order.
+
+    A missing score or feature vector raises through the cohort's array
+    accessors; a blank flag or age the encoding uses raises
+    ``EncodingMismatch`` naming the first record that has it.
+    """
+    records = cohort.records
+    blocks = [np.empty((len(records), 0))]
+    for name, kind in encoding.sources:
+        if kind == "bool":
+            for r in records:
                 if name in r.symptoms.missing:
                     raise EncodingMismatch(f"record {r.id} has a blank {name!r} flag")
-                row.append(float(r.symptoms.flag(name)))
-            elif kind == "numeric":
-                if r.age_years is None:
-                    raise EncodingMismatch(f"record {r.id} lacks age")
-                row.append(float(r.age_years))
-            elif kind == "score":
-                if r.score is None:
-                    raise MissingScore(r.id)
-                row.append(float(r.score))
-            elif kind == "categorical":
-                value = getattr(r, name) if name in ("gender", "channel") else r.other_covariates.get(name, "")
-                row.extend(1.0 if value == lvl else 0.0 for lvl in encoding.levels[name])
-            elif kind == "vector":
-                if r.features is None or r.features.shape[0] != encoding.vector_dim:
-                    raise EncodingMismatch(f"record {r.id} has incompatible features")
-                row.extend(float(v) for v in r.features)
-        rows.append(row)
-    return np.asarray(rows, dtype=float)
+            flags = np.array([getattr(r.symptoms, name) for r in records], dtype=bool)
+            blocks.append(flags.astype(float)[:, None])
+        elif kind == "numeric":
+            ages = [r.age_years for r in records]
+            if None in ages:
+                raise EncodingMismatch(f"record {records[ages.index(None)].id} lacks age")
+            blocks.append(np.array(ages, dtype=float)[:, None])
+        elif kind == "score":
+            blocks.append(cohort.scores()[:, None])
+        elif kind == "categorical":
+            levels = encoding.levels[name]
+            code = {lvl: j for j, lvl in enumerate(levels)}
+            codes = np.array([code.get(v, -1) for v in _categorical_values(cohort, name)], dtype=int)
+            blocks.append((codes[:, None] == np.arange(len(levels))).astype(float))
+        else:  # vector
+            x = cohort.feature_matrix()
+            if x.shape[1] != encoding.vector_dim:
+                raise EncodingMismatch(f"cohort has {x.shape[1]} features, the encoding {encoding.vector_dim}")
+            blocks.append(x)
+    return np.concatenate(blocks, axis=1)
 
 
 # -- CART trees --------------------------------------------------------------------
@@ -440,10 +449,7 @@ def train_symptoms_model(
     if encoding is None:
         encoding = build_encoding(train, predictors)
     x = encode_cohort(train, encoding)
-    y = train.labels()
-    if (y == -1).any():
-        raise EncodingMismatch("training cohort has unlabelled records")
-    model = fit_forest(x, y, n_trees=n_trees, seed=seed)
+    model = fit_forest(x, train.labels(), n_trees=n_trees, seed=seed)
     model.encoding = encoding
     return model
 

@@ -31,6 +31,7 @@ from .errors import (
     TooFewSamples,
     TooLargeForExact,
 )
+from .matching import stratum_keyer
 
 EXACT_MWU_LIMIT = 20
 
@@ -399,27 +400,19 @@ def stratified_auc(cohort, spec, min_per_class: int = 10, q: float = 0.05) -> li
     flags across the included strata. Strata with fewer than ``min_per_class``
     records in either class are excluded; output is sorted by stratum size
     descending (ties by key)."""
-    from .matching import stratum_keyer  # local import avoids a cycle
-
     key_of = stratum_keyer(spec)
-    groups: dict[tuple, tuple[list[float], list[int]]] = {}
-    for r in cohort.records:
-        if r.score is None or r.label is None:
-            raise ValueError(f"record {r.id} lacks a score or label")
-        key = key_of(r)
-        scores, labels = groups.setdefault(key, ([], []))
-        scores.append(r.score)
-        labels.append(r.label)
+    scores, labels = cohort.scores(), cohort.labels()
+    members: dict[tuple, list[int]] = {}
+    for i, r in enumerate(cohort.records):
+        members.setdefault(key_of(r), []).append(i)
 
     eligible = []
-    for key in sorted(groups, key=lambda k: tuple(map(str, k))):
-        scores, labels = groups[key]
-        labels_arr = np.array(labels)
-        n_pos = int((labels_arr == 1).sum())
-        n_neg = int((labels_arr == 0).sum())
+    for key in sorted(members, key=lambda k: tuple(map(str, k))):
+        idx = np.array(members[key])
+        data = ScoredLabels(scores[idx], labels[idx])
+        n_pos, n_neg = data.pos.size, data.neg.size
         if min(n_pos, n_neg) < min_per_class:
             continue
-        data = ScoredLabels(np.array(scores), labels_arr)
         eligible.append((key, n_pos, n_neg, data))
     if not eligible:
         raise NoEligibleStrata(f"no stratum has {min_per_class} records of each class")

@@ -174,9 +174,9 @@ def bias_demo(cfg: RunConfig) -> ReportBundle:
         ],
     )
 
-    stats = table_2x2_stats(_any_symptom_table(enrolled))
+    table = _any_symptom_table(enrolled)
     figures["two_by_two"], tables["two_by_two"] = emit_figure(
-        "two_by_two", _any_symptom_table(enrolled), stats, title="Any symptom vs status (enrolled)"
+        "two_by_two", table, table_2x2_stats(table), title="Any symptom vs status (enrolled)"
     )
 
     bins, ece = calibration_bins(np.clip(test_scores, 0, 1), test.labels())

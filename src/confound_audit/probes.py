@@ -35,7 +35,7 @@ from scipy.spatial.distance import cdist
 from scipy.stats import norm
 
 from .cohort import Cohort, ParticipantRecord, SymptomProfile, make_manifest
-from .errors import NoNegatives, OneClassOnly, RankDeficientWarning
+from .errors import NoNegatives, OneClassOnly, RankDeficientWarning, TooFewSamples
 from .metrics import ScoredLabels, auc, uar
 from .rngs import substream
 
@@ -273,13 +273,6 @@ class ProbeResult:
         }
 
 
-def _cohort_scores(cohort: Cohort) -> np.ndarray:
-    out = cohort.scores()
-    if np.isnan(out).any():
-        raise ValueError("cohort records lack scores")
-    return out
-
-
 def weak_robust_curate(matched: Cohort, calibration: Cohort, cfg: WeakProbeConfig) -> ProbeResult:
     """Run the weak-model curation probe.
 
@@ -294,20 +287,24 @@ def weak_robust_curate(matched: Cohort, calibration: Cohort, cfg: WeakProbeConfi
     nothing) and triggers no removals at that k. If the calibration task
     never passes, tau is None and no attribution region is reported. The
     k_max models of each cohort are trained in lockstep by one call of
-    ``_train_weak_prefixes``.
+    ``_train_weak_prefixes``. The PCA fits min(k_max, feature dim)
+    components, so fewer negatives than one more than that raise
+    ``TooFewSamples``.
     """
     y = matched.labels()
-    if (y == -1).any():
-        raise ValueError("matched cohort has unlabelled records")
     if not ((y == 1).any() and (y == 0).any()):
         raise OneClassOnly("matched cohort needs both classes")
     x = matched.feature_matrix()
     xc = calibration.feature_matrix()
     yc = calibration.labels()
-    scores = _cohort_scores(matched)
+    scores = matched.scores()
     ids = matched.ids()
 
     k_cap = min(cfg.k_max, x.shape[1])
+    n_neg = int((y == 0).sum())
+    if n_neg < k_cap + 1:
+        raise TooFewSamples(f"{k_cap} principal components of the negatives need at least {k_cap + 1} negatives, "
+                            f"have {n_neg}")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RankDeficientWarning)
         pca = pca_fit(x[y == 0], n_components=k_cap)
@@ -387,14 +384,13 @@ def nn_substitute(matched: Cohort, cfg: WeakProbeConfig, rescore=None) -> ProbeR
         d = cdist(x[block], x[neg_idx], metric=metric)
         nearest[start : start + chunk] = np.argmin(d, axis=1)
 
-    substituted = x.copy()
-    substituted[pos_idx] = x[neg_idx[nearest]]
-
     if rescore is None:
-        pre_scores = _cohort_scores(matched)
+        pre_scores = matched.scores()
         post_scores = pre_scores.copy()
         post_scores[pos_idx] = pre_scores[neg_idx[nearest]]
     else:
+        substituted = x.copy()
+        substituted[pos_idx] = x[neg_idx[nearest]]
         pre_scores = np.asarray(rescore(x), dtype=float)
         post_scores = np.asarray(rescore(substituted), dtype=float)
 

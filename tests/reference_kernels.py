@@ -42,7 +42,7 @@ from confound_audit.errors import (
 )
 from confound_audit.matching import AGE_BIN_START, AGE_BIN_WIDTH, AGE_OPEN_BIN_START, MatchSpec
 from confound_audit.metrics import ScoredLabels, auc, uar
-from confound_audit.probes import ProbeResult, WeakModel, WeakProbeConfig, _cohort_scores, pca_fit, pca_project
+from confound_audit.probes import ProbeResult, WeakModel, WeakProbeConfig, pca_fit, pca_project
 from confound_audit.rngs import substream
 from confound_audit.synth import _EMBEDDED_COVARIATES, P_COPD, P_OTHER_RESP, P_SMOKER, SynthRecord, covariate_loadings
 
@@ -452,14 +452,12 @@ def weak_robust_curate_loop(matched: Cohort, calibration: Cohort, cfg: WeakProbe
     per k and cohort, the curated set kept as a set of ids and the kept mask
     rebuilt by a membership walk."""
     y = matched.labels()
-    if (y == -1).any():
-        raise ValueError("matched cohort has unlabelled records")
     if not ((y == 1).any() and (y == 0).any()):
         raise OneClassOnly("matched cohort needs both classes")
     x = matched.feature_matrix()
     xc = calibration.feature_matrix()
     yc = calibration.labels()
-    scores = _cohort_scores(matched)
+    scores = matched.scores()
     ids = matched.ids()
 
     k_cap = min(cfg.k_max, x.shape[1])

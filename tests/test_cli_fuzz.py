@@ -1,0 +1,106 @@
+"""Fuzz the command line in-process.
+
+Each example cuts up to 60 rows out of a scored synthetic cohort, writes
+them as a participants CSV and a features CSV, spoils up to two cells and
+runs one subcommand on the files. Whatever the input, ``main`` must return
+0, 1 or 2, with a one-line message on failure, and no exception may escape.
+"""
+
+import contextlib
+import csv
+import io
+import os
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from confound_audit.cli import main
+from confound_audit.cohort import write_cohort, write_features
+from confound_audit.forest import hybrid_features
+from confound_audit.synth import SynthConfig, generate_cohort
+
+BAD_CELLS = ("", "x", "-1", "2", "nan", "inf", "1e400", " ")
+
+# {p} participants, {f} features, {sym}/{hyb} model files, {o} an output path
+COMMANDS = (
+    ("eval", "--in", "{p}", "--out", "{o}"),
+    ("eval", "--in", "{p}", "--stratified", "--min-per-class", "2", "--out", "{o}"),
+    ("probe", "weak", "--matched", "{p}", "--features", "{f}", "--out", "{o}"),
+    ("probe", "nn", "--matched", "{p}", "--features", "{f}", "--out", "{o}"),
+    ("baseline", "train", "--in", "{p}", "--n-trees", "5", "--model", "{o}"),
+    ("baseline", "train", "--in", "{p}", "--features", "{f}", "--hybrid", "--n-trees", "5", "--model", "{o}"),
+    ("baseline", "predict", "--model", "{sym}", "--in", "{p}", "--out", "{o}"),
+    ("baseline", "predict", "--model", "{hyb}", "--in", "{p}", "--features", "{f}", "--out", "{o}"),
+    ("match", "--in", "{p}", "--out", "{o}"),
+    ("resample", "--in", "{p}", "--n-pos", "3", "--n-neg", "3", "--no-equalize-age", "--out", "{o}"),
+)
+
+
+def _run(argv) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def base():
+    """The rows of a scored ``synth --seed 1`` cohort's two CSVs, and the
+    texts of a symptoms model and a hybrid model trained on it."""
+    cohort, _ = generate_cohort(SynthConfig(seed=1))
+    cohort = hybrid_features(cohort, np.random.default_rng(1).random(len(cohort)))
+    with tempfile.TemporaryDirectory() as tmp:
+        p, f, sym, hyb = (os.path.join(tmp, name) for name in ("p.csv", "f.csv", "sym.json", "hyb.json"))
+        write_cohort(cohort, p)
+        write_features(cohort, f)
+        assert _run(["baseline", "train", "--in", p, "--n-trees", "5", "--model", sym])[0] == 0
+        assert _run(["baseline", "train", "--in", p, "--features", f, "--predictors", "features,age,gender",
+                     "--hybrid", "--n-trees", "5", "--model", hyb])[0] == 0
+        with open(p, newline="") as fp, open(f, newline="") as ff, open(sym) as fs, open(hyb) as fh:
+            return list(csv.reader(fp)), list(csv.reader(ff)), fs.read(), fh.read()
+
+
+def _write(path, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    picks=st.lists(st.integers(min_value=0), max_size=60),
+    edits=st.lists(
+        st.tuples(st.booleans(), st.integers(min_value=0), st.integers(min_value=0), st.sampled_from(BAD_CELLS)),
+        max_size=2,
+    ),
+    command=st.sampled_from(COMMANDS),
+)
+# the four tracebacks this test first found: an unscored weak probe, an empty
+# eval, fewer negatives than the weak probe's components, an empty weak probe
+@example(picks=list(range(60)), edits=[(False, 0, 14, "")], command=COMMANDS[2])
+@example(picks=[], edits=[], command=COMMANDS[0])
+@example(picks=[0, 1, 2, 3, 4, 5, 6, 7, 8], edits=[], command=COMMANDS[2])
+@example(picks=[], edits=[], command=COMMANDS[2])
+def test_cli_never_raises(base, picks, edits, command):
+    participants, features, sym, hyb = base
+    data = list(dict.fromkeys(1 + i % (len(participants) - 1) for i in picks))
+    tables = [[participants[0]] + [list(participants[i]) for i in data],
+              [features[0]] + [list(features[i]) for i in data]]
+    for in_features, row, col, value in edits:
+        table = tables[in_features]
+        if len(table) > 1:
+            cells = table[1 + row % (len(table) - 1)]
+            cells[col % len(cells)] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: os.path.join(tmp, name) for name in ("p", "f", "sym", "hyb", "o")}
+        _write(paths["p"], tables[0])
+        _write(paths["f"], tables[1])
+        for name, text in (("sym", sym), ("hyb", hyb)):
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                fh.write(text)
+        code, err = _run(a.format(**paths) for a in command)
+    assert code in (0, 1, 2)
+    if code:
+        assert err.count("\n") == 1

@@ -12,7 +12,15 @@ from confound_audit.cohort import (
     validate_cohort,
     write_cohort,
 )
-from confound_audit.errors import BadValue, DuplicateId, MissingColumn, TooFewRecords
+from confound_audit.errors import (
+    BadValue,
+    DuplicateId,
+    MissingColumn,
+    MissingFeatures,
+    MissingLabel,
+    MissingScore,
+    TooFewRecords,
+)
 
 from conftest import make_cohort, make_record
 
@@ -293,3 +301,27 @@ def test_any_symptom_column_rejects_bad_value(tmp_csv):
     with pytest.raises(BadValue) as err:
         load_cohort(tmp_csv("p.csv", text))
     assert (err.value.row, err.value.column) == (2, "any_symptom")
+
+
+def test_cohort_arrays_name_the_first_record_lacking_a_value():
+    cohort = make_cohort([
+        make_record("a", 1, score=0.5, features=[0.0, 1.0]),
+        make_record("b", None, score=None, features=None),
+        make_record("c", None, score=None, features=None),
+    ])
+    for accessor, error, what in [
+        (cohort.labels, MissingLabel, "label"),
+        (cohort.scores, MissingScore, "score"),
+        (cohort.feature_matrix, MissingFeatures, "feature vector"),
+    ]:
+        with pytest.raises(error) as err:
+            accessor()
+        assert err.value.record_id == "b"
+        assert str(err.value) == f"record 'b' has no {what}"
+    complete = make_cohort([make_record("a", 1, score=0.5, features=[0.0, 1.0]),
+                            make_record("b", 0, score=0.25, features=[2.0, 3.0])])
+    assert complete.labels().tolist() == [1, 0]
+    assert complete.scores().tolist() == [0.5, 0.25]
+    assert complete.feature_matrix().tolist() == [[0.0, 1.0], [2.0, 3.0]]
+    with pytest.raises(TooFewRecords):
+        make_cohort([]).feature_matrix()

@@ -470,6 +470,11 @@ def _break_tree(payload, field, edit):
     return json.dumps(payload)
 
 
+def _break_encoding(payload, edit):
+    edit(payload["encoding"])
+    return json.dumps(payload)
+
+
 @pytest.mark.parametrize("breakage, message", [
     pytest.param(lambda p: _break_tree(p, "left", lambda a: a.__setitem__(0, 10**6)),
                  "tree 0: node 0 has 'left' child 1000000", id="child-out-of-range"),
@@ -490,6 +495,16 @@ def _break_tree(payload, field, edit):
                  id="missing-key"),
     pytest.param(lambda p: json.dumps(p)[:200], "not valid JSON", id="truncated"),
     pytest.param(lambda p: "[1, 2]", "not a JSON object", id="not-an-object"),
+    # a categorical source without levels used to raise KeyError in encode_cohort
+    pytest.param(lambda p: _break_encoding(p, lambda e: e["levels"].pop("gender")),
+                 "source 'gender' has no levels", id="no-levels"),
+    # an unknown kind was skipped, which narrowed the design matrix by a column
+    pytest.param(lambda p: _break_encoding(p, lambda e: e["sources"][0].__setitem__(1, "boolean")),
+                 "source 'cough' has kind 'boolean', not 'bool'", id="unknown-kind"),
+    pytest.param(lambda p: _break_encoding(p, lambda e: e["sources"][8].__setitem__(1, "categorical")),
+                 "source 'age' has kind 'categorical', not 'numeric'", id="wrong-kind"),
+    pytest.param(lambda p: _break_encoding(p, lambda e: e["sources"].append(["features", "vector"])),
+                 "source 'features' has vector_dim 0", id="vector-dim"),
 ])
 def test_model_from_json_rejects_broken_files(breakage, message):
     model = train_symptoms_model(_symptom_cohort(np.random.default_rng(14), n=60), n_trees=5, seed=1)

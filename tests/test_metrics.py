@@ -10,6 +10,7 @@ from confound_audit.errors import (
     DegenerateTable,
     EmptyGroup,
     LabelMismatch,
+    MissingScore,
     NoEligibleStrata,
     NotAProbabilityRow,
     OneClassOnly,
@@ -359,11 +360,14 @@ def test_mwu_empty_group():
 
 
 def test_nan_scores_rejected():
-    # a record without a score reaches the metrics as NaN; ranking NaN used to loop forever
+    # a record without a score never reaches the metrics as NaN, and a raw NaN
+    # score is refused there; ranking NaN used to loop forever
     cohort = make_cohort([make_record(0, label=1, score=0.7), make_record(1, label=0, score=None),
                           make_record(2, label=0, score=0.2)])
+    with pytest.raises(MissingScore, match="record '1' has no score"):
+        cohort.scores()
     with pytest.raises(ValueError, match="NaN"):
-        ScoredLabels(cohort.scores(), cohort.labels())
+        ScoredLabels(np.array([0.7, math.nan, 0.2]), cohort.labels())
     for mode in ("normal", "exact"):
         with pytest.raises(ValueError, match="NaN"):
             mwu_test([0.7, math.nan], [0.2], mode=mode)

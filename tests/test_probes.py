@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confound_audit import pipeline
-from confound_audit.errors import NoNegatives, OneClassOnly, RankDeficientWarning
+from confound_audit.errors import NoNegatives, OneClassOnly, RankDeficientWarning, TooFewSamples
 from confound_audit.metrics import uar
 from confound_audit.pipeline import RunConfig, run_pipeline
 from confound_audit.probes import (
@@ -351,6 +351,17 @@ def test_nn_orthogonal_signal_collapses_to_chance():
         vals.append(result.post_auc)
         assert result.pre_auc > 0.9
     assert 0.45 <= np.mean(vals) <= 0.55
+
+
+def test_weak_robust_needs_more_negatives_than_components():
+    # k_max=3 on 4-D features asks for 3 components of the 3 negatives; the
+    # cap on k stays as it was, and the probe refuses instead of pca_fit
+    records = [make_record(f"p{i}", 1, score=0.75, features=[i, 1.0, 0.0, 2.0 * i]) for i in range(6)]
+    records += [make_record(f"n{i}", 0, score=0.25, features=[0.0, i, i * i, 1.0]) for i in range(3)]
+    calibration = make_calibration_cohort(4, n_per_class=20, seed=6)
+    with pytest.raises(TooFewSamples, match="3 principal components of the negatives need at least 4 negatives, have 3"):
+        weak_robust_curate(make_cohort(records), calibration, WeakProbeConfig(k_max=3, seed=6))
+    assert weak_robust_curate(make_cohort(records), calibration, WeakProbeConfig(k_max=2, seed=6)).ks == (1, 2)
 
 
 def test_nn_preserves_negatives_and_size():

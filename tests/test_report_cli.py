@@ -343,16 +343,39 @@ def test_cli_runtime_error_exit_1(tmp_path, capsys):
     (["baseline", "predict", "--model", "{badmodel}", "--in", "{pool}", "--out", "{out}"], 1,
      "tree 0: node 0 has 'right' child 7"),
     (["match", "--in", "{pool}", "--covariates", "flag", "--out", "{out}"], 1, "covariate 'flag'"),
+    (["baseline", "predict", "--model", "{nolevels}", "--in", "{pool}", "--out", "{out}"], 1,
+     "source 'gender' has no levels"),
+    # the cohort arrays name the first record lacking a label or a score
+    (["probe", "weak", "--matched", "{unscored}", "--features", "{feat}", "--out", "{out}"], 1,
+     "record 'r0' has no score"),
+    (["probe", "nn", "--matched", "{unscored}", "--features", "{feat}", "--out", "{out}"], 1,
+     "record 'r0' has no score"),
+    (["probe", "weak", "--matched", "{blanklabel}", "--features", "{feat}", "--out", "{out}"], 1,
+     "record 'r3' has no label"),
+    (["probe", "nn", "--matched", "{blanklabel}", "--features", "{feat}", "--out", "{out}"], 1,
+     "record 'r3' has no label"),
+    (["probe", "weak", "--matched", "{pool}", "--features", "{feat}", "--calib", "{blanklabel}",
+      "--calib-features", "{feat}", "--out", "{out}"], 1, "record 'r3' has no label"),
+    (["eval", "--in", "{header}", "--out", "{out}"], 1, "no record left to evaluate"),
+    (["probe", "weak", "--matched", "{fewneg}", "--features", "{feat}", "--out", "{out}"], 1,
+     "need at least 3 negatives, have 2"),
+    (["probe", "weak", "--matched", "{header}", "--out", "{out}"], 1, "cohort has no records"),
 ])
 def test_cli_errors_exit_with_one_line(tmp_path, capsys, argv, code, message):
     names = ("pool", "short", "word", "noscore", "nan", "above", "repeat", "nanfeat", "blankflag", "badroc", "badjson",
-             "model", "badmodel", "missing", "out")
+             "model", "badmodel", "nolevels", "feat", "unscored", "blanklabel", "fewneg", "header", "missing", "out")
     paths = {name: str(tmp_path / name) for name in names}
     _write_pool(paths["pool"], n=60)
     with open(paths["pool"], encoding="utf-8") as fh:
         pool_rows = fh.read().splitlines(keepends=True)
-    cells = pool_rows[4].split(",")
-    cells[CSV_COLUMNS.index("cough")] = ""
+    def recolumn(column, value_of):
+        """The pool with ``column`` of record r<i> set to ``value_of(i, cell)``."""
+        j = CSV_COLUMNS.index(column)
+        rows = [row.rstrip("\n").split(",") for row in pool_rows[1:]]
+        for i, row in enumerate(rows):
+            row[j] = value_of(i, row[j])
+        return pool_rows[0] + "".join(",".join(row) + "\n" for row in rows)
+
     scores = [f"r{i},0.5\n" for i in range(60)]
     # a one-split tree on cough; "badmodel" points its right child outside the tree
     tree = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, -1, -1], "right": [2, -1, -1],
@@ -367,11 +390,18 @@ def test_cli_errors_exit_with_one_line(tmp_path, capsys, argv, code, message):
         "above": "id,score\n" + "".join(scores[:3]) + "r3,1.5\n" + "".join(scores[4:]),
         "repeat": "id,score\n" + "".join(scores) + "r0,0.25\n",
         "nanfeat": "id,f0,f1\n" + "".join(f"r{i},0.5,{'nan' if i == 1 else 0.25}\n" for i in range(60)),
-        "blankflag": "".join(pool_rows[:4]) + ",".join(cells) + "".join(pool_rows[5:]),
+        "blankflag": recolumn("cough", lambda i, v: "" if i == 3 else v),
         "badroc": "threshold,sensitivity,specificity\n0.2,1.0,0.0\nabc,0.7,0.8\n",
         "badjson": '{"roc_points": [{"threshold": Infinity, "sensitivity": "high", "specificity": 1.0}]}\n',
         "model": json.dumps(model),
         "badmodel": json.dumps({**model, "trees": [{**tree, "right": [7, -1, -1]}]}),
+        "nolevels": json.dumps({**model, "encoding": {**model["encoding"],
+                                                       "sources": [["cough", "bool"], ["gender", "categorical"]]}}),
+        "feat": "id,f0,f1\n" + "".join(f"r{i},{i % 7 / 7},{i * i % 11 / 11}\n" for i in range(60)),
+        "unscored": recolumn("score", lambda i, v: ""),
+        "blanklabel": recolumn("label", lambda i, v: "" if i == 3 else v),
+        "fewneg": recolumn("label", lambda i, v: "0" if i < 2 else "1"),
+        "header": pool_rows[0],
     }
     for name, text in files.items():
         with open(paths[name], "w", encoding="utf-8") as fh:
