@@ -10,7 +10,6 @@ from .cohort import (
     ACUTE_SYMPTOM_FIELDS,
     SYMPTOM_FIELDS,
     Cohort,
-    FilterSpec,
     ParticipantRecord,
     RejectionReport,
     SplitSpec,
@@ -42,7 +41,7 @@ from .matching import (
     MatchSpec,
     age_bin,
     match_exact,
-    stratum_key,
+    stratum_keyer,
 )
 from .metrics import (
     ConfidenceInterval,

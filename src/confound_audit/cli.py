@@ -26,17 +26,17 @@ from .cohort import (
 from .errors import BadValue, ConfigError, ConfoundAuditError, MissingColumn, TooFewRecords
 from .forest import (
     DEFAULT_SYMPTOM_PREDICTORS,
-    build_encoding,
     hybrid_features,
     model_from_json,
     model_to_json,
     predict_proba,
     train_symptoms_model,
 )
-from .matching import TEST_SET, TRAIN_SET, MatchSpec, match_exact
+from .matching import TEST_SET, TRAIN_SET, MatchSpec, match_exact, stratum_order
 from .metrics import RocCurve, ScoredLabels, auc_ci, pr_auc, roc_curve, stratified_auc, uar
 from .pipeline import RunConfig, run_from_manifest, run_pipeline
 from .probes import WeakProbeConfig, make_calibration_cohort, nn_substitute, weak_robust_curate
+from .report import write_json
 from .resample import PopulationSpec, resample_general_population
 from .synth import SynthConfig, enrol, generate_population
 from .utility import UtilityParams, default_pi_grid, max_eu_curve
@@ -61,9 +61,7 @@ def _write_manifest(args, extra: dict | None = None) -> None:
     }
     if extra:
         payload.update(extra)
-    with open(args.manifest_out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
+    write_json(args.manifest_out, payload, sort_keys=True)
 
 
 def _load_scored_cohort(path: str, features: str | None = None) -> Cohort:
@@ -157,9 +155,7 @@ def cmd_match(args) -> int:
     matched, report = match_exact(cohort, spec, disjoint_from=disjoint)
     write_cohort(matched, args.out)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
-            fh.write("\n")
+        write_json(args.report, report.to_dict())
     _write_manifest(args, {"n_kept": report.n_kept})
     print(f"kept {report.n_kept}, dropped {report.n_dropped} -> {args.out}")
     return 0
@@ -179,17 +175,7 @@ def cmd_resample(args) -> int:
     out, report = resample_general_population(pool, spec)
     write_cohort(out, args.out)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "achieved": {"|".join(map(str, k)): v for k, v in sorted(report.achieved.items(), key=str)},
-                    "shortfalls": [list(map(str, c)) for c in report.shortfalls],
-                    "skipped": report.skipped,
-                },
-                fh,
-                indent=2,
-            )
-            fh.write("\n")
+        write_json(args.report, report.to_dict())
     n_skipped = sum(report.skipped.values())
     _write_manifest(args, {"n": report.n_total(), "n_skipped": n_skipped, "skipped": report.skipped})
     print(f"drew {report.n_total()} records ({n_skipped} pool records skipped) -> {args.out}")
@@ -236,7 +222,7 @@ def cmd_eval(args) -> int:
         strata = stratified_auc(cohort, _match_spec(args), min_per_class=args.min_per_class, q=args.fdr)
         result["strata"] = [
             {
-                "key": list(map(str, s.key)),
+                "key": list(stratum_order(s.key)),
                 "n_pos": s.n_pos,
                 "n_neg": s.n_neg,
                 "auc": s.auc,
@@ -246,9 +232,7 @@ def cmd_eval(args) -> int:
             }
             for s in strata
         ]
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2)
-        fh.write("\n")
+    write_json(args.out, result)
     _write_manifest(args)
     print(f"metrics -> {args.out}")
     return 0
@@ -330,9 +314,7 @@ def cmd_probe_weak(args) -> int:
         dim = matched.feature_matrix().shape[1]
         calibration = make_calibration_cohort(dim, n_per_class=300, seed=cfg.seed)
     result = weak_robust_curate(matched, calibration, cfg)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(result.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(args.out, result.to_dict())
     _write_manifest(args, {"tau": result.tau})
     print(f"weak probe (tau={result.tau}) -> {args.out}")
     return 0
@@ -341,9 +323,7 @@ def cmd_probe_weak(args) -> int:
 def cmd_probe_nn(args) -> int:
     matched, cfg = _probe_inputs(args)
     result = nn_substitute(matched, cfg)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(result.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(args.out, result.to_dict())
     _write_manifest(args, {"post_auc": result.post_auc})
     print(
         f"nn probe: auc {result.pre_auc:.3f} -> {result.post_auc:.3f}, "
@@ -360,8 +340,7 @@ def cmd_baseline_train(args) -> int:
     predictors = tuple(args.predictors.split(",")) if args.predictors else DEFAULT_SYMPTOM_PREDICTORS
     if args.hybrid:
         predictors = predictors + ("audio_score",)
-    encoding = build_encoding(train, predictors)
-    model = train_symptoms_model(train, encoding=encoding, n_trees=args.n_trees, seed=args.seed or 0)
+    model = train_symptoms_model(train, predictors, n_trees=args.n_trees, seed=args.seed or 0)
     with open(args.model, "w", encoding="utf-8") as fh:
         fh.write(model_to_json(model))
         fh.write("\n")

@@ -1,5 +1,5 @@
 """Domain types and dataset plumbing: participant records, cohorts, CSV
-ingestion, validation filters, and deterministic participant-disjoint splits.
+ingestion, validation, and deterministic participant-disjoint splits.
 
 A cohort is the universal currency passed between every other module. Cohorts
 are immutable after construction and all operations here are pure given their
@@ -357,15 +357,19 @@ def _parse_rows(cells: list[str], first_row: int, n_rows: int, dim: int) -> np.n
 def load_features(cohort: Cohort, path: str) -> Cohort:
     """Attach feature vectors from a sidecar ``id,f0,f1,...`` CSV.
 
-    A malformed, NaN or infinite value, or a repeated id, raises ``BadValue``
-    with the 1-based data row and the column. The manifest counts the
-    feature rows that match no record and the records left without a vector.
+    A header without ``id`` first, or with no column after it, raises
+    ``MissingColumn``. A malformed, NaN or infinite value, or a repeated id,
+    raises ``BadValue`` with the 1-based data row and the column. The
+    manifest counts the feature rows that match no record and the records
+    left without a vector.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or header[0] != "id":
             raise MissingColumn("id")
+        if len(header) < 2:
+            raise MissingColumn("f0")
         dim = len(header) - 1
         row_of: dict[str, int] = {}
         blocks: list[np.ndarray] = []
@@ -457,59 +461,50 @@ def write_features(cohort: Cohort, path: str) -> None:
 # -- validation ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FilterSpec:
-    """Which quality filters to apply; all enabled by default."""
-
-    require_label: bool = True
-    require_predictors: bool = True
-    min_age: int | None = 18
-    check_symptom_consistency: bool = True
+# the youngest age a record may have to pass validation
+MIN_AGE = 18
 
 
 @dataclass(frozen=True)
 class RejectionReport:
-    """Counts per filter (a record may be counted under several filters)."""
+    """Counts per rule (a record may be counted under several rules)."""
 
     counts: dict[str, int]
     total_removed: int
-    rejected_ids: tuple[str, ...]
 
 
-def _violations(r: ParticipantRecord, filters: FilterSpec) -> list[str]:
+def _violations(r: ParticipantRecord) -> list[str]:
     v = []
-    if filters.require_label and r.label is None:
+    if r.label is None:
         v.append("missing_label")
-    if filters.require_predictors:
-        if r.age_years is None or r.symptoms.missing:
-            v.append("missing_predictors")
-    if filters.min_age is not None and r.age_years is not None and r.age_years < filters.min_age:
-        v.append(f"age<{filters.min_age}")
-    if filters.check_symptom_consistency and r.symptoms.reported_any is not None:
-        if r.symptoms.reported_any != r.symptoms.any_symptom:
-            v.append("self_inconsistent_symptoms")
+    if r.age_years is None or r.symptoms.missing:
+        v.append("missing_predictors")
+    if r.age_years is not None and r.age_years < MIN_AGE:
+        v.append(f"age<{MIN_AGE}")
+    if r.symptoms.reported_any is not None and r.symptoms.reported_any != r.symptoms.any_symptom:
+        v.append("self_inconsistent_symptoms")
     return v
 
 
-def validate_cohort(cohort: Cohort, filters: FilterSpec | None = None) -> tuple[Cohort, RejectionReport]:
-    """Drop records violating any enabled filter; idempotent."""
-    filters = filters or FilterSpec()
+def validate_cohort(cohort: Cohort) -> tuple[Cohort, RejectionReport]:
+    """Drop every record without a label, an age or all symptom flags, younger
+    than ``MIN_AGE``, or whose reported ``any_symptom`` contradicts its
+    flags; idempotent."""
     counts: dict[str, int] = {}
     kept: list[ParticipantRecord] = []
-    rejected: list[str] = []
     for r in cohort.records:
-        v = _violations(r, filters)
+        v = _violations(r)
         if v:
-            rejected.append(r.id)
             for name in v:
                 counts[name] = counts.get(name, 0) + 1
         else:
             kept.append(r)
+    removed = len(cohort.records) - len(kept)
     out = Cohort(
         records=tuple(kept),
-        manifest=child_manifest(cohort.manifest, "validate", removed=len(rejected)),
+        manifest=child_manifest(cohort.manifest, "validate", removed=removed),
     )
-    return out, RejectionReport(counts=counts, total_removed=len(rejected), rejected_ids=tuple(rejected))
+    return out, RejectionReport(counts=counts, total_removed=removed)
 
 
 # -- splitting ----------------------------------------------------------------

@@ -440,14 +440,12 @@ def fit_forest(x: np.ndarray, y: np.ndarray, n_trees: int = 100, seed: int = 0) 
 
 def train_symptoms_model(
     train: Cohort,
-    encoding: FeatureEncoding | None = None,
     predictors=DEFAULT_SYMPTOM_PREDICTORS,
     n_trees: int = 100,
     seed: int = 0,
 ) -> TreeEnsemble:
     """Fit the symptoms/demographics baseline on a cohort."""
-    if encoding is None:
-        encoding = build_encoding(train, predictors)
+    encoding = build_encoding(train, predictors)
     x = encode_cohort(train, encoding)
     model = fit_forest(x, train.labels(), n_trees=n_trees, seed=seed)
     model.encoding = encoding

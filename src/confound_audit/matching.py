@@ -110,9 +110,15 @@ def stratum_keyer(spec: MatchSpec):
     return key
 
 
-def stratum_key(record: ParticipantRecord, spec: MatchSpec) -> tuple:
-    """Total, deterministic key; every record maps to exactly one stratum."""
-    return stratum_keyer(spec)(record)
+def stratum_order(key: tuple) -> tuple[str, ...]:
+    """A stratum key as strings: the order of every listing of strata or
+    cells, and the ``key`` lists of the JSON reports."""
+    return tuple(map(str, key))
+
+
+def stratum_label(key: tuple) -> str:
+    """A stratum key as one table cell, its parts joined by ``|``."""
+    return "|".join(stratum_order(key))
 
 
 @dataclass(frozen=True)
@@ -135,7 +141,7 @@ class BalanceReport:
             "n_dropped": self.n_dropped,
             "strata": [
                 {
-                    "key": list(map(str, s.key)),
+                    "key": list(stratum_order(s.key)),
                     "n_pos_in": s.n_pos_in,
                     "n_neg_in": s.n_neg_in,
                     "n_kept_per_class": s.n_kept_per_class,
@@ -178,7 +184,7 @@ def match_exact(
 
     kept_ids: set[str] = set()
     balances: list[StratumBalance] = []
-    for key in sorted(strata, key=lambda k: tuple(map(str, k))):
+    for key in sorted(strata, key=stratum_order):
         pos, neg = strata[key][1], strata[key][0]
         m = min(len(pos), len(neg))
         balances.append(StratumBalance(key, len(pos), len(neg), m))

@@ -31,7 +31,7 @@ from .errors import (
     TooFewSamples,
     TooLargeForExact,
 )
-from .matching import stratum_keyer
+from .matching import stratum_keyer, stratum_order
 
 EXACT_MWU_LIMIT = 20
 
@@ -69,13 +69,6 @@ class ScoredLabels:
 
 
 @dataclass(frozen=True)
-class OperatingPoint:
-    threshold: float
-    sensitivity: float
-    specificity: float
-
-
-@dataclass(frozen=True)
 class RocCurve:
     """Operating points swept over every distinct threshold.
 
@@ -88,13 +81,6 @@ class RocCurve:
     thresholds: np.ndarray
     sensitivities: np.ndarray
     specificities: np.ndarray
-
-    @property
-    def points(self) -> list[OperatingPoint]:
-        return [
-            OperatingPoint(float(t), float(se), float(sp))
-            for t, se, sp in zip(self.thresholds, self.sensitivities, self.specificities)
-        ]
 
     def area(self) -> float:
         # integrate along the curve (descending threshold => ascending FPR)
@@ -152,8 +138,6 @@ class HanleyMcNeilDetail:
     q1: float
     q2: float
     se: float
-    n_pos: int
-    n_neg: int
 
 
 @dataclass(frozen=True)
@@ -199,7 +183,7 @@ def auc_ci(data: ScoredLabels, method: str = "delong", level: float = 0.95) -> C
         q2 = 2.0 * a * a / (1.0 + a)
         var = (a * (1.0 - a) + (m - 1) * (q1 - a * a) + (n - 1) * (q2 - a * a)) / (m * n)
         se = math.sqrt(max(0.0, var))
-        detail = HanleyMcNeilDetail(q1=q1, q2=q2, se=se, n_pos=m, n_neg=n)
+        detail = HanleyMcNeilDetail(q1=q1, q2=q2, se=se)
         return _normal_interval(estimate, se, level, method, detail)
     if method == "delong":
         if m < 2 or n < 2:
@@ -407,7 +391,7 @@ def stratified_auc(cohort, spec, min_per_class: int = 10, q: float = 0.05) -> li
         members.setdefault(key_of(r), []).append(i)
 
     eligible = []
-    for key in sorted(members, key=lambda k: tuple(map(str, k))):
+    for key in sorted(members, key=stratum_order):
         idx = np.array(members[key])
         data = ScoredLabels(scores[idx], labels[idx])
         n_pos, n_neg = data.pos.size, data.neg.size
@@ -429,7 +413,7 @@ def stratified_auc(cohort, spec, min_per_class: int = 10, q: float = 0.05) -> li
         StratumResult(key=key, n_pos=n_pos, n_neg=n_neg, auc=a, ci=ci, mwu_p=p, fdr_reject=rej)
         for (key, n_pos, n_neg, a, ci, p), rej in zip(partial, rejects)
     ]
-    results.sort(key=lambda s: (-(s.n_pos + s.n_neg), tuple(map(str, s.key))))
+    results.sort(key=lambda s: (-(s.n_pos + s.n_neg), stratum_order(s.key)))
     return results
 
 

@@ -21,7 +21,7 @@ from . import __version__
 from .cohort import Cohort, SplitSpec, split_cohort
 from .errors import ConfigError
 from .forest import build_encoding, encode_cohort, fit_forest, hybrid_features
-from .matching import MatchSpec, match_exact
+from .matching import MatchSpec, match_exact, stratum_label
 from .metrics import (
     ScoredLabels,
     auc_ci,
@@ -56,6 +56,30 @@ class RunConfig:
     probe: dict = field(default_factory=dict)  # WeakProbeConfig fields except seed
     metrics: dict = field(default_factory=dict)  # min_per_class, fdr
 
+    def __post_init__(self):
+        """Every check of a config, however it was built: a bad value or an
+        unknown key raises ``ConfigError``."""
+        if self.n_trees < 1:
+            raise ConfigError("n_trees", "must be >= 1")
+        for section in ("synth", "probe"):
+            if "seed" in getattr(self, section):
+                raise ConfigError(f"{section}.seed", "the run seed sets it; use the top-level seed")
+        for section, known in (
+            ("synth", SynthConfig.__dataclass_fields__),
+            ("utility", ("r_t", "epsilon", "delta", "pi_max")),
+            ("probe", WeakProbeConfig.__dataclass_fields__),
+            ("metrics", ("min_per_class", "fdr")),
+        ):
+            for key in getattr(self, section):
+                if key not in known:
+                    raise ConfigError(f"{section}.{key}")
+        try:
+            WeakProbeConfig(**self.probe)
+        except ValueError as exc:
+            raise ConfigError("probe", str(exc)) from None
+        if self.pipeline not in PIPELINES:
+            raise ConfigError("pipeline", f"unknown pipeline {self.pipeline!r}")
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -67,31 +91,7 @@ class RunConfig:
         for key in data:
             if key not in RunConfig.__dataclass_fields__:
                 raise ConfigError(key)
-        cfg = RunConfig(**data)
-        if cfg.n_trees < 1:
-            raise ConfigError("n_trees", "must be >= 1")
-        for section in ("synth", "probe"):
-            if "seed" in getattr(cfg, section):
-                raise ConfigError(f"{section}.seed", "the run seed sets it; use the top-level seed")
-        for key in cfg.synth:
-            if key not in SynthConfig.__dataclass_fields__:
-                raise ConfigError(f"synth.{key}")
-        for key in cfg.utility:
-            if key not in ("r_t", "epsilon", "delta", "pi_max"):
-                raise ConfigError(f"utility.{key}")
-        for key in cfg.probe:
-            if key not in WeakProbeConfig.__dataclass_fields__:
-                raise ConfigError(f"probe.{key}")
-        try:
-            WeakProbeConfig(**cfg.probe)
-        except ValueError as exc:
-            raise ConfigError("probe", str(exc)) from None
-        for key in cfg.metrics:
-            if key not in ("min_per_class", "fdr"):
-                raise ConfigError(f"metrics.{key}")
-        if cfg.pipeline not in PIPELINES:
-            raise ConfigError("pipeline", f"unknown pipeline {cfg.pipeline!r}")
-        return cfg
+        return RunConfig(**data)
 
 
 def config_hash(cfg: RunConfig) -> str:
@@ -184,7 +184,7 @@ def bias_demo(cfg: RunConfig) -> ReportBundle:
 
     tables["balance"] = _csv_text(
         ["stratum", "n_pos_in", "n_neg_in", "n_kept_per_class"],
-        [["|".join(map(str, s.key)), s.n_pos_in, s.n_neg_in, s.n_kept_per_class] for s in balance.strata],
+        [[stratum_label(s.key), s.n_pos_in, s.n_neg_in, s.n_kept_per_class] for s in balance.strata],
     )
 
     manifest = {
@@ -202,8 +202,6 @@ PIPELINES = {"bias-demo": bias_demo}
 def run_pipeline(cfg: RunConfig) -> ReportBundle:
     """Execute the configured pipeline and stamp the wall time into the
     manifest (the CSV/SVG payloads depend only on the config)."""
-    if cfg.pipeline not in PIPELINES:
-        raise ConfigError("pipeline", f"unknown pipeline {cfg.pipeline!r}")
     start = time.time()
     bundle = PIPELINES[cfg.pipeline](cfg)
     bundle.manifest["wall_time_s"] = round(time.time() - start, 3)

@@ -35,7 +35,7 @@ from scipy.spatial.distance import cdist
 from scipy.stats import norm
 
 from .cohort import Cohort, ParticipantRecord, SymptomProfile, make_manifest
-from .errors import NoNegatives, OneClassOnly, RankDeficientWarning, TooFewSamples
+from .errors import EncodingMismatch, NoNegatives, OneClassOnly, RankDeficientWarning, TooFewSamples
 from .metrics import ScoredLabels, auc, uar
 from .rngs import substream
 
@@ -287,15 +287,18 @@ def weak_robust_curate(matched: Cohort, calibration: Cohort, cfg: WeakProbeConfi
     nothing) and triggers no removals at that k. If the calibration task
     never passes, tau is None and no attribution region is reported. The
     k_max models of each cohort are trained in lockstep by one call of
-    ``_train_weak_prefixes``. The PCA fits min(k_max, feature dim)
-    components, so fewer negatives than one more than that raise
-    ``TooFewSamples``.
+    ``_train_weak_prefixes``. A calibration cohort whose feature width is
+    not the matched cohort's raises ``EncodingMismatch``. The PCA fits
+    min(k_max, feature dim) components, so fewer negatives than one more
+    than that raise ``TooFewSamples``.
     """
     y = matched.labels()
     if not ((y == 1).any() and (y == 0).any()):
         raise OneClassOnly("matched cohort needs both classes")
     x = matched.feature_matrix()
     xc = calibration.feature_matrix()
+    if xc.shape[1] != x.shape[1]:
+        raise EncodingMismatch(f"calibration cohort has {xc.shape[1]} features, the matched cohort {x.shape[1]}")
     yc = calibration.labels()
     scores = matched.scores()
     ids = matched.ids()

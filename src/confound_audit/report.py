@@ -3,16 +3,20 @@
 Every figure function returns an (svg, csv) pair. The CSV carries the exact
 plotted series at full precision; numbers rendered inside the SVG are rounded
 to four significant figures. SVG output is deterministic and embeds no
-external assets, so goldens diff cleanly.
+external assets, so goldens diff cleanly. ``write_json`` writes every JSON
+report and manifest the toolkit emits.
 """
 
 from __future__ import annotations
 
 import csv as _csv
 import io
+import json
+import os
 from dataclasses import dataclass
 
 from .errors import ShapeMismatch
+from .matching import stratum_label
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -230,7 +234,7 @@ def stratified_forest(strata: list, reference: float = 0.62,
         canvas.errbar(i, s.ci.lower, s.ci.upper, color)
         canvas.point(i, s.auc, color, filled=bool(s.fdr_reject))
         rows.append([
-            "|".join(map(str, s.key)), s.n_pos, s.n_neg, s.auc,
+            stratum_label(s.key), s.n_pos, s.n_neg, s.auc,
             float(s.ci.lower), float(s.ci.upper), s.mwu_p, int(s.fdr_reject),
         ])
     canvas.legend([(f"reference {_fmt(reference)} (dashed)", "#333333")])
@@ -347,8 +351,6 @@ class ReportBundle:
     manifest: dict
 
     def write(self, outdir: str) -> None:
-        import os
-
         os.makedirs(outdir, exist_ok=True)
         for name, svg in self.figures.items():
             with open(os.path.join(outdir, name + ".svg"), "w", encoding="utf-8") as fh:
@@ -356,8 +358,11 @@ class ReportBundle:
         for name, text in self.tables.items():
             with open(os.path.join(outdir, name + ".csv"), "w", encoding="utf-8") as fh:
                 fh.write(text)
-        import json
+        write_json(os.path.join(outdir, "manifest.json"), self.manifest, sort_keys=True)
 
-        with open(os.path.join(outdir, "manifest.json"), "w", encoding="utf-8") as fh:
-            json.dump(self.manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+
+def write_json(path: str, payload, sort_keys: bool = False) -> None:
+    """Write ``payload`` as JSON indented by two spaces, with a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=sort_keys)
+        fh.write("\n")

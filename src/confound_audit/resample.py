@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .cohort import Cohort, child_manifest
 from .errors import InsufficientPool
-from .matching import MatchSpec, stratum_keyer
+from .matching import MatchSpec, stratum_keyer, stratum_label, stratum_order
 from .rngs import substream
 
 
@@ -92,6 +92,13 @@ class ResampleReport:
 
     def n_total(self) -> int:
         return sum(self.achieved.values())
+
+    def to_dict(self) -> dict:
+        return {
+            "achieved": {stratum_label(k): self.achieved[k] for k in sorted(self.achieved, key=stratum_order)},
+            "shortfalls": [list(stratum_order(c)) for c in self.shortfalls],
+            "skipped": self.skipped,
+        }
 
 
 def _pool_index(pool: Cohort) -> tuple[dict[tuple, list[str]], dict[str, int]]:
@@ -166,7 +173,7 @@ def resample_general_population(
 
     chosen: set[str] = set()
     shortfalls: list[tuple] = []
-    for cell in sorted(targets, key=lambda c: tuple(map(str, c))):
+    for cell in sorted(targets, key=stratum_order):
         need = targets[cell]
         if need == 0:
             continue

@@ -87,11 +87,16 @@ def enumerate_outcome_probs(pi: float, sens: float, spec: float) -> OutcomeProbs
     )
 
 
+def _eu(u: UtilityMatrix, pi, sens, spec):
+    """The closed-form EU, for numbers or for arrays of operating points."""
+    return pi * ((u.u11 - u.u01) * sens + u.u01) + (1.0 - pi) * ((u.u00 - u.u10) * spec + u.u10)
+
+
 def expected_utility(u: UtilityMatrix, pi: float, sens: float, spec: float) -> float:
     _check_unit("pi", pi)
     _check_unit("sens", sens)
     _check_unit("spec", spec)
-    return pi * ((u.u11 - u.u01) * sens + u.u01) + (1.0 - pi) * ((u.u00 - u.u10) * spec + u.u10)
+    return _eu(u, pi, sens, spec)
 
 
 def expected_utility_enumerated(u: UtilityMatrix, probs: OutcomeProbs) -> float:
@@ -133,7 +138,7 @@ def max_eu_curve(roc: RocCurve, params: UtilityParams, pi_grid=None) -> list[Max
     out: list[MaxEuPoint] = []
     for pi in np.asarray(pi_grid, dtype=float):
         _check_unit("pi", pi)
-        eu = pi * ((u.u11 - u.u01) * sens + u.u01) + (1.0 - pi) * ((u.u00 - u.u10) * spec + u.u10)
+        eu = _eu(u, pi, sens, spec)
         # argmax returns the first index among equal maxima
         best = int(np.argmax(np.where(eu == eu.max(), spec, -np.inf)))
         out.append(

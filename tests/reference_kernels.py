@@ -304,7 +304,7 @@ def age_bin_arith(age_years: int) -> str:
 
 
 def stratum_key_loop(record: ParticipantRecord, spec: MatchSpec) -> tuple:
-    """``matching.stratum_key`` with every covariate name (one of
+    """``matching.stratum_keyer(spec)(record)`` with every covariate name (one of
     ``SYMPTOM_FIELDS`` or ``any_symptom``) checked on every record; it does
     not look at blank flags."""
     if record.age_years is None:

@@ -20,7 +20,7 @@ from confound_audit.cohort import (
     split_cohort,
 )
 from confound_audit.forest import build_encoding, encode_cohort, fit_forest
-from confound_audit.matching import TEST_SET, TRAIN_SET, MatchSpec, match_exact, stratum_key
+from confound_audit.matching import TEST_SET, TRAIN_SET, MatchSpec, match_exact, stratum_keyer
 from confound_audit.metrics import (
     ScoredLabels,
     auc,
@@ -326,7 +326,7 @@ def test_criterion_08_matching_invariants():
             assert (labels == 1).sum() == (labels == 0).sum()
             per_stratum: dict = {}
             for r in matched.records:
-                per_stratum.setdefault(stratum_key(r, spec), [0, 0])[r.label] += 1
+                per_stratum.setdefault(stratum_keyer(spec)(r), [0, 0])[r.label] += 1
             for neg, pos in per_stratum.values():
                 assert neg == pos
             for flag in preset:

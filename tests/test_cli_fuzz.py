@@ -1,7 +1,8 @@
 """Fuzz the command line in-process.
 
 Each example cuts up to 60 rows out of a scored synthetic cohort, writes
-them as a participants CSV and a features CSV, spoils up to two cells and
+them as a participants CSV, a features CSV and an ``id,score`` CSV, spoils up
+to two cells, cuts a copy of the features to fewer columns (down to none) and
 runs one subcommand on the files. Whatever the input, ``main`` must return
 0, 1 or 2, with a one-line message on failure, and no exception may escape.
 """
@@ -24,7 +25,9 @@ from confound_audit.synth import SynthConfig, generate_cohort
 
 BAD_CELLS = ("", "x", "-1", "2", "nan", "inf", "1e400", " ")
 
-# {p} participants, {f} features, {sym}/{hyb} model files, {o} an output path
+# {p} participants, {f} features, {fc} the features cut to fewer columns, {s}
+# id,score, {e} the JSON that eval writes from {p}, {sym}/{hyb} model files,
+# {o} an output path
 COMMANDS = (
     ("eval", "--in", "{p}", "--out", "{o}"),
     ("eval", "--in", "{p}", "--stratified", "--min-per-class", "2", "--out", "{o}"),
@@ -36,6 +39,11 @@ COMMANDS = (
     ("baseline", "predict", "--model", "{hyb}", "--in", "{p}", "--features", "{f}", "--out", "{o}"),
     ("match", "--in", "{p}", "--out", "{o}"),
     ("resample", "--in", "{p}", "--n-pos", "3", "--n-neg", "3", "--no-equalize-age", "--out", "{o}"),
+    ("probe", "weak", "--matched", "{p}", "--features", "{f}", "--calib", "{p}", "--calib-features", "{fc}",
+     "--out", "{o}"),
+    ("probe", "nn", "--matched", "{p}", "--features", "{fc}", "--out", "{o}"),
+    ("probe", "nn", "--matched", "{p}", "--features", "{f}", "--scores", "{s}", "--out", "{o}"),
+    ("utility", "--roc", "{e}", "--rt", "1.5", "--eps", "0.2", "--out", "{o}"),
 )
 
 
@@ -71,35 +79,46 @@ def _write(path, rows):
 @settings(max_examples=300, deadline=None)
 @given(
     picks=st.lists(st.integers(min_value=0), max_size=60),
+    # (table: 0 participants, 1 features, 2 scores; row; column; bad cell)
     edits=st.lists(
-        st.tuples(st.booleans(), st.integers(min_value=0), st.integers(min_value=0), st.sampled_from(BAD_CELLS)),
+        st.tuples(st.integers(0, 2), st.integers(min_value=0), st.integers(min_value=0), st.sampled_from(BAD_CELLS)),
         max_size=2,
     ),
+    width=st.integers(0, 7),
     command=st.sampled_from(COMMANDS),
 )
 # the four tracebacks this test first found: an unscored weak probe, an empty
 # eval, fewer negatives than the weak probe's components, an empty weak probe
-@example(picks=list(range(60)), edits=[(False, 0, 14, "")], command=COMMANDS[2])
-@example(picks=[], edits=[], command=COMMANDS[0])
-@example(picks=[0, 1, 2, 3, 4, 5, 6, 7, 8], edits=[], command=COMMANDS[2])
-@example(picks=[], edits=[], command=COMMANDS[2])
-def test_cli_never_raises(base, picks, edits, command):
+@example(picks=list(range(60)), edits=[(0, 0, 14, "")], width=7, command=COMMANDS[2])
+@example(picks=[], edits=[], width=7, command=COMMANDS[0])
+@example(picks=[0, 1, 2, 3, 4, 5, 6, 7, 8], edits=[], width=7, command=COMMANDS[2])
+@example(picks=[], edits=[], width=7, command=COMMANDS[2])
+# two more: a calibration cohort of fewer features, and one of none
+@example(picks=list(range(60)), edits=[], width=3, command=COMMANDS[10])
+@example(picks=list(range(60)), edits=[], width=0, command=COMMANDS[10])
+def test_cli_never_raises(base, picks, edits, width, command):
     participants, features, sym, hyb = base
     data = list(dict.fromkeys(1 + i % (len(participants) - 1) for i in picks))
+    j_id, j_score = participants[0].index("id"), participants[0].index("score")
     tables = [[participants[0]] + [list(participants[i]) for i in data],
-              [features[0]] + [list(features[i]) for i in data]]
-    for in_features, row, col, value in edits:
-        table = tables[in_features]
+              [features[0]] + [list(features[i]) for i in data],
+              [["id", "score"]] + [[participants[i][j_id], participants[i][j_score]] for i in data]]
+    for table_index, row, col, value in edits:
+        table = tables[table_index]
         if len(table) > 1:
             cells = table[1 + row % (len(table) - 1)]
             cells[col % len(cells)] = value
     with tempfile.TemporaryDirectory() as tmp:
-        paths = {name: os.path.join(tmp, name) for name in ("p", "f", "sym", "hyb", "o")}
+        paths = {name: os.path.join(tmp, name) for name in ("p", "f", "fc", "s", "e", "sym", "hyb", "o")}
         _write(paths["p"], tables[0])
         _write(paths["f"], tables[1])
+        _write(paths["fc"], [row[: 1 + width] for row in tables[1]])
+        _write(paths["s"], tables[2])
         for name, text in (("sym", sym), ("hyb", hyb)):
             with open(paths[name], "w", encoding="utf-8") as fh:
                 fh.write(text)
+        if "{e}" in command:
+            assert _run(["eval", "--in", paths["p"], "--metrics", "roc", "--out", paths["e"]])[0] in (0, 1, 2)
         code, err = _run(a.format(**paths) for a in command)
     assert code in (0, 1, 2)
     if code:

@@ -2,7 +2,6 @@ import pytest
 
 from confound_audit.cohort import (
     CSV_COLUMNS,
-    FilterSpec,
     SplitSpec,
     SymptomProfile,
     derive_any_symptom,
@@ -173,6 +172,13 @@ def test_load_features_reports_rows_past_the_first_parse_block(tmp_path, bad_row
     assert (err.value.row, err.value.column) == (bad_row, column)
 
 
+@pytest.mark.parametrize("text", ["id\n", "id\na\nb\n"])
+def test_load_features_refuses_a_header_without_feature_columns(tmp_path, text):
+    with pytest.raises(MissingColumn) as err:
+        _features_fixture(tmp_path, text)()
+    assert err.value.name == "f0"
+
+
 def test_load_features_counts_unmatched_rows_and_bare_records(tmp_path):
     load = _features_fixture(tmp_path, "id,f0\na,0.5\nzz,0.25\nyy,1.0\n")
     cohort = load()
@@ -224,12 +230,6 @@ def test_validate_idempotent():
     twice, report = validate_cohort(once)
     assert twice.ids() == once.ids()
     assert report.total_removed == 0
-
-
-def test_validate_can_disable_filters():
-    cohort = make_cohort([make_record("a", age=17)])
-    out, _ = validate_cohort(cohort, FilterSpec(min_age=None))
-    assert len(out) == 1
 
 
 def test_split_deterministic():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from confound_audit.errors import EmptyResult, MissingCovariate, OverlappingInputs
-from confound_audit.matching import TEST_SET, TRAIN_SET, MatchSpec, age_bin, match_exact, stratum_key
+from confound_audit.matching import TEST_SET, TRAIN_SET, MatchSpec, age_bin, match_exact, stratum_keyer
 from confound_audit.metrics import table_2x2_stats
 
 from conftest import make_cohort, make_record
@@ -19,7 +19,7 @@ def test_age_bins():
 
 def test_stratum_key_example():
     r = make_record("a", 1, age=34, gender="female", channel="TT", cough=True)
-    key = stratum_key(r, MatchSpec(covariates=TEST_SET, include_channel=True))
+    key = stratum_keyer(MatchSpec(covariates=TEST_SET, include_channel=True))(r)
     assert key == ("TT", "28-37", "female", 1, 0, 0, 0, 0, 1)
 
 
@@ -27,12 +27,12 @@ def test_stratum_key_ignores_score():
     spec = MatchSpec(covariates=TEST_SET)
     a = make_record("a", 1, age=40, score=0.1)
     b = make_record("b", 1, age=40, score=0.9)
-    assert stratum_key(a, spec) == stratum_key(b, spec)
+    assert stratum_keyer(spec)(a) == stratum_keyer(spec)(b)
 
 
 def test_stratum_key_missing_age():
     with pytest.raises(MissingCovariate):
-        stratum_key(make_record("a", age=None), MatchSpec(covariates=TEST_SET))
+        stratum_keyer(MatchSpec(covariates=TEST_SET))(make_record("a", age=None))
 
 
 def test_covariates_must_be_nonempty():
@@ -116,7 +116,7 @@ def test_matched_covariates_decorrelate_exactly(preset):
     for s in report.strata:
         if s.n_kept_per_class:
             members = [
-                r for r in matched.records if stratum_key(r, spec) == s.key
+                r for r in matched.records if stratum_keyer(spec)(r) == s.key
             ]
             kept = np.array([r.label for r in members])
             assert (kept == 1).sum() == (kept == 0).sum() == s.n_kept_per_class
@@ -168,7 +168,7 @@ def test_blank_matched_flag_raises(blank, covariates, name):
     r = make_record("a", 1, missing=frozenset(blank.split(",")))
     spec = MatchSpec(covariates=covariates)
     with pytest.raises(MissingCovariate) as err:
-        stratum_key(r, spec)
+        stratum_keyer(spec)(r)
     assert err.value.name == name
     with pytest.raises(MissingCovariate):
         match_exact(make_cohort([r, make_record("b", 0)]), spec)
@@ -176,6 +176,6 @@ def test_blank_matched_flag_raises(blank, covariates, name):
 
 def test_blank_unmatched_flag_is_ignored():
     r = make_record("a", 1, cough=True, missing=frozenset({"smoker", "copd_emphysema"}))
-    assert stratum_key(r, MatchSpec(covariates=TEST_SET, include_channel=False)) == (
+    assert stratum_keyer(MatchSpec(covariates=TEST_SET, include_channel=False))(r) == (
         "28-37", "female", 1, 0, 0, 0, 0, 1
     )

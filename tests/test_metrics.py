@@ -81,15 +81,15 @@ def random_instance(rng, n_max=200, tie_values=None):
 
 def test_roc_perfect_classifier_hits_corner():
     d = ScoredLabels(np.array([1.0, 1.0, 0.0, 0.0]), np.array([1, 1, 0, 0]))
-    points = {(p.sensitivity, p.specificity) for p in roc_curve(d).points}
-    assert (1.0, 1.0) in points
+    curve = roc_curve(d)
+    assert (1.0, 1.0) in set(zip(curve.sensitivities.tolist(), curve.specificities.tolist()))
 
 
 def test_roc_constant_scores_two_points():
     d = ScoredLabels(np.array([0.3] * 6), np.array([1, 0, 1, 0, 1, 0]))
     curve = roc_curve(d)
-    assert len(curve.points) == 2
-    assert {(p.sensitivity, p.specificity) for p in curve.points} == {(1.0, 0.0), (0.0, 1.0)}
+    assert curve.thresholds.size == 2
+    assert set(zip(curve.sensitivities.tolist(), curve.specificities.tolist())) == {(1.0, 0.0), (0.0, 1.0)}
 
 
 def test_roc_monotone_and_endpoints():

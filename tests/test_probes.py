@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confound_audit import pipeline
-from confound_audit.errors import NoNegatives, OneClassOnly, RankDeficientWarning, TooFewSamples
+from confound_audit.errors import EncodingMismatch, NoNegatives, OneClassOnly, RankDeficientWarning, TooFewSamples
 from confound_audit.metrics import uar
 from confound_audit.pipeline import RunConfig, run_pipeline
 from confound_audit.probes import (
@@ -306,6 +306,15 @@ def test_weak_robust_calibration_never_passes():
     assert result.tau is None
     assert result.curated_auc_at_tau is None
     assert len(result.ks) == 4  # full curve still reported
+
+
+@pytest.mark.parametrize("calibration_dim", [3, 9])
+def test_weak_robust_refuses_calibration_of_another_width(calibration_dim):
+    cohort = _confounded_cohort(seed=6, n_per_class=40)
+    calibration = make_calibration_cohort(calibration_dim, n_per_class=50, seed=6)
+    with pytest.raises(EncodingMismatch) as err:
+        weak_robust_curate(cohort, calibration, WeakProbeConfig(k_max=4, seed=6))
+    assert f"calibration cohort has {calibration_dim} features, the matched cohort 8" in str(err.value)
 
 
 def test_nn_identical_features_symmetric_scores():

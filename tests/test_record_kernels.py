@@ -26,7 +26,7 @@ from confound_audit.cohort import (
     write_cohort,
 )
 from confound_audit.errors import BadValue, DuplicateId, MissingColumn
-from confound_audit.matching import MatchSpec, stratum_key, stratum_keyer
+from confound_audit.matching import MatchSpec, stratum_keyer
 from confound_audit.synth import SynthConfig, enrol, generate_population
 
 from reference_kernels import enrol_loop, generate_population_loop, load_cohort_dictreader, stratum_key_loop
@@ -133,7 +133,7 @@ def test_stratum_keys_match_per_record_check(recs, covariates, include_channel):
     for r in recs:
         want = _outcome(lambda: stratum_key_loop(r, spec))
         assert _outcome(lambda: key_of(r)) == want
-        assert _outcome(lambda: stratum_key(r, spec)) == want
+        assert _outcome(lambda: stratum_keyer(spec)(r)) == want
 
 
 def test_stratum_keyer_survives_short_lived_profiles():
@@ -212,6 +212,8 @@ def test_load_cohort_matches_dictreader(text):
         assert got[0] is want[0] and got[0] in (BadValue, DuplicateId, MissingColumn)
         if got[0] is BadValue:
             assert got[2:4] == want[2:4]  # row and column
+            # a data row of the file, and a column of its header
+            assert got[2] >= 1 and got[3] in next(csv.reader(io.StringIO(text)))
         else:
             assert got == want
 

@@ -88,10 +88,16 @@ def test_pipeline_rejects_unknown_keys():
     {"probe": {"seed": 99}},
     {"probe": {"k_max": 0}},
     {"n_trees": 0},
+    {"synth": {"bogus": 1}},
+    {"metrics": {"q": 0.1}},
+    {"pipeline": "no-such-pipeline"},
 ])
 def test_pipeline_rejects_ignored_or_invalid_settings(data):
     with pytest.raises(ConfigError):
         RunConfig.from_dict(data)
+    # a config built directly is checked the same way
+    with pytest.raises(ConfigError):
+        RunConfig(**data)
 
 
 def test_pipeline_probe_settings_take_effect():
@@ -360,10 +366,17 @@ def test_cli_runtime_error_exit_1(tmp_path, capsys):
     (["probe", "weak", "--matched", "{fewneg}", "--features", "{feat}", "--out", "{out}"], 1,
      "need at least 3 negatives, have 2"),
     (["probe", "weak", "--matched", "{header}", "--out", "{out}"], 1, "cohort has no records"),
+    # a calibration cohort of another feature width, and a features file of no feature column
+    (["probe", "weak", "--matched", "{pool}", "--features", "{feat}", "--calib", "{pool}",
+      "--calib-features", "{feat3}", "--out", "{out}"], 1, "calibration cohort has 3 features, the matched cohort 2"),
+    (["probe", "weak", "--matched", "{pool}", "--features", "{featid}", "--out", "{out}"], 1,
+     "required column missing: 'f0'"),
+    (["probe", "nn", "--matched", "{pool}", "--features", "{featid}", "--out", "{out}"], 1,
+     "required column missing: 'f0'"),
 ])
 def test_cli_errors_exit_with_one_line(tmp_path, capsys, argv, code, message):
     names = ("pool", "short", "word", "noscore", "nan", "above", "repeat", "nanfeat", "blankflag", "badroc", "badjson",
-             "model", "badmodel", "nolevels", "feat", "unscored", "blanklabel", "fewneg", "header", "missing", "out")
+             "model", "badmodel", "nolevels", "feat", "unscored", "blanklabel", "fewneg", "header", "missing", "feat3", "featid", "out")
     paths = {name: str(tmp_path / name) for name in names}
     _write_pool(paths["pool"], n=60)
     with open(paths["pool"], encoding="utf-8") as fh:
@@ -402,6 +415,8 @@ def test_cli_errors_exit_with_one_line(tmp_path, capsys, argv, code, message):
         "blanklabel": recolumn("label", lambda i, v: "" if i == 3 else v),
         "fewneg": recolumn("label", lambda i, v: "0" if i < 2 else "1"),
         "header": pool_rows[0],
+        "feat3": "id,f0,f1,f2\n" + "".join(f"r{i},{i % 7 / 7},{i * i % 11 / 11},{i % 3}\n" for i in range(60)),
+        "featid": "id\n" + "".join(f"r{i}\n" for i in range(60)),
     }
     for name, text in files.items():
         with open(paths[name], "w", encoding="utf-8") as fh:

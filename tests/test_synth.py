@@ -3,7 +3,7 @@ import pytest
 from scipy.stats import norm
 
 from confound_audit.errors import EmptyEnrolment, InvalidConfig
-from confound_audit.matching import stratum_key, TEST_SET, MatchSpec
+from confound_audit.matching import stratum_keyer, TEST_SET, MatchSpec
 from confound_audit.metrics import ScoredLabels, auc, table_2x2_stats
 from confound_audit.synth import SynthConfig, enrol, generate_cohort, generate_population
 
@@ -110,7 +110,7 @@ def test_matched_enrolment_balances_strata_exactly():
     spec = MatchSpec(covariates=TEST_SET, include_channel=False, seed=cfg.seed)
     per_stratum = {}
     for r in cohort.records:
-        key = stratum_key(r, spec)
+        key = stratum_keyer(spec)(r)
         per_stratum.setdefault(key, [0, 0])[r.label] += 1
     assert per_stratum
     for neg, pos in per_stratum.values():
