@@ -34,7 +34,7 @@ from .forest import (
 )
 from .matching import TEST_SET, TRAIN_SET, MatchSpec, match_exact, stratum_order
 from .metrics import RocCurve, ScoredLabels, auc_ci, pr_auc, roc_curve, stratified_auc, uar
-from .pipeline import RunConfig, run_from_manifest, run_pipeline
+from .pipeline import RunConfig, check_values, field_types, read_config, run_from_manifest, run_pipeline
 from .probes import WeakProbeConfig, make_calibration_cohort, nn_substitute, weak_robust_curate
 from .report import write_json
 from .resample import PopulationSpec, resample_general_population
@@ -105,13 +105,8 @@ def _write_score_csv(path: str, ids, scores) -> None:
 
 
 def cmd_synth(args) -> int:
-    cfg_data = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            cfg_data = json.load(fh)
-    for key in cfg_data:
-        if key not in SynthConfig.__dataclass_fields__:
-            raise ConfigError(key)
+    cfg_data = read_config(args.config) if args.config else {}
+    check_values("", cfg_data, field_types(SynthConfig))
     if args.seed is not None:
         cfg_data["seed"] = args.seed
     cfg = SynthConfig(**cfg_data)
@@ -370,10 +365,7 @@ def cmd_report(args) -> int:
     if args.manifest:
         bundle = run_from_manifest(args.manifest)
     else:
-        data = {}
-        if args.config:
-            with open(args.config, encoding="utf-8") as fh:
-                data = json.load(fh)
+        data = read_config(args.config) if args.config else {}
         if args.seed is not None:
             data["seed"] = args.seed
         bundle = run_pipeline(RunConfig.from_dict(data))

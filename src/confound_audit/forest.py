@@ -10,9 +10,12 @@ resamples of size n, grown until pure.
 All trees grow in lockstep (``_grow_trees``): each step takes the next
 node of every tree and scores them together as one block. Each tree still
 draws from its own (seed, tree index) stream in its own depth-first order,
-so the trees are the ones grown one at a time. Prediction and the
-out-of-bag pass route every (tree, row) pair at once and add the scores up
-tree by tree, in order.
+so the trees are the ones grown one at a time. A tree's split candidates
+come in chunks of many nodes from that stream (``_CandidateRows``), drawn
+in the order per-node ``Generator.choice`` calls would draw them, and the
+stream is rewound at the end to where those calls would leave it.
+Prediction and the out-of-bag pass route every (tree, row) pair at once
+and add the scores up tree by tree, in order.
 
 Models serialize to JSON (portable and diffable). A hybrid classifier is the
 same ensemble with the audio score appended as one more numeric predictor.
@@ -165,6 +168,67 @@ TREE_ARRAYS = {"feature": int, "threshold": float, "left": int, "right": int, "l
 _BLOCK_COLUMNS = 4096
 # (tree, row) pairs routed at once, which bounds the routing temporaries
 _ROUTE_PAIRS = 1 << 14
+# nodes whose split candidates a tree draws in one numpy call; a bias-demo
+# tree has ~330 nodes to split, and the buffer of all trees' chunks stays
+# under 1 MB there (50 trees x 256 nodes x 3 candidates x 8 bytes)
+_CANDIDATE_CHUNK = 256
+
+
+def _floyd_rows(rng: np.random.Generator, p: int, m: int, k: int) -> np.ndarray:
+    """The sorted rows of ``k`` successive ``rng.choice(p, size=m,
+    replace=False)`` calls, drawn in one call that leaves ``rng`` where
+    those calls would.
+
+    Valid where numpy's ``choice`` runs Floyd's algorithm: p <= 10000 or
+    m <= p // 50. Each call then makes one bounded draw in [0, j] for each
+    j in p-m ... p-1 (a draw equal to an earlier pick of the call becomes
+    j), then shuffles its picks with one bounded draw in [0, i] for each i
+    in m-1 ... 1. ``Generator.integers`` with an array of bounds makes the
+    same bounded draws in the same order. ``fit_forest``'s m = round(sqrt(p))
+    never leaves that range: numpy's other branch needs p > 10000 and
+    m > p // 50, which sqrt(p) reaches only for p < 2500.
+    """
+    bounds = np.concatenate((np.arange(p - m, p), np.arange(m - 1, 0, -1)))
+    picks = rng.integers(0, np.tile(bounds, k), endpoint=True).reshape(k, bounds.size)[:, :m]
+    for s in range(1, m):
+        picks[(picks[:, :s] == picks[:, s : s + 1]).any(axis=1), s] = p - m + s
+    picks.sort(axis=1)
+    return picks
+
+
+class _CandidateRows:
+    """Each tree's sorted split candidates, drawn ``_CANDIDATE_CHUNK`` nodes
+    at a time from the tree's own ``rng`` by ``_floyd_rows``.
+
+    A chunk draws ahead of the nodes that use it, so ``rewind`` puts each
+    ``rng`` back where one ``choice`` call per node taken would leave it:
+    it restores the state saved before the tree's last chunk and redraws
+    only the rows that were taken from it.
+    """
+
+    def __init__(self, rngs: list, p: int, m: int):
+        self.rngs, self.p, self.m = rngs, p, m
+        self.rows = np.empty((len(rngs), _CANDIDATE_CHUNK, m), dtype=np.int64)
+        # every tree starts on a used-up chunk, so a tree whose root is a
+        # leaf draws nothing
+        self.taken = np.full(len(rngs), _CANDIDATE_CHUNK)
+        self.states = [None] * len(rngs)
+
+    def take(self, trees: np.ndarray) -> np.ndarray:
+        """The next candidate row of each of the distinct ``trees``."""
+        for t in trees[self.taken[trees] == _CANDIDATE_CHUNK].tolist():
+            self.states[t] = self.rngs[t].bit_generator.state
+            self.rows[t] = _floyd_rows(self.rngs[t], self.p, self.m, _CANDIDATE_CHUNK)
+            self.taken[t] = 0
+        rows = self.rows[trees, self.taken[trees]]
+        self.taken[trees] += 1
+        return rows
+
+    def rewind(self) -> None:
+        for rng, state, taken in zip(self.rngs, self.states, self.taken.tolist()):
+            if state is not None:
+                rng.bit_generator.state = state
+                _floyd_rows(rng, self.p, self.m, taken)
 
 
 def _best_cuts(xt: np.ndarray, y: np.ndarray, orders: list, rows: np.ndarray, pos: np.ndarray) -> tuple:
@@ -252,14 +316,18 @@ def _grow_trees(xt: np.ndarray, y: np.ndarray, boots: list, rngs: list, m_try: i
     changes no count, cut or threshold, so the sort need not be stable.
 
     Trees are independent, so each step pops the top node of every
-    non-empty stack, draws that node's ``m_try`` candidates from its own
+    non-empty stack, takes that node's ``m_try`` candidates from its own
     tree's ``rng`` and scores all popped nodes together (``_score_step``).
     When every candidate is constant on a node, all p features are scored
     the same way. Nodes are numbered depth-first, left child first, and each
-    ``rng`` is drawn once per impure node in that order, as when the tree is
-    grown alone.
+    ``rng`` gives one candidate row per impure node in that order, as when
+    the tree is grown alone. The rows come in chunks of many nodes per numpy
+    call (``_CandidateRows``), with the draws per-node ``choice`` would make
+    in its order; at the end each ``rng`` is rewound to where those calls
+    would leave it.
     """
     p = xt.shape[0]
+    candidates = _CandidateRows(rngs, p, m_try)
     # per tree, one list per TREE_ARRAYS field: feature, threshold, left, right, leaf_frac
     trees = [tuple([] for _ in TREE_ARRAYS) for _ in boots]
     stacks: list[list] = []
@@ -277,8 +345,7 @@ def _grow_trees(xt: np.ndarray, y: np.ndarray, boots: list, rngs: list, m_try: i
         popped = [stacks[t].pop() for t in live]
         orders = [order for _, order, _ in popped]
         pos = np.array([node_pos for _, _, node_pos in popped], dtype=float)
-        rows = np.array([rngs[t].choice(p, size=m_try, replace=False) for t in live])
-        rows.sort(axis=1)
+        rows = candidates.take(np.array(live))
         best = _score_step(xt, y, orders, rows, pos)
         retry = np.flatnonzero(~best[0])
         if retry.size:
@@ -318,6 +385,7 @@ def _grow_trees(xt: np.ndarray, y: np.ndarray, boots: list, rngs: list, m_try: i
             if lfrac < 0.0:
                 stacks[t].append((lnode, order[go_left].reshape(p, -1), lp))
         live = [t for t in live if stacks[t]]
+    candidates.rewind()
 
     return [
         {name: np.array(values, dtype=dtype) for (name, dtype), values in zip(TREE_ARRAYS.items(), tree)}

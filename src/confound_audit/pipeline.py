@@ -45,6 +45,26 @@ _SYNTH_DEFAULTS = dict(
 )
 
 
+def field_types(cls) -> dict[str, type]:
+    """Each field of a config dataclass with the type of its default."""
+    return {name: type(f.default) for name, f in cls.__dataclass_fields__.items()}
+
+
+def check_values(prefix: str, values: dict, types: dict[str, type]) -> None:
+    """Raise ``ConfigError`` for the first key of ``values`` not in
+    ``types`` or whose value is not of its type there. No field takes a
+    bool, and an int passes for a float (JSON writes 2.0 as 2)."""
+    for key, value in values.items():
+        if key not in types:
+            raise ConfigError(f"{prefix}{key}")
+        kind = types[key]
+        if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+            raise ConfigError(f"{prefix}{key}", f"must be {kind.__name__}, not {type(value).__name__}")
+
+
+_TOP_TYPES = {"pipeline": str, "seed": int, "out_dir": str, "n_trees": int}
+
+
 @dataclass
 class RunConfig:
     pipeline: str = "bias-demo"
@@ -57,22 +77,24 @@ class RunConfig:
     metrics: dict = field(default_factory=dict)  # min_per_class, fdr
 
     def __post_init__(self):
-        """Every check of a config, however it was built: a bad value or an
-        unknown key raises ``ConfigError``."""
+        """Every check of a config, however it was built: a bad value, a
+        value of the wrong type or an unknown key raises ``ConfigError``."""
+        check_values("", {name: getattr(self, name) for name in _TOP_TYPES}, _TOP_TYPES)
+        for section, types in (
+            ("synth", field_types(SynthConfig)),
+            ("utility", dict.fromkeys(("r_t", "epsilon", "delta", "pi_max"), float)),
+            ("probe", field_types(WeakProbeConfig)),
+            ("metrics", {"min_per_class": int, "fdr": float}),
+        ):
+            values = getattr(self, section)
+            if not isinstance(values, dict):
+                raise ConfigError(section, "must be a JSON object")
+            check_values(f"{section}.", values, types)
         if self.n_trees < 1:
             raise ConfigError("n_trees", "must be >= 1")
         for section in ("synth", "probe"):
             if "seed" in getattr(self, section):
                 raise ConfigError(f"{section}.seed", "the run seed sets it; use the top-level seed")
-        for section, known in (
-            ("synth", SynthConfig.__dataclass_fields__),
-            ("utility", ("r_t", "epsilon", "delta", "pi_max")),
-            ("probe", WeakProbeConfig.__dataclass_fields__),
-            ("metrics", ("min_per_class", "fdr")),
-        ):
-            for key in getattr(self, section):
-                if key not in known:
-                    raise ConfigError(f"{section}.{key}")
         try:
             WeakProbeConfig(**self.probe)
         except ValueError as exc:
@@ -85,6 +107,8 @@ class RunConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "RunConfig":
+        if not isinstance(data, dict):
+            raise ConfigError("config", "must be a JSON object")
         # Manifests written before the serial-only forest carry "threads";
         # it never changed an output, so replaying them ignores it.
         data = {k: v for k, v in data.items() if k != "threads"}
@@ -208,9 +232,20 @@ def run_pipeline(cfg: RunConfig) -> ReportBundle:
     return bundle
 
 
-def run_from_manifest(path: str) -> ReportBundle:
+def read_config(path: str) -> dict:
+    """The JSON object in a config or manifest file."""
     with open(path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError:
+            raise ConfigError("config", f"{path} is not valid JSON") from None
+    if not isinstance(data, dict):
+        raise ConfigError("config", f"{path} is not a JSON object")
+    return data
+
+
+def run_from_manifest(path: str) -> ReportBundle:
+    manifest = read_config(path)
     if "config" not in manifest:
         raise ConfigError("config", "manifest lacks a config block")
     return run_pipeline(RunConfig.from_dict(manifest["config"]))

@@ -102,11 +102,6 @@ def pca_project(model: PcaModel, features: np.ndarray, k: int | None = None) -> 
     return (np.asarray(features, dtype=float) - model.mean) @ model.components[:k].T
 
 
-def pca_reconstruct(model: PcaModel, projected: np.ndarray) -> np.ndarray:
-    k = projected.shape[1]
-    return projected @ model.components[:k] + model.mean
-
-
 # -- weak linear classifier -----------------------------------------------------
 
 

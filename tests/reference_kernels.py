@@ -4,10 +4,11 @@ and per-record kernels.
 These are the direct O(m*n), per-element and enumerating forms of
 ``metrics`` and ``utility`` internals, the argsort-per-node-per-feature
 CART of ``forest``, the one-model-at-a-time weak linear fit and curation of
-``probes``, and the per-record loops of ``synth``, ``matching`` and
-``cohort`` (one profile object per person, one RNG draw per person, a
-covariate check per record, ``csv.DictReader``). The fast kernels must
-return exactly the same values; ``test_rank_kernels.py``, ``test_forest.py``,
+``probes`` (and the PCA reconstruction that checks its projection), and
+the per-record loops of ``synth``, ``matching`` and ``cohort`` (one
+profile object per person, one RNG draw per person, a covariate check per
+record, ``csv.DictReader``). The fast kernels must return exactly the same
+values; ``test_rank_kernels.py``, ``test_forest.py``,
 ``test_probes.py`` and ``test_record_kernels.py`` compare the two. None of
 the rank kernels accept NaN: ``midranks_loop`` never terminates on it.
 """
@@ -42,7 +43,7 @@ from confound_audit.errors import (
 )
 from confound_audit.matching import AGE_BIN_START, AGE_BIN_WIDTH, AGE_OPEN_BIN_START, MatchSpec
 from confound_audit.metrics import ScoredLabels, auc, uar
-from confound_audit.probes import ProbeResult, WeakModel, WeakProbeConfig, pca_fit, pca_project
+from confound_audit.probes import PcaModel, ProbeResult, WeakModel, WeakProbeConfig, pca_fit, pca_project
 from confound_audit.rngs import substream
 from confound_audit.synth import _EMBEDDED_COVARIATES, P_COPD, P_OTHER_RESP, P_SMOKER, SynthRecord, covariate_loadings
 
@@ -410,6 +411,12 @@ def load_cohort_dictreader(path: str) -> Cohort:
             )
     manifest = make_manifest(path, rows=len(records), step="load")
     return Cohort(records=tuple(records), manifest=manifest)
+
+
+def pca_reconstruct(model: PcaModel, projected: np.ndarray) -> np.ndarray:
+    """Map ``probes.pca_project`` output back to feature space."""
+    k = projected.shape[1]
+    return projected @ model.components[:k] + model.mean
 
 
 def train_weak_linear_loop(features: np.ndarray, labels: np.ndarray, l2: float = 1.0,

@@ -16,13 +16,12 @@ from confound_audit.probes import (
     nn_substitute,
     pca_fit,
     pca_project,
-    pca_reconstruct,
     train_weak_linear,
     weak_robust_curate,
 )
 
 from conftest import make_cohort, make_record
-from reference_kernels import train_weak_linear_loop, weak_robust_curate_loop
+from reference_kernels import pca_reconstruct, train_weak_linear_loop, weak_robust_curate_loop
 
 
 # -- PCA ------------------------------------------------------------------------

@@ -91,6 +91,16 @@ def test_pipeline_rejects_unknown_keys():
     {"synth": {"bogus": 1}},
     {"metrics": {"q": 0.1}},
     {"pipeline": "no-such-pipeline"},
+    # values of the wrong type
+    {"n_trees": "x"},
+    {"n_trees": True},
+    {"seed": 1.5},
+    {"out_dir": 5},
+    {"synth": 5},
+    {"synth": {"n_population": "x"}},
+    {"utility": {"r_t": "x"}},
+    {"probe": {"k_max": "x"}},
+    {"metrics": {"fdr": "x"}},
 ])
 def test_pipeline_rejects_ignored_or_invalid_settings(data):
     with pytest.raises(ConfigError):
@@ -373,10 +383,17 @@ def test_cli_runtime_error_exit_1(tmp_path, capsys):
      "required column missing: 'f0'"),
     (["probe", "nn", "--matched", "{pool}", "--features", "{featid}", "--out", "{out}"], 1,
      "required column missing: 'f0'"),
+    # config values of the wrong type
+    (["report", "--config", "{ntrees}", "--out-dir", "{out}"], 2, "'n_trees': must be int, not str"),
+    (["report", "--config", "{synthnum}", "--out-dir", "{out}"], 2, "'synth': must be a JSON object"),
+    (["synth", "--config", "{synthcfg}", "--out", "{out}"], 2, "'n_population': must be int, not str"),
+    (["report", "--config", "{notjson}", "--out-dir", "{out}"], 2, "is not valid JSON"),
+    (["report", "--manifest", "{notjson}", "--out-dir", "{out}"], 2, "is not valid JSON"),
+    (["synth", "--config", "{ntrees}", "--out", "{out}"], 2, "bad configuration key 'n_trees'"),
 ])
 def test_cli_errors_exit_with_one_line(tmp_path, capsys, argv, code, message):
     names = ("pool", "short", "word", "noscore", "nan", "above", "repeat", "nanfeat", "blankflag", "badroc", "badjson",
-             "model", "badmodel", "nolevels", "feat", "unscored", "blanklabel", "fewneg", "header", "missing", "feat3", "featid", "out")
+             "model", "badmodel", "nolevels", "feat", "unscored", "blanklabel", "fewneg", "header", "missing", "feat3", "featid", "ntrees", "synthnum", "synthcfg", "notjson", "out")
     paths = {name: str(tmp_path / name) for name in names}
     _write_pool(paths["pool"], n=60)
     with open(paths["pool"], encoding="utf-8") as fh:
@@ -417,6 +434,10 @@ def test_cli_errors_exit_with_one_line(tmp_path, capsys, argv, code, message):
         "header": pool_rows[0],
         "feat3": "id,f0,f1,f2\n" + "".join(f"r{i},{i % 7 / 7},{i * i % 11 / 11},{i % 3}\n" for i in range(60)),
         "featid": "id\n" + "".join(f"r{i}\n" for i in range(60)),
+        "ntrees": '{"n_trees": "x"}',
+        "synthnum": '{"synth": 5}',
+        "synthcfg": '{"n_population": "x"}',
+        "notjson": '{"n_trees": ',
     }
     for name, text in files.items():
         with open(paths[name], "w", encoding="utf-8") as fh:
