@@ -33,21 +33,13 @@ from .forest import (
     train_symptoms_model,
 )
 from .matching import TEST_SET, TRAIN_SET, MatchSpec, match_exact, stratum_order
-from .metrics import RocCurve, ScoredLabels, auc_ci, pr_auc, roc_curve, stratified_auc, uar
-from .pipeline import RunConfig, check_values, field_types, read_config, run_from_manifest, run_pipeline
+from .metrics import RocCurve, ScoredLabels, StrataConfig, auc_ci, pr_auc, roc_curve, stratified_auc, uar
+from .pipeline import RunConfig, build_section, field_defaults, read_config, run_from_manifest, run_pipeline
 from .probes import WeakProbeConfig, make_calibration_cohort, nn_substitute, weak_robust_curate
 from .report import write_json
 from .resample import PopulationSpec, resample_general_population
 from .synth import SynthConfig, enrol, generate_population
 from .utility import UtilityParams, default_pi_grid, max_eu_curve
-
-
-def _checked(key: str, build):
-    """Call ``build``; a ValueError from it is a rejected argument (exit 2)."""
-    try:
-        return build()
-    except ValueError as exc:
-        raise ConfigError(key, str(exc)) from None
 
 
 def _write_manifest(args, extra: dict | None = None) -> None:
@@ -106,10 +98,9 @@ def _write_score_csv(path: str, ids, scores) -> None:
 
 def cmd_synth(args) -> int:
     cfg_data = read_config(args.config) if args.config else {}
-    check_values("", cfg_data, field_types(SynthConfig))
     if args.seed is not None:
         cfg_data["seed"] = args.seed
-    cfg = SynthConfig(**cfg_data)
+    cfg = build_section(SynthConfig, "", cfg_data, field_defaults(SynthConfig))
     population = generate_population(cfg)
     cohort = enrol(population, cfg)
     write_cohort(cohort, args.out)
@@ -165,7 +156,6 @@ def cmd_resample(args) -> int:
         equalize_age=not args.no_equalize_age,
         seed=args.seed or 0,
     )
-    _checked("resample", spec.validate)
     pool = load_cohort(getattr(args, "in"))
     out, report = resample_general_population(pool, spec)
     write_cohort(out, args.out)
@@ -178,8 +168,7 @@ def cmd_resample(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if not (0.0 < args.fdr < 1.0):
-        raise ConfigError("fdr", "must lie in (0, 1)")
+    strata_cfg = StrataConfig(args.min_per_class, args.fdr)
     cohort = _load_scored_cohort(getattr(args, "in"), args.features)
     cohort, rejections = validate_cohort(cohort)
     if not len(cohort):
@@ -214,7 +203,7 @@ def cmd_eval(args) -> int:
     if "uar" in wanted:
         result["uar"] = uar((scores >= args.threshold).astype(int), labels)
     if args.stratified:
-        strata = stratified_auc(cohort, _match_spec(args), min_per_class=args.min_per_class, q=args.fdr)
+        strata = stratified_auc(cohort, _match_spec(args), min_per_class=strata_cfg.min_per_class, q=strata_cfg.fdr)
         result["strata"] = [
             {
                 "key": list(stratum_order(s.key)),
@@ -289,12 +278,12 @@ def cmd_utility(args) -> int:
 
 
 def _probe_inputs(args) -> tuple[Cohort, WeakProbeConfig]:
-    cfg = _checked("probe", lambda: WeakProbeConfig(
+    cfg = WeakProbeConfig(
         k_max=args.kmax,
         calibration_uar_threshold=args.threshold,
         seed=args.seed or 0,
         distance=args.distance,
-    ))
+    )
     matched = _load_scored_cohort(args.matched, args.features)
     if args.scores:
         matched = hybrid_features(matched, _read_score_map(args.scores))
@@ -369,7 +358,7 @@ def cmd_report(args) -> int:
         if args.seed is not None:
             data["seed"] = args.seed
         bundle = run_pipeline(RunConfig.from_dict(data))
-    outdir = args.out_dir
+    outdir = bundle.manifest["config"]["out_dir"] if args.out_dir is None else args.out_dir
     bundle.write(outdir)
     _write_manifest(args, {"out_dir": outdir})
     print(f"wrote {len(bundle.figures)} figures and {len(bundle.tables)} tables -> {outdir}")
@@ -495,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="run a full pipeline and emit figures")
     p.add_argument("--config", default=None, help="JSON run configuration")
     p.add_argument("--manifest", default=None, help="rerun from an emitted manifest")
-    p.add_argument("--out-dir", default="report")
+    p.add_argument("--out-dir", default=None, help="output directory (default: the config's out_dir)")
     common(p)
     p.set_defaults(func=cmd_report)
 

@@ -131,10 +131,6 @@ class EmptyCurve(ConfoundAuditError):
 
 # -- synthetic cohorts ----------------------------------------------------
 
-class InvalidConfig(ConfoundAuditError):
-    pass
-
-
 class EmptyEnrolment(ConfoundAuditError):
     pass
 
@@ -165,5 +161,5 @@ class ConfigError(ConfoundAuditError):
     """Invalid run configuration; maps to CLI exit code 2."""
 
     def __init__(self, key: str, message: str = ""):
-        self.key = key
+        self.key, self.message = key, message
         super().__init__(f"bad configuration key {key!r}" + (f": {message}" if message else ""))

@@ -12,8 +12,8 @@ node of every tree and scores them together as one block. Each tree still
 draws from its own (seed, tree index) stream in its own depth-first order,
 so the trees are the ones grown one at a time. A tree's split candidates
 come in chunks of many nodes from that stream (``_CandidateRows``), drawn
-in the order per-node ``Generator.choice`` calls would draw them, and the
-stream is rewound at the end to where those calls would leave it.
+in the order per-node ``Generator.choice`` calls would draw them; nothing
+draws from a tree's stream after its tree is grown.
 Prediction and the out-of-bag pass route every (tree, row) pair at once
 and add the scores up tree by tree, in order.
 
@@ -198,12 +198,9 @@ def _floyd_rows(rng: np.random.Generator, p: int, m: int, k: int) -> np.ndarray:
 
 class _CandidateRows:
     """Each tree's sorted split candidates, drawn ``_CANDIDATE_CHUNK`` nodes
-    at a time from the tree's own ``rng`` by ``_floyd_rows``.
-
-    A chunk draws ahead of the nodes that use it, so ``rewind`` puts each
-    ``rng`` back where one ``choice`` call per node taken would leave it:
-    it restores the state saved before the tree's last chunk and redraws
-    only the rows that were taken from it.
+    at a time from the tree's own ``rng`` by ``_floyd_rows``. A chunk draws
+    ahead of the nodes that use it, so each ``rng`` ends past where one
+    ``choice`` call per node would leave it.
     """
 
     def __init__(self, rngs: list, p: int, m: int):
@@ -212,23 +209,15 @@ class _CandidateRows:
         # every tree starts on a used-up chunk, so a tree whose root is a
         # leaf draws nothing
         self.taken = np.full(len(rngs), _CANDIDATE_CHUNK)
-        self.states = [None] * len(rngs)
 
     def take(self, trees: np.ndarray) -> np.ndarray:
         """The next candidate row of each of the distinct ``trees``."""
         for t in trees[self.taken[trees] == _CANDIDATE_CHUNK].tolist():
-            self.states[t] = self.rngs[t].bit_generator.state
             self.rows[t] = _floyd_rows(self.rngs[t], self.p, self.m, _CANDIDATE_CHUNK)
             self.taken[t] = 0
         rows = self.rows[trees, self.taken[trees]]
         self.taken[trees] += 1
         return rows
-
-    def rewind(self) -> None:
-        for rng, state, taken in zip(self.rngs, self.states, self.taken.tolist()):
-            if state is not None:
-                rng.bit_generator.state = state
-                _floyd_rows(rng, self.p, self.m, taken)
 
 
 def _best_cuts(xt: np.ndarray, y: np.ndarray, orders: list, rows: np.ndarray, pos: np.ndarray) -> tuple:
@@ -323,8 +312,8 @@ def _grow_trees(xt: np.ndarray, y: np.ndarray, boots: list, rngs: list, m_try: i
     ``rng`` gives one candidate row per impure node in that order, as when
     the tree is grown alone. The rows come in chunks of many nodes per numpy
     call (``_CandidateRows``), with the draws per-node ``choice`` would make
-    in its order; at the end each ``rng`` is rewound to where those calls
-    would leave it.
+    in its order. Each ``rng`` ends after its tree's last whole chunk, past
+    where those calls would leave it, so the caller draws nothing more from it.
     """
     p = xt.shape[0]
     candidates = _CandidateRows(rngs, p, m_try)
@@ -385,7 +374,6 @@ def _grow_trees(xt: np.ndarray, y: np.ndarray, boots: list, rngs: list, m_try: i
             if lfrac < 0.0:
                 stacks[t].append((lnode, order[go_left].reshape(p, -1), lp))
         live = [t for t in live if stacks[t]]
-    candidates.rewind()
 
     return [
         {name: np.array(values, dtype=dtype) for (name, dtype), values in zip(TREE_ARRAYS.items(), tree)}

@@ -22,6 +22,7 @@ import numpy as np
 from scipy.stats import norm, rankdata
 
 from .errors import (
+    ConfigError,
     DegenerateTable,
     EmptyGroup,
     LabelMismatch,
@@ -348,13 +349,13 @@ def mwu_test(pos_scores, neg_scores, mode: str = "normal") -> dict:
 
 def bh_fdr(p_values, q: float) -> list[bool]:
     """Benjamini-Hochberg step-up rejections, reported in input order."""
+    if not 0.0 < q < 1.0:
+        raise ValueError("q must lie in (0, 1)")
     p = np.asarray(p_values, dtype=float)
     if p.size == 0:
         return []
     if np.any((p < 0) | (p > 1)):
         raise ValueError("p-values must lie in [0, 1]")
-    if not (0.0 < q < 1.0):
-        raise ValueError("q must lie in (0, 1)")
     m = p.size
     order = np.argsort(p, kind="stable")
     sorted_p = p[order]
@@ -366,6 +367,22 @@ def bh_fdr(p_values, q: float) -> list[bool]:
     reject = np.zeros(m, dtype=bool)
     reject[order[: k_star + 1]] = True
     return reject.tolist()
+
+
+@dataclass(frozen=True)
+class StrataConfig:
+    """The settings of ``stratified_auc``: the fewest records of each class
+    a stratum needs, and the BH-FDR level."""
+
+    min_per_class: int
+    fdr: float
+
+    def __post_init__(self):
+        """Raise ``ConfigError`` naming the first field out of its range."""
+        if self.min_per_class < 1:
+            raise ConfigError("min_per_class", "must be >= 1")
+        if not 0.0 < self.fdr < 1.0:
+            raise ConfigError("fdr", "must lie in (0, 1)")
 
 
 @dataclass(frozen=True)

@@ -12,18 +12,20 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import __version__
 from .cohort import Cohort, SplitSpec, split_cohort
-from .errors import ConfigError
+from .errors import ConfigError, OutOfRange
 from .forest import build_encoding, encode_cohort, fit_forest, hybrid_features
 from .matching import MatchSpec, match_exact, stratum_label
 from .metrics import (
     ScoredLabels,
+    StrataConfig,
     auc_ci,
     calibration_bins,
     roc_curve,
@@ -35,43 +37,68 @@ from .report import ReportBundle, emit_figure, _csv_text
 from .synth import SynthConfig, generate_cohort
 from .utility import UtilityParams, default_pi_grid, max_eu_curve
 
-_SYNTH_DEFAULTS = dict(
-    n_population=6000,
-    prevalence=0.25,
-    enrolment="symptoms_based",
-    signal_strength=0.0,
-    confounder_strength=5.0,
-    feature_dim=12,
-)
+
+def field_defaults(cls, *leave_out: str) -> dict:
+    """Each field of the dataclass ``cls`` that has a default, but those in
+    ``leave_out``, with its default."""
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING and f.name not in leave_out}
 
 
-def field_types(cls) -> dict[str, type]:
-    """Each field of a config dataclass with the type of its default."""
-    return {name: type(f.default) for name, f in cls.__dataclass_fields__.items()}
+# Every key of each RunConfig section with the bias-demo pipeline's default;
+# a key takes values of its default's type. The synth and probe sections take
+# their class's fields but ``seed`` (the run seed sets it), at the class's
+# default unless this table sets another.
+DEFAULTS = {
+    "synth": {**field_defaults(SynthConfig, "seed"), "n_population": 6000, "prevalence": 0.25,
+              "enrolment": "symptoms_based", "signal_strength": 0.0, "confounder_strength": 5.0, "feature_dim": 12},
+    "utility": {"r_t": 1.5, "epsilon": 0.2, "delta": 0.0, "pi_max": 0.1},
+    "probe": {**field_defaults(WeakProbeConfig, "seed"), "k_max": 8},
+    "metrics": {"min_per_class": 10, "fdr": 0.05},
+}
 
 
-def check_values(prefix: str, values: dict, types: dict[str, type]) -> None:
-    """Raise ``ConfigError`` for the first key of ``values`` not in
-    ``types`` or whose value is not of its type there. No field takes a
-    bool, and an int passes for a float (JSON writes 2.0 as 2)."""
+def _settings(prefix: str, values, defaults: dict) -> dict:
+    """``values`` over ``defaults``, for the config section ``prefix`` names.
+    A section that is not a JSON object, a key not in ``defaults``, a value
+    not of its default's type or a float that is not finite raises
+    ``ConfigError``. No key takes a bool, and an int passes for a float (JSON
+    writes 2.0 as 2)."""
+    if not isinstance(values, dict):
+        raise ConfigError(prefix.rstrip("."), "must be a JSON object")
     for key, value in values.items():
-        if key not in types:
-            raise ConfigError(f"{prefix}{key}")
-        kind = types[key]
+        if key not in defaults:
+            raise ConfigError(prefix + key)
+        kind = type(defaults[key])
         if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
-            raise ConfigError(f"{prefix}{key}", f"must be {kind.__name__}, not {type(value).__name__}")
+            raise ConfigError(prefix + key, f"must be {kind.__name__}, not {type(value).__name__}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(prefix + key, "must be finite")
+    return {**defaults, **values}
 
 
-_TOP_TYPES = {"pipeline": str, "seed": int, "out_dir": str, "n_trees": int}
+def build_section(cls, prefix: str, values, defaults: dict, **fixed):
+    """``cls`` built from the ``_settings`` of a config section and ``fixed``;
+    a ``ConfigError`` from ``cls`` names its key under ``prefix``."""
+    kwargs = _settings(prefix, values, defaults)
+    try:
+        return cls(**kwargs, **fixed)
+    except ConfigError as exc:
+        raise ConfigError(prefix + exc.key, exc.message) from None
 
 
 @dataclass
 class RunConfig:
+    """A pipeline run. The four sections hold only the settings given, so
+    ``to_dict`` and ``config_hash`` record the overrides; building the config
+    makes, over ``DEFAULTS``, the objects the pipeline reads:
+    ``synth_config``, ``utility_params`` and ``pi_grid``, ``probe_config``
+    and ``strata``."""
+
     pipeline: str = "bias-demo"
     seed: int = 0
-    out_dir: str = "report"
+    out_dir: str = "report"  # where ``report`` writes unless given --out-dir
     n_trees: int = 50
-    synth: dict = field(default_factory=dict)
+    synth: dict = field(default_factory=dict)  # SynthConfig fields except seed
     utility: dict = field(default_factory=dict)  # r_t, epsilon, delta, pi_max
     probe: dict = field(default_factory=dict)  # WeakProbeConfig fields except seed
     metrics: dict = field(default_factory=dict)  # min_per_class, fdr
@@ -79,28 +106,21 @@ class RunConfig:
     def __post_init__(self):
         """Every check of a config, however it was built: a bad value, a
         value of the wrong type or an unknown key raises ``ConfigError``."""
-        check_values("", {name: getattr(self, name) for name in _TOP_TYPES}, _TOP_TYPES)
-        for section, types in (
-            ("synth", field_types(SynthConfig)),
-            ("utility", dict.fromkeys(("r_t", "epsilon", "delta", "pi_max"), float)),
-            ("probe", field_types(WeakProbeConfig)),
-            ("metrics", {"min_per_class": int, "fdr": float}),
-        ):
-            values = getattr(self, section)
-            if not isinstance(values, dict):
-                raise ConfigError(section, "must be a JSON object")
-            check_values(f"{section}.", values, types)
+        top = field_defaults(RunConfig)
+        _settings("", {name: getattr(self, name) for name in top}, top)
         if self.n_trees < 1:
             raise ConfigError("n_trees", "must be >= 1")
-        for section in ("synth", "probe"):
-            if "seed" in getattr(self, section):
-                raise ConfigError(f"{section}.seed", "the run seed sets it; use the top-level seed")
-        try:
-            WeakProbeConfig(**self.probe)
-        except ValueError as exc:
-            raise ConfigError("probe", str(exc)) from None
         if self.pipeline not in PIPELINES:
             raise ConfigError("pipeline", f"unknown pipeline {self.pipeline!r}")
+        self.synth_config = build_section(SynthConfig, "synth.", self.synth, DEFAULTS["synth"], seed=self.seed)
+        utility = _settings("utility.", self.utility, DEFAULTS["utility"])
+        try:
+            self.pi_grid = default_pi_grid(utility.pop("pi_max"))
+            self.utility_params = UtilityParams(**utility)
+        except OutOfRange as exc:
+            raise ConfigError("utility", str(exc)) from None
+        self.probe_config = build_section(WeakProbeConfig, "probe.", self.probe, DEFAULTS["probe"], seed=self.seed)
+        self.strata = build_section(StrataConfig, "metrics.", self.metrics, DEFAULTS["metrics"])
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -130,8 +150,7 @@ def _any_symptom_table(cohort: Cohort) -> list[list[int]]:
 
 
 def bias_demo(cfg: RunConfig) -> ReportBundle:
-    synth_cfg = SynthConfig(**{**_SYNTH_DEFAULTS, **cfg.synth, "seed": cfg.seed})
-    enrolled, _pop = generate_cohort(synth_cfg)
+    enrolled, _pop = generate_cohort(cfg.synth_config)
     train, test = split_cohort(enrolled, SplitSpec(train_fraction=0.5, seed=cfg.seed))
 
     encoding = build_encoding(train, ("features",))
@@ -160,12 +179,7 @@ def bias_demo(cfg: RunConfig) -> ReportBundle:
         ],
     )
 
-    up = UtilityParams(
-        r_t=cfg.utility.get("r_t", 1.5),
-        epsilon=cfg.utility.get("epsilon", 0.2),
-        delta=cfg.utility.get("delta", 0.0),
-    )
-    grid = default_pi_grid(cfg.utility.get("pi_max", 0.1))
+    up, grid = cfg.utility_params, cfg.pi_grid
     figures["eu"], tables["eu"] = emit_figure(
         "max_eu_vs_prevalence",
         [
@@ -174,16 +188,11 @@ def bias_demo(cfg: RunConfig) -> ReportBundle:
         ],
     )
 
-    strata = stratified_auc(
-        matched,
-        match_spec,
-        min_per_class=cfg.metrics.get("min_per_class", 10),
-        q=cfg.metrics.get("fdr", 0.05),
-    )
+    strata = stratified_auc(matched, match_spec, min_per_class=cfg.strata.min_per_class, q=cfg.strata.fdr)
     figures["strata"], tables["strata"] = emit_figure("stratified_forest", strata, reference=0.62)
 
-    probe_cfg = WeakProbeConfig(**{"k_max": 8, **cfg.probe, "seed": cfg.seed})
-    calibration = make_calibration_cohort(synth_cfg.feature_dim, n_per_class=300, seed=cfg.seed)
+    probe_cfg = cfg.probe_config
+    calibration = make_calibration_cohort(cfg.synth_config.feature_dim, n_per_class=300, seed=cfg.seed)
     weak = weak_robust_curate(matched, calibration, probe_cfg)
     figures["probe"], tables["probe"] = emit_figure("weak_robust_curve", weak)
 

@@ -35,7 +35,7 @@ from scipy.spatial.distance import cdist
 from scipy.stats import norm
 
 from .cohort import Cohort, ParticipantRecord, SymptomProfile, make_manifest
-from .errors import EncodingMismatch, NoNegatives, OneClassOnly, RankDeficientWarning, TooFewSamples
+from .errors import ConfigError, EncodingMismatch, NoNegatives, OneClassOnly, RankDeficientWarning, TooFewSamples
 from .metrics import ScoredLabels, auc, uar
 from .rngs import substream
 
@@ -224,12 +224,13 @@ class WeakProbeConfig:
     nn_min_distinct_fraction: float = 0.10
 
     def __post_init__(self):
+        """Raise ``ConfigError`` naming the first field out of its range."""
         if self.k_max < 1:
-            raise ValueError("k_max must be >= 1")
+            raise ConfigError("k_max", "must be >= 1")
         if not (0.5 < self.calibration_uar_threshold < 1.0):
-            raise ValueError("calibration threshold must lie in (0.5, 1)")
+            raise ConfigError("calibration_uar_threshold", "must lie in (0.5, 1)")
         if self.distance not in ("euclidean", "manhattan"):
-            raise ValueError("distance must be euclidean or manhattan")
+            raise ConfigError("distance", "must be euclidean or manhattan")
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,6 @@ def _fmt(x: float) -> str:
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     step = (hi - lo) / (n - 1)
     return [lo + i * step for i in range(n)]
 
@@ -39,6 +37,8 @@ class _Canvas:
     """Minimal line/scatter chart builder in data coordinates."""
 
     def __init__(self, xlim, ylim, title="", xlabel="", ylabel=""):
+        # an empty axis range (one k, one prevalence) is widened to one unit
+        xlim, ylim = ((lo, hi if hi > lo else lo + 1.0) for lo, hi in (xlim, ylim))
         self.xlim = xlim
         self.ylim = ylim
         self.parts: list[str] = []

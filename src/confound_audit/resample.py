@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .cohort import Cohort, child_manifest
-from .errors import InsufficientPool
+from .errors import ConfigError, InsufficientPool
 from .matching import MatchSpec, stratum_keyer, stratum_label, stratum_order
 from .rngs import substream
 
@@ -74,11 +74,14 @@ class PopulationSpec:
     equalize_age: bool = True
     seed: int = 0
 
-    def validate(self) -> None:
-        if self.n_pos < 1 or self.n_neg < 1:
-            raise ValueError("class sizes must be >= 1")
-        if not (0.0 < self.p_sym_pos < 1.0 and 0.0 < self.p_sym_neg < 1.0):
-            raise ValueError("symptomatic fractions must lie in (0, 1)")
+    def __post_init__(self):
+        """Raise ``ConfigError`` naming the first field out of its range."""
+        for name in ("n_pos", "n_neg"):
+            if getattr(self, name) < 1:
+                raise ConfigError(name, "must be >= 1")
+        for name in ("p_sym_pos", "p_sym_neg"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ConfigError(name, "must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -133,7 +136,6 @@ def resample_general_population(
     ``InsufficientPool``; otherwise the cell takes what is available and is
     flagged in the report.
     """
-    spec.validate()
     index, skipped = _pool_index(pool)
     genders = ("male", "female")
 

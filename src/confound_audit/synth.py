@@ -38,11 +38,14 @@ from .cohort import (
     make_manifest,
     symptom_profile,
 )
-from .errors import EmptyEnrolment, InvalidConfig
+from .errors import ConfigError, EmptyEnrolment
 from .matching import TEST_SET, MatchSpec, match_exact
 from .rngs import substream
 
 ENROLMENT_MODES = ("symptoms_based", "random", "matched")
+# the SynthConfig fields that are probabilities or enrolment weights
+_PROBABILITIES = ("p_sym_given_pos", "p_sym_given_neg", "flag_rate_pos", "flag_rate_neg",
+                  "w_sym_pos", "w_asym_pos", "w_sym_neg", "w_asym_neg", "random_p")
 
 # Chronic-condition base rates, independent of infection status.
 P_COPD = 0.08
@@ -91,33 +94,24 @@ class SynthConfig:
     noise_sd: float = 1.0
     seed: int = 0
 
-    def validate(self) -> None:
-        probs = [
-            self.prevalence,
-            self.p_sym_given_pos,
-            self.p_sym_given_neg,
-            self.flag_rate_pos,
-            self.flag_rate_neg,
-            self.w_sym_pos,
-            self.w_asym_pos,
-            self.w_sym_neg,
-            self.w_asym_neg,
-            self.random_p,
-        ]
+    def __post_init__(self):
+        """Raise ``ConfigError`` naming the first field out of its range."""
         if self.n_population < 1:
-            raise InvalidConfig("n_population must be >= 1")
+            raise ConfigError("n_population", "must be >= 1")
         if not (0.0 < self.prevalence < 1.0):
-            raise InvalidConfig("prevalence must lie in (0, 1)")
-        if any(not (0.0 <= p <= 1.0) for p in probs):
-            raise InvalidConfig("probabilities and enrolment weights must lie in [0, 1]")
-        if self.signal_strength < 0 or self.confounder_strength < 0:
-            raise InvalidConfig("signal/confounder strengths must be >= 0")
+            raise ConfigError("prevalence", "must lie in (0, 1)")
+        for name in _PROBABILITIES:
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(name, "must lie in [0, 1]")
+        for name in ("signal_strength", "confounder_strength"):
+            if not getattr(self, name) >= 0.0:
+                raise ConfigError(name, "must be >= 0")
         if self.feature_dim < 1:
-            raise InvalidConfig("feature_dim must be >= 1")
-        if self.noise_sd <= 0:
-            raise InvalidConfig("noise_sd must be > 0")
+            raise ConfigError("feature_dim", "must be >= 1")
+        if not self.noise_sd > 0.0:
+            raise ConfigError("noise_sd", "must be > 0")
         if self.enrolment not in ENROLMENT_MODES:
-            raise InvalidConfig(f"enrolment must be one of {ENROLMENT_MODES}")
+            raise ConfigError("enrolment", f"must be one of {', '.join(ENROLMENT_MODES)}")
 
 
 @dataclass
@@ -138,7 +132,6 @@ def covariate_loadings(cfg: SynthConfig) -> np.ndarray:
 
 def generate_population(cfg: SynthConfig) -> list[SynthRecord]:
     """Draw the latent population; nobody is enrolled yet."""
-    cfg.validate()
     rng = substream(cfg.seed, "population")
     n, d = cfg.n_population, cfg.feature_dim
     n_flags = len(ACUTE_SYMPTOM_FIELDS)
@@ -198,7 +191,6 @@ def enrol(population: list[SynthRecord], cfg: SynthConfig) -> Cohort:
     """
     if not population:
         raise EmptyEnrolment("population is empty")
-    cfg.validate()
     rng = substream(cfg.seed, "enrol")
 
     if cfg.enrolment in ("symptoms_based", "random"):

@@ -49,8 +49,9 @@ class UtilityParams:
     delta: float = 0.0
 
     def __post_init__(self):
-        if self.r_t < 0 or self.epsilon < 0 or self.delta < 0:
-            raise OutOfRange("utility parameters must be >= 0")
+        for name in ("r_t", "epsilon", "delta"):
+            if not getattr(self, name) >= 0.0:
+                raise OutOfRange(f"{name} must be >= 0")
 
 
 def utility_matrix(params: UtilityParams) -> UtilityMatrix:
@@ -114,6 +115,7 @@ class MaxEuPoint:
 
 
 def default_pi_grid(pi_max: float = 0.1, n: int = 101) -> np.ndarray:
+    _check_unit("pi_max", pi_max)
     return np.linspace(0.0, pi_max, n)
 
 

@@ -214,7 +214,6 @@ def tree_predict_from_lists(tree: dict, x: np.ndarray) -> np.ndarray:
 def generate_population_loop(cfg) -> list[SynthRecord]:
     """``synth.generate_population`` with one profile built per person and
     every field read as a numpy scalar."""
-    cfg.validate()
     rng = substream(cfg.seed, "population")
     n, d = cfg.n_population, cfg.feature_dim
     n_flags = len(ACUTE_SYMPTOM_FIELDS)
@@ -274,7 +273,6 @@ def enrol_loop(population: list[SynthRecord], cfg) -> list[str]:
     ``random``, with one scalar RNG draw per person."""
     if not population:
         raise EmptyEnrolment("population is empty")
-    cfg.validate()
     rng = substream(cfg.seed, "enrol")
     kept = []
     for sr in population:

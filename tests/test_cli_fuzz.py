@@ -1,15 +1,20 @@
 """Fuzz the command line in-process.
 
-Each example cuts up to 60 rows out of a scored synthetic cohort, writes
-them as a participants CSV, a features CSV and an ``id,score`` CSV, spoils up
-to two cells, cuts a copy of the features to fewer columns (down to none) and
-runs one subcommand on the files. Whatever the input, ``main`` must return
-0, 1 or 2, with a one-line message on failure, and no exception may escape.
+Each example of ``test_cli_never_raises`` cuts up to 60 rows out of a scored
+synthetic cohort, writes them as a participants CSV, a features CSV and an
+``id,score`` CSV, spoils up to two cells, cuts a copy of the features to
+fewer columns (down to none) and runs one subcommand on the files. Each
+example of ``test_cli_config_never_raises`` spoils up to two settings of a
+small valid ``report`` or ``synth`` config file and runs it. Whatever the
+input, ``main`` must return 0, 1 or 2, with a one-line message on failure,
+and no exception may escape.
 """
 
 import contextlib
+import copy
 import csv
 import io
+import json
 import os
 import tempfile
 
@@ -21,6 +26,7 @@ from hypothesis import strategies as st
 from confound_audit.cli import main
 from confound_audit.cohort import write_cohort, write_features
 from confound_audit.forest import hybrid_features
+from confound_audit.pipeline import DEFAULTS, RunConfig, field_defaults
 from confound_audit.synth import SynthConfig, generate_cohort
 
 BAD_CELLS = ("", "x", "-1", "2", "nan", "inf", "1e400", " ")
@@ -123,3 +129,44 @@ def test_cli_never_raises(base, picks, edits, width, command):
     assert code in (0, 1, 2)
     if code:
         assert err.count("\n") == 1
+
+
+# small valid configs, so that the examples that run to the end stay cheap
+RUN = {"seed": 1, "n_trees": 3, "synth": {"n_population": 1500, "feature_dim": 4}, "metrics": {"min_per_class": 3}}
+SYNTH = {"n_population": 1500, "feature_dim": 4}
+# wrong types (bools and non-objects included), out-of-range and in-range values
+BAD_VALUES = (None, True, False, -1, 0, 1, 2, -0.5, 0.5, 1.5, float("inf"), float("nan"), "x", "", [], {}, [1])
+# where a spoil goes: (section, or None for the top level; key), "bogus" being no key
+REPORT_PLACES = tuple((None, key) for key in (*field_defaults(RunConfig), *DEFAULTS, "bogus")) + tuple(
+    (section, key) for section, keys in DEFAULTS.items() for key in (*keys, "bogus")
+)
+SYNTH_PLACES = tuple((None, key) for key in (*field_defaults(SynthConfig), "bogus"))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    command=st.sampled_from(("report", "synth")),
+    # (place index, value)
+    spoils=st.lists(st.tuples(st.integers(min_value=0), st.sampled_from(BAD_VALUES)), min_size=1, max_size=2),
+)
+# the two tracebacks this test first found: a figure axis of one k, and one of one prevalence
+@example(command="report", spoils=[(REPORT_PLACES.index(("probe", "k_max")), 1)])
+@example(command="report", spoils=[(REPORT_PLACES.index(("utility", "pi_max")), 0)])
+def test_cli_config_never_raises(command, spoils):
+    config, places = (copy.deepcopy(RUN), REPORT_PLACES) if command == "report" else (dict(SYNTH), SYNTH_PLACES)
+    for place, value in spoils:
+        section, key = places[place % len(places)]
+        target = config if section is None else config.setdefault(section, {})
+        if isinstance(target, dict):  # not a section an earlier spoil replaced
+            target[key] = copy.deepcopy(value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "config.json"), os.path.join(tmp, "out")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        if command == "report":
+            code, err = _run(["report", "--config", path, "--out-dir", out])
+        else:
+            code, err = _run(["synth", "--config", path, "--out", out])
+    assert code in (0, 1, 2)
+    if code:
+        assert err.count("\n") == 1 and "Traceback" not in err

@@ -416,6 +416,13 @@ def test_bh_monotone_in_q():
         assert all(l or not s for s, l in zip(small, large))
 
 
+def test_bh_checks_q_before_empty_input():
+    assert bh_fdr([], 0.05) == []
+    for q in (0.0, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="q must lie"):
+            bh_fdr([], q)
+
+
 # -- stratified AUC ---------------------------------------------------------------------
 
 

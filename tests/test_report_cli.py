@@ -101,6 +101,15 @@ def test_pipeline_rejects_unknown_keys():
     {"utility": {"r_t": "x"}},
     {"probe": {"k_max": "x"}},
     {"metrics": {"fdr": "x"}},
+    # values out of range, each refused when the config is built
+    {"metrics": {"fdr": 2}},
+    {"metrics": {"min_per_class": 0}},
+    {"synth": {"prevalence": 2}},
+    {"utility": {"r_t": -1}},
+    {"utility": {"pi_max": 2}},
+    {"probe": {"distance": "cosine"}},
+    {"utility": {"r_t": float("inf")}},
+    {"synth": {"noise_sd": float("nan")}},
 ])
 def test_pipeline_rejects_ignored_or_invalid_settings(data):
     with pytest.raises(ConfigError):
@@ -305,6 +314,19 @@ def test_cli_report_manifest_rerun_byte_identical(tmp_path, capsys):
         assert (out1 / name).read_bytes() == (out3 / name).read_bytes()
 
 
+def test_cli_report_writes_to_config_out_dir(tmp_path, monkeypatch):
+    # report writes to the config's out_dir unless --out-dir is given
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text(json.dumps({
+        "out_dir": "from-config", "seed": 2, "n_trees": 3, "synth": {"n_population": 1500, "feature_dim": 4},
+        "metrics": {"min_per_class": 3},
+    }))
+    assert main(["report", "--config", "run.json"]) == 0
+    assert main(["report", "--manifest", "from-config/manifest.json", "--out-dir", "given"]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["from-config", "given", "run.json"]
+    assert (tmp_path / "from-config" / "roc.csv").read_bytes() == (tmp_path / "given" / "roc.csv").read_bytes()
+
+
 def test_cli_invalid_config_key_exit_2(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"n_treees": 10}))
@@ -390,10 +412,17 @@ def test_cli_runtime_error_exit_1(tmp_path, capsys):
     (["report", "--config", "{notjson}", "--out-dir", "{out}"], 2, "is not valid JSON"),
     (["report", "--manifest", "{notjson}", "--out-dir", "{out}"], 2, "is not valid JSON"),
     (["synth", "--config", "{ntrees}", "--out", "{out}"], 2, "bad configuration key 'n_trees'"),
+    # config values out of range, refused before any work
+    (["report", "--config", "{fdr2}", "--out-dir", "{out}"], 2, "'metrics.fdr': must lie in (0, 1)"),
+    (["report", "--config", "{prevalence2}", "--out-dir", "{out}"], 2, "'synth.prevalence': must lie in (0, 1)"),
+    (["report", "--config", "{rtneg}", "--out-dir", "{out}"], 2, "'utility': r_t must be >= 0"),
+    (["report", "--config", "{pimax2}", "--out-dir", "{out}"], 2, "'utility': pi_max must lie in [0, 1]"),
+    (["synth", "--config", "{synthprev}", "--out", "{out}"], 2, "'prevalence': must lie in (0, 1)"),
 ])
 def test_cli_errors_exit_with_one_line(tmp_path, capsys, argv, code, message):
     names = ("pool", "short", "word", "noscore", "nan", "above", "repeat", "nanfeat", "blankflag", "badroc", "badjson",
-             "model", "badmodel", "nolevels", "feat", "unscored", "blanklabel", "fewneg", "header", "missing", "feat3", "featid", "ntrees", "synthnum", "synthcfg", "notjson", "out")
+             "model", "badmodel", "nolevels", "feat", "unscored", "blanklabel", "fewneg", "header", "missing", "feat3", "featid", "ntrees", "synthnum", "synthcfg", "notjson",
+             "fdr2", "prevalence2", "rtneg", "pimax2", "synthprev", "out")
     paths = {name: str(tmp_path / name) for name in names}
     _write_pool(paths["pool"], n=60)
     with open(paths["pool"], encoding="utf-8") as fh:
@@ -438,6 +467,11 @@ def test_cli_errors_exit_with_one_line(tmp_path, capsys, argv, code, message):
         "synthnum": '{"synth": 5}',
         "synthcfg": '{"n_population": "x"}',
         "notjson": '{"n_trees": ',
+        "fdr2": '{"metrics": {"fdr": 2}}',
+        "prevalence2": '{"synth": {"prevalence": 2}}',
+        "rtneg": '{"utility": {"r_t": -1}}',
+        "pimax2": '{"utility": {"pi_max": 2}}',
+        "synthprev": '{"prevalence": 2}',
     }
     for name, text in files.items():
         with open(paths[name], "w", encoding="utf-8") as fh:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from confound_audit.errors import EmptyEnrolment, InvalidConfig
+from confound_audit.errors import ConfigError, EmptyEnrolment
 from confound_audit.matching import stratum_keyer, TEST_SET, MatchSpec
 from confound_audit.metrics import ScoredLabels, auc, table_2x2_stats
 from confound_audit.synth import SynthConfig, enrol, generate_cohort, generate_population
@@ -16,14 +16,11 @@ def phi_label_vs_any(cohort):
 
 
 def test_invalid_configs():
-    with pytest.raises(InvalidConfig):
-        SynthConfig(prevalence=0.0).validate()
-    with pytest.raises(InvalidConfig):
-        SynthConfig(w_sym_pos=1.5).validate()
-    with pytest.raises(InvalidConfig):
-        SynthConfig(noise_sd=0.0).validate()
-    with pytest.raises(InvalidConfig):
-        SynthConfig(enrolment="snowball").validate()
+    # a config checks itself when it is built and names the bad field
+    for key, value in (("prevalence", 0.0), ("w_sym_pos", 1.5), ("noise_sd", 0.0), ("enrolment", "snowball")):
+        with pytest.raises(ConfigError) as err:
+            SynthConfig(**{key: value})
+        assert err.value.key == key
 
 
 def test_determinism():
