@@ -23,6 +23,7 @@ from confound_audit import (
     UtilityParams,
     auc_ci,
     build_encoding,
+    default_pi_grid,
     encode_cohort,
     fit_forest,
     generate_cohort,
@@ -93,7 +94,7 @@ def main():
 
     params = UtilityParams(r_t=1.5, epsilon=0.2, delta=0.0)
     curves = [
-        {"name": e["name"], "points": max_eu_curve(e["roc"], params)} for e in entries
+        {"name": e["name"], "points": max_eu_curve(e["roc"], params, default_pi_grid())} for e in entries
     ]
     svg, csv_text = emit_figure(
         "max_eu_vs_prevalence", curves,

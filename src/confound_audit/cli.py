@@ -23,7 +23,7 @@ from .cohort import (
     write_cohort,
     write_features,
 )
-from .errors import BadValue, ConfigError, ConfoundAuditError, MissingColumn, TooFewRecords
+from .errors import BadValue, ConfigError, ConfoundAuditError, MissingColumn, OutOfRange, TooFewRecords
 from .forest import (
     DEFAULT_SYMPTOM_PREDICTORS,
     hybrid_features,
@@ -36,7 +36,7 @@ from .matching import TEST_SET, TRAIN_SET, MatchSpec, match_exact, stratum_order
 from .metrics import RocCurve, ScoredLabels, StrataConfig, auc_ci, pr_auc, roc_curve, stratified_auc, uar
 from .pipeline import RunConfig, build_section, field_defaults, read_config, run_from_manifest, run_pipeline
 from .probes import WeakProbeConfig, make_calibration_cohort, nn_substitute, weak_robust_curate
-from .report import write_json
+from .report import write_csv, write_json
 from .resample import PopulationSpec, resample_general_population
 from .synth import SynthConfig, enrol, generate_population
 from .utility import UtilityParams, default_pi_grid, max_eu_curve
@@ -85,14 +85,6 @@ def _read_score_map(path: str) -> dict[str, float]:
     return out
 
 
-def _write_score_csv(path: str, ids, scores) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "score"])
-        for rid, s in zip(ids, scores):
-            writer.writerow([rid, repr(float(s))])
-
-
 # -- subcommand handlers ------------------------------------------------------------
 
 
@@ -107,18 +99,12 @@ def cmd_synth(args) -> int:
     if args.features:
         write_features(cohort, args.features)
     if args.truth:
-        with open(args.truth, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["id", "label", "any_symptom", "latent_signal", "enrolled"])
-            enrolled = set(cohort.ids())
-            for sr in population:
-                writer.writerow([
-                    sr.record.id,
-                    sr.record.label,
-                    int(sr.record.symptoms.any_symptom),
-                    repr(sr.latent_signal),
-                    int(sr.record.id in enrolled),
-                ])
+        enrolled = set(cohort.ids())
+        write_csv(args.truth, ["id", "label", "any_symptom", "latent_signal", "enrolled"], (
+            [sr.record.id, sr.record.label, int(sr.record.symptoms.any_symptom), sr.latent_signal,
+             int(sr.record.id in enrolled)]
+            for sr in population
+        ))
     _write_manifest(args, {"n_enrolled": len(cohort)})
     print(f"enrolled {len(cohort)} of {cfg.n_population} -> {args.out}")
     return 0
@@ -131,7 +117,7 @@ def _match_spec(args) -> MatchSpec:
     else:
         covs = TEST_SET if args.preset == "test" else TRAIN_SET
     include_channel = not args.no_channel and args.preset != "train"
-    return MatchSpec(covariates=covs, include_channel=include_channel, seed=args.seed or 0)
+    return MatchSpec(covariates=covs, include_channel=include_channel, seed=getattr(args, "seed", None) or 0)
 
 
 def cmd_match(args) -> int:
@@ -264,39 +250,35 @@ def _read_roc(path: str) -> RocCurve:
 
 
 def cmd_utility(args) -> int:
-    roc = _read_roc(args.roc)
-    params = UtilityParams(r_t=args.rt, epsilon=args.eps, delta=args.delta)
-    points = max_eu_curve(roc, params, default_pi_grid(args.pi_max))
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["pi", "max_eu", "sensitivity", "specificity", "threshold"])
-        for p in points:
-            writer.writerow([repr(p.pi), repr(p.max_eu), repr(p.sensitivity), repr(p.specificity), repr(p.threshold)])
+    try:
+        params = UtilityParams(r_t=args.rt, epsilon=args.eps, delta=args.delta)
+        grid = default_pi_grid(args.pi_max)
+    except OutOfRange as exc:
+        raise ConfigError("utility", str(exc)) from None
+    points = max_eu_curve(_read_roc(args.roc), params, grid)
+    write_csv(args.out, ["pi", "max_eu", "sensitivity", "specificity", "threshold"], (
+        [p.pi, p.max_eu, p.sensitivity, p.specificity, p.threshold] for p in points
+    ))
     _write_manifest(args)
     print(f"max-EU curve -> {args.out}")
     return 0
 
 
-def _probe_inputs(args) -> tuple[Cohort, WeakProbeConfig]:
-    cfg = WeakProbeConfig(
-        k_max=args.kmax,
-        calibration_uar_threshold=args.threshold,
-        seed=args.seed or 0,
-        distance=args.distance,
-    )
+def _probe_cohort(args) -> Cohort:
     matched = _load_scored_cohort(args.matched, args.features)
     if args.scores:
         matched = hybrid_features(matched, _read_score_map(args.scores))
-    return matched, cfg
+    return matched
 
 
 def cmd_probe_weak(args) -> int:
-    matched, cfg = _probe_inputs(args)
+    cfg = WeakProbeConfig(k_max=args.kmax, calibration_uar_threshold=args.threshold)
+    matched = _probe_cohort(args)
     if args.calib:
         calibration = _load_scored_cohort(args.calib, args.calib_features)
     else:
         dim = matched.feature_matrix().shape[1]
-        calibration = make_calibration_cohort(dim, n_per_class=300, seed=cfg.seed)
+        calibration = make_calibration_cohort(dim, n_per_class=300, seed=args.seed or 0)
     result = weak_robust_curate(matched, calibration, cfg)
     write_json(args.out, result.to_dict())
     _write_manifest(args, {"tau": result.tau})
@@ -305,8 +287,7 @@ def cmd_probe_weak(args) -> int:
 
 
 def cmd_probe_nn(args) -> int:
-    matched, cfg = _probe_inputs(args)
-    result = nn_substitute(matched, cfg)
+    result = nn_substitute(_probe_cohort(args), WeakProbeConfig(distance=args.distance))
     write_json(args.out, result.to_dict())
     _write_manifest(args, {"post_auc": result.post_auc})
     print(
@@ -343,8 +324,7 @@ def cmd_baseline_predict(args) -> int:
     with open(args.model, encoding="utf-8") as fh:
         model = model_from_json(fh.read())
     cohort = _load_scored_cohort(getattr(args, "in"), args.features)
-    scores = predict_proba(model, cohort)
-    _write_score_csv(args.out, cohort.ids(), scores)
+    write_csv(args.out, ["id", "score"], zip(cohort.ids(), predict_proba(model, cohort).tolist()))
     _write_manifest(args)
     print(f"scored {len(cohort)} records -> {args.out}")
     return 0
@@ -352,6 +332,8 @@ def cmd_baseline_predict(args) -> int:
 
 def cmd_report(args) -> int:
     if args.manifest:
+        if args.config or args.seed is not None:
+            raise ConfigError("manifest", "a manifest replays its own config and seed; drop --config and --seed")
         bundle = run_from_manifest(args.manifest)
     else:
         data = read_config(args.config) if args.config else {}
@@ -376,8 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"confound-audit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=None)
+    def common(p, seed=True):
+        """``--manifest-out``, and ``--seed`` where the subcommand draws."""
+        if seed:
+            p.add_argument("--seed", type=int, default=None)
         p.add_argument("--manifest-out", default=None)
 
     p = sub.add_parser("synth", help="generate a synthetic cohort")
@@ -423,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-per-class", type=int, default=10)
     p.add_argument("--fdr", type=float, default=0.05)
     p.add_argument("--out", required=True)
-    common(p)
+    common(p, seed=False)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("utility", help="max expected utility over a ROC curve")
@@ -434,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--pi-max", type=float, default=0.1)
     p.add_argument("--out", required=True)
-    common(p)
+    common(p, seed=False)
     p.set_defaults(func=cmd_utility)
 
     probe = sub.add_parser("probe", help="unmeasured-confounder probes")
@@ -444,20 +428,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--matched", required=True)
         p.add_argument("--features", default=None)
         p.add_argument("--scores", default=None, help="CSV id,score overriding the cohort's scores")
-        p.add_argument("--kmax", type=int, default=10)
-        p.add_argument("--threshold", type=float, default=0.8)
-        p.add_argument("--distance", choices=("euclidean", "manhattan"), default="euclidean")
         p.add_argument("--out", required=True)
-        common(p)
 
     p = probe_sub.add_parser("weak", help="weak-model curation probe")
     probe_common(p)
+    p.add_argument("--kmax", type=int, default=10)
+    p.add_argument("--threshold", type=float, default=0.8, help="calibration UAR that sets tau")
     p.add_argument("--calib", default=None, help="calibration cohort CSV (default: synthetic task)")
     p.add_argument("--calib-features", default=None)
+    common(p)
     p.set_defaults(func=cmd_probe_weak)
 
     p = probe_sub.add_parser("nn", help="nearest-neighbour substitution probe")
     probe_common(p)
+    p.add_argument("--distance", choices=("euclidean", "manhattan"), default="euclidean")
+    common(p, seed=False)
     p.set_defaults(func=cmd_probe_nn)
 
     baseline = sub.add_parser("baseline", help="symptoms/demographics classifier")
@@ -478,12 +463,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", required=True)
     p.add_argument("--features", default=None)
     p.add_argument("--out", required=True)
-    common(p)
+    common(p, seed=False)
     p.set_defaults(func=cmd_baseline_predict)
 
     p = sub.add_parser("report", help="run a full pipeline and emit figures")
     p.add_argument("--config", default=None, help="JSON run configuration")
-    p.add_argument("--manifest", default=None, help="rerun from an emitted manifest")
+    p.add_argument("--manifest", default=None, help="rerun from an emitted manifest (not with --config or --seed)")
     p.add_argument("--out-dir", default=None, help="output directory (default: the config's out_dir)")
     common(p)
     p.set_defaults(func=cmd_report)

@@ -565,8 +565,9 @@ _MODEL_KEYS = ("n_trees", "seed", "m_try", "oob_accuracy", "trees")
 def _tree_from_json(t: int, tree) -> dict:
     """Tree ``t`` of a model file as node arrays, checked so that every
     route ends at a leaf: the ``TREE_ARRAYS`` fields all present with one
-    length, each inner node's children after it and inside the tree, and
-    each leaf's ``leaf_frac`` in [0, 1]."""
+    length, the integer fields JSON integers, every threshold finite, each
+    inner node's children after it and inside the tree, and each leaf's
+    ``leaf_frac`` in [0, 1]."""
     if not isinstance(tree, dict):
         raise EncodingMismatch(f"model tree {t} is not a JSON object")
     arrays = {}
@@ -579,12 +580,17 @@ def _tree_from_json(t: int, tree) -> dict:
             raise EncodingMismatch(f"model tree {t} has a non-numeric {name!r}") from None
         if arrays[name].ndim != 1:
             raise EncodingMismatch(f"model tree {t} has a {name!r} that is not a list")
+        # a cast to int would truncate 0.5 to 0
+        if dtype is int and not all(type(v) is int for v in tree[name]):
+            raise EncodingMismatch(f"model tree {t} has a non-integer {name!r}")
     n = arrays["feature"].size
     if n == 0:
         raise EncodingMismatch(f"model tree {t} has no nodes")
     for name, a in arrays.items():
         if a.size != n:
             raise EncodingMismatch(f"model tree {t} has {a.size} {name!r} entries for {n} nodes")
+    if not np.isfinite(arrays["threshold"]).all():
+        raise EncodingMismatch(f"model tree {t} has a 'threshold' that is not finite")
     inner = np.flatnonzero(arrays["feature"] >= 0)
     for name in ("left", "right"):
         child = arrays[name][inner]
@@ -627,7 +633,7 @@ def model_from_json(text: str) -> TreeEnsemble:
                 vector_dim=int(e["vector_dim"]),
                 dropped=tuple(e["dropped"]),
             )
-    except (AttributeError, KeyError, TypeError, ValueError):
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError):
         raise EncodingMismatch("model file has a malformed 'seed', 'm_try' or 'encoding'") from None
     return TreeEnsemble(
         n_trees=len(trees),

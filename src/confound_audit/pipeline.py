@@ -33,7 +33,7 @@ from .metrics import (
     table_2x2_stats,
 )
 from .probes import WeakProbeConfig, make_calibration_cohort, nn_substitute, weak_robust_curate
-from .report import ReportBundle, emit_figure, _csv_text
+from .report import ReportBundle, csv_text, emit_figure
 from .synth import SynthConfig, generate_cohort
 from .utility import UtilityParams, default_pi_grid, max_eu_curve
 
@@ -197,7 +197,7 @@ def bias_demo(cfg: RunConfig) -> ReportBundle:
     figures["probe"], tables["probe"] = emit_figure("weak_robust_curve", weak)
 
     nn = nn_substitute(matched, probe_cfg)
-    tables["nn_probe"] = _csv_text(
+    tables["nn_probe"] = csv_text(
         ["name", "value"],
         [
             ["pre_auc", nn.pre_auc],
@@ -215,7 +215,7 @@ def bias_demo(cfg: RunConfig) -> ReportBundle:
     bins, ece = calibration_bins(np.clip(test_scores, 0, 1), test.labels())
     figures["calibration"], tables["calibration"] = emit_figure("calibration", bins, ece)
 
-    tables["balance"] = _csv_text(
+    tables["balance"] = csv_text(
         ["stratum", "n_pos_in", "n_neg_in", "n_kept_per_class"],
         [[stratum_label(s.key), s.n_pos_in, s.n_neg_in, s.n_kept_per_class] for s in balance.strata],
     )

@@ -14,8 +14,8 @@ class or from variation that also lives among negatives:
   classifier loses on the curated set for k <= tau is attributed to
   confounding rather than to class signal.
 
-* Nearest-neighbour substitution: replace each positive record's features and
-  score with those of its nearest negative neighbour. Accuracy that survives
+* Nearest-neighbour substitution: give each positive record the score of its
+  nearest negative neighbour in feature space. Accuracy that survives
   the substitution lives inside the negative-class feature span and is
   attributed to unmatched or unmeasured confounders, provided the chosen
   neighbours are many distinct records.
@@ -358,9 +358,9 @@ def weak_robust_curate(matched: Cohort, calibration: Cohort, cfg: WeakProbeConfi
     )
 
 
-def nn_substitute(matched: Cohort, cfg: WeakProbeConfig, rescore=None) -> ProbeResult:
-    """Replace each positive record's features/score with its nearest
-    negative neighbour's, then re-evaluate.
+def nn_substitute(matched: Cohort, cfg: WeakProbeConfig) -> ProbeResult:
+    """Give each positive record the score of its nearest negative
+    neighbour, then re-evaluate.
 
     Distances are computed in feature space with the configured metric; ties
     resolve to the lowest record index. Negative records are untouched. The
@@ -383,15 +383,9 @@ def nn_substitute(matched: Cohort, cfg: WeakProbeConfig, rescore=None) -> ProbeR
         d = cdist(x[block], x[neg_idx], metric=metric)
         nearest[start : start + chunk] = np.argmin(d, axis=1)
 
-    if rescore is None:
-        pre_scores = matched.scores()
-        post_scores = pre_scores.copy()
-        post_scores[pos_idx] = pre_scores[neg_idx[nearest]]
-    else:
-        substituted = x.copy()
-        substituted[pos_idx] = x[neg_idx[nearest]]
-        pre_scores = np.asarray(rescore(x), dtype=float)
-        post_scores = np.asarray(rescore(substituted), dtype=float)
+    pre_scores = matched.scores()
+    post_scores = pre_scores.copy()
+    post_scores[pos_idx] = pre_scores[neg_idx[nearest]]
 
     pre_auc = auc(ScoredLabels(pre_scores, y))
     post_auc = auc(ScoredLabels(post_scores, y))
@@ -414,23 +408,18 @@ def nn_substitute(matched: Cohort, cfg: WeakProbeConfig, rescore=None) -> ProbeR
 # -- default calibration task ------------------------------------------------------
 
 
-def make_calibration_cohort(
-    feature_dim: int,
-    n_per_class: int = 200,
-    seed: int = 0,
-    bayes_accuracy: float = 0.99,
-) -> Cohort:
+def make_calibration_cohort(feature_dim: int, n_per_class: int = 200, seed: int = 0) -> Cohort:
     """Synthetic easy two-class task in the given feature space.
 
     The classes are unit-variance Gaussians separated along one random
-    direction by 2 * Phi^{-1}(bayes_accuracy), so an unconstrained linear
-    classifier reaches the requested accuracy at full dimension while a
-    rank-limited one must recover the direction first.
+    direction by 2 * Phi^{-1}(0.99), so an unconstrained linear classifier
+    reaches 99% accuracy at full dimension while a rank-limited one must
+    recover the direction first.
     """
     rng = substream(seed, "calibration")
     direction = rng.normal(size=feature_dim)
     direction /= np.linalg.norm(direction)
-    separation = 2.0 * norm.ppf(bayes_accuracy)
+    separation = 2.0 * norm.ppf(0.99)
     records = []
     for c in (0, 1):
         centre = (separation / 2.0) * direction * (1.0 if c == 1 else -1.0)
@@ -449,5 +438,5 @@ def make_calibration_cohort(
             )
     return Cohort(
         records=tuple(records),
-        manifest=make_manifest(f"calibration(seed={seed})", step="calibration", bayes_accuracy=bayes_accuracy),
+        manifest=make_manifest(f"calibration(seed={seed})", step="calibration"),
     )

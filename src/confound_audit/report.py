@@ -153,7 +153,9 @@ def _esc(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def csv_text(header: list[str], rows) -> str:
+    """One CSV table, floats written by ``repr`` (rows hold Python floats:
+    numpy 2 spells ``repr`` of ``np.float64(x)`` with its type name)."""
     buf = io.StringIO()
     writer = _csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -189,7 +191,7 @@ def roc_comparison(curves: list[dict], title: str = "ROC comparison") -> tuple[s
         for t, se, sp in zip(roc.thresholds, roc.sensitivities, roc.specificities):
             rows.append([spec["name"], float(t), float(se), float(sp)])
     canvas.legend(legend)
-    return canvas.render(), _csv_text(["curve", "threshold", "sensitivity", "specificity"], rows)
+    return canvas.render(), csv_text(["curve", "threshold", "sensitivity", "specificity"], rows)
 
 
 def max_eu_vs_prevalence(curves: list[dict], title: str = "Maximum expected utility") -> tuple[str, str]:
@@ -214,7 +216,7 @@ def max_eu_vs_prevalence(curves: list[dict], title: str = "Maximum expected util
         for p in pts:
             rows.append([c["name"], p.pi, p.max_eu, p.sensitivity, p.specificity, p.threshold])
     canvas.legend(legend)
-    return canvas.render(), _csv_text(
+    return canvas.render(), csv_text(
         ["curve", "pi", "max_eu", "sensitivity", "specificity", "threshold"], rows
     )
 
@@ -238,7 +240,7 @@ def stratified_forest(strata: list, reference: float = 0.62,
             float(s.ci.lower), float(s.ci.upper), s.mwu_p, int(s.fdr_reject),
         ])
     canvas.legend([(f"reference {_fmt(reference)} (dashed)", "#333333")])
-    return canvas.render(), _csv_text(
+    return canvas.render(), csv_text(
         ["stratum", "n_pos", "n_neg", "auc", "ci_lower", "ci_upper", "mwu_p", "fdr_reject"], rows
     )
 
@@ -256,7 +258,7 @@ def calibration_figure(bins: list, ece: float, title: str = "Calibration") -> tu
         canvas.point(b.mean_score, b.frac_positive, PALETTE[0])
     canvas.legend([(f"ECE={_fmt(ece)}", PALETTE[0])])
     rows = [[b.mean_score, b.frac_positive, b.count] for b in bins]
-    return canvas.render(), _csv_text(["mean_score", "frac_positive", "count"], rows)
+    return canvas.render(), csv_text(["mean_score", "frac_positive", "count"], rows)
 
 
 def weak_robust_curve(result, title: str = "Weak-model curation") -> tuple[str, str]:
@@ -286,7 +288,7 @@ def weak_robust_curve(result, title: str = "Weak-model curation") -> tuple[str, 
             result.removed_ids_per_k, result.curated_auc_per_k, result.curated_size_per_k,
         )
     ]
-    return canvas.render(), _csv_text(
+    return canvas.render(), csv_text(
         ["k", "weak_uar_matched", "weak_uar_calibration", "n_removed", "curated_auc", "curated_size"],
         rows,
     )
@@ -324,7 +326,7 @@ def two_by_two(table, stats, title: str = "Symptoms vs status") -> tuple[str, st
         ["specificity", stats.specificity],
         ["auc", stats.auc],
     ]
-    return canvas.render(), _csv_text(["name", "value"], rows)
+    return canvas.render(), csv_text(["name", "value"], rows)
 
 
 _FIGURE_KINDS = {
@@ -359,6 +361,11 @@ class ReportBundle:
             with open(os.path.join(outdir, name + ".csv"), "w", encoding="utf-8") as fh:
                 fh.write(text)
         write_json(os.path.join(outdir, "manifest.json"), self.manifest, sort_keys=True)
+
+
+def write_csv(path: str, header: list[str], rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(csv_text(header, rows))
 
 
 def write_json(path: str, payload, sort_keys: bool = False) -> None:

@@ -119,7 +119,7 @@ def default_pi_grid(pi_max: float = 0.1, n: int = 101) -> np.ndarray:
     return np.linspace(0.0, pi_max, n)
 
 
-def max_eu_curve(roc: RocCurve, params: UtilityParams, pi_grid=None) -> list[MaxEuPoint]:
+def max_eu_curve(roc: RocCurve, params: UtilityParams, pi_grid) -> list[MaxEuPoint]:
     """Point-wise maximum expected utility over a curve's operating points.
 
     At each prevalence the pick is the point of highest EU; ties in EU go to
@@ -129,8 +129,6 @@ def max_eu_curve(roc: RocCurve, params: UtilityParams, pi_grid=None) -> list[Max
     """
     if roc.thresholds.size == 0:
         raise EmptyCurve("ROC curve has no operating points")
-    if pi_grid is None:
-        pi_grid = default_pi_grid()
     u = utility_matrix(params)
     sens = roc.sensitivities
     spec = roc.specificities

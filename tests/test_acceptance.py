@@ -19,7 +19,7 @@ from confound_audit.cohort import (
     make_manifest,
     split_cohort,
 )
-from confound_audit.forest import build_encoding, encode_cohort, fit_forest
+from confound_audit.forest import build_encoding, encode_cohort, fit_forest, hybrid_features
 from confound_audit.matching import TEST_SET, TRAIN_SET, MatchSpec, match_exact, stratum_keyer
 from confound_audit.metrics import (
     ScoredLabels,
@@ -267,9 +267,8 @@ def test_criterion_07_nn_probe():
         matched, _ = match_exact(
             test, MatchSpec(covariates=("any_symptom",), include_channel=False, seed=seed)
         )
-        result = nn_substitute(
-            matched, WeakProbeConfig(seed=seed), rescore=lambda x: _sigmoid(linear.decision(x))
-        )
+        matched = hybrid_features(matched, _sigmoid(linear.decision(matched.feature_matrix())))
+        result = nn_substitute(matched, WeakProbeConfig(seed=seed))
         posts.append(result.post_auc)
         hits += result.post_auc > 0.55 and result.attribution_flag
     print("  confounded post-AUCs:", [round(p, 3) for p in posts])
@@ -282,9 +281,8 @@ def test_criterion_07_nn_probe():
         train = _orthogonal_signal_cohort(rng, 300, 16, 2.0, "tr")
         test = _orthogonal_signal_cohort(rng, 250, 16, 2.0, "te")
         linear = train_weak_linear(train.feature_matrix(), train.labels())
-        result = nn_substitute(
-            test, WeakProbeConfig(seed=seed), rescore=lambda x: _sigmoid(linear.decision(x))
-        )
+        test = hybrid_features(test, _sigmoid(linear.decision(test.feature_matrix())))
+        result = nn_substitute(test, WeakProbeConfig(seed=seed))
         null_posts.append(result.post_auc)
     print("  true-signal post-AUCs:", [round(p, 3) for p in null_posts])
     assert 0.45 <= np.mean(null_posts) <= 0.55

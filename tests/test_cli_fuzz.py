@@ -5,9 +5,13 @@ synthetic cohort, writes them as a participants CSV, a features CSV and an
 ``id,score`` CSV, spoils up to two cells, cuts a copy of the features to
 fewer columns (down to none) and runs one subcommand on the files. Each
 example of ``test_cli_config_never_raises`` spoils up to two settings of a
-small valid ``report`` or ``synth`` config file and runs it. Whatever the
-input, ``main`` must return 0, 1 or 2, with a one-line message on failure,
-and no exception may escape.
+small valid ``report`` or ``synth`` config file and runs it. Each example
+of ``test_cli_model_never_raises`` spoils up to two node entries or top-level
+keys of a model file and runs ``baseline predict`` with it; each of
+``test_cli_manifest_never_raises`` drops or replaces the config block of a
+``report`` manifest, adds top-level keys or cuts the file short, and replays
+it. Whatever the input, ``main`` must return 0, 1 or 2, with a one-line
+message on failure, and no exception may escape.
 """
 
 import contextlib
@@ -25,7 +29,7 @@ from hypothesis import strategies as st
 
 from confound_audit.cli import main
 from confound_audit.cohort import write_cohort, write_features
-from confound_audit.forest import hybrid_features
+from confound_audit.forest import TREE_ARRAYS, hybrid_features
 from confound_audit.pipeline import DEFAULTS, RunConfig, field_defaults
 from confound_audit.synth import SynthConfig, generate_cohort
 
@@ -167,6 +171,96 @@ def test_cli_config_never_raises(command, spoils):
             code, err = _run(["report", "--config", path, "--out-dir", out])
         else:
             code, err = _run(["synth", "--config", path, "--out", out])
+    assert code in (0, 1, 2)
+    if code:
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# where a model spoil goes: one node of a tree's field, or a top-level key
+MODEL_PLACES = (*TREE_ARRAYS, "n_trees", "seed", "m_try", "oob_accuracy", "trees", "encoding", "bogus")
+MODEL_VALUES = BAD_VALUES + (10**6, -2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    # (place index, tree, node, value)
+    spoils=st.lists(
+        st.tuples(st.integers(min_value=0), st.integers(min_value=0), st.integers(min_value=0),
+                  st.sampled_from(MODEL_VALUES)),
+        min_size=1, max_size=2,
+    ),
+)
+# a fractional node index read as its integer part, and a NaN threshold that
+# sent every row right; both ran to exit 0
+@example(spoils=[(MODEL_PLACES.index("feature"), 0, 0, 0.5)])
+@example(spoils=[(MODEL_PLACES.index("threshold"), 0, 0, float("nan"))])
+# and the traceback this test first found: an infinite seed
+@example(spoils=[(MODEL_PLACES.index("seed"), 0, 0, float("inf"))])
+def test_cli_model_never_raises(base, spoils):
+    participants, _, sym, _ = base
+    model = json.loads(sym)
+    for place, tree, node, value in spoils:
+        name = MODEL_PLACES[place % len(MODEL_PLACES)]
+        trees = model.get("trees")
+        if name in TREE_ARRAYS:
+            if isinstance(trees, list) and trees and isinstance(trees[tree % len(trees)], dict):
+                cells = trees[tree % len(trees)][name]
+                if isinstance(cells, list) and cells:
+                    cells[node % len(cells)] = copy.deepcopy(value)
+        else:
+            model[name] = copy.deepcopy(value)
+    with tempfile.TemporaryDirectory() as tmp:
+        p, m, out = (os.path.join(tmp, name) for name in ("p.csv", "model.json", "o.csv"))
+        _write(p, participants[:21])
+        with open(m, "w", encoding="utf-8") as fh:
+            json.dump(model, fh)
+        code, err = _run(["baseline", "predict", "--model", m, "--in", p, "--out", out])
+    assert code in (0, 1, 2)
+    if code:
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def manifest():
+    """The manifest text a small ``report`` run writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "config.json"), os.path.join(tmp, "out")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(RUN, fh)
+        assert _run(["report", "--config", path, "--out-dir", out])[0] == 0
+        with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
+            return fh.read()
+
+
+# most examples replay the pipeline, so there are few of them
+@settings(max_examples=60, deadline=None)
+@given(
+    config=st.one_of(st.none(), st.just("keep"), st.sampled_from(BAD_VALUES)),
+    extra=st.dictionaries(st.sampled_from(("bogus", "threads", "seed", "out_dir", "")),
+                          st.sampled_from(BAD_VALUES), max_size=2),
+    cut=st.one_of(st.none(), st.integers(min_value=0)),
+)
+@example(config=None, extra={}, cut=None)
+@example(config=[], extra={}, cut=None)
+@example(config="keep", extra={"bogus": 1}, cut=None)
+@example(config="keep", extra={}, cut=10)
+def test_cli_manifest_never_raises(manifest, config, extra, cut):
+    """``config`` None drops the config block and "keep" keeps it; ``cut``
+    keeps that many characters of the file."""
+    payload = json.loads(manifest)
+    if config is None:
+        del payload["config"]
+    elif config != "keep":
+        payload["config"] = copy.deepcopy(config)
+    payload.update(copy.deepcopy(extra))
+    text = json.dumps(payload)
+    if cut is not None:
+        text = text[: cut % len(text)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "manifest.json"), os.path.join(tmp, "out")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        code, err = _run(["report", "--manifest", path, "--out-dir", out])
     assert code in (0, 1, 2)
     if code:
         assert err.count("\n") == 1 and "Traceback" not in err

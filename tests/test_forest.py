@@ -512,12 +512,18 @@ def _break_encoding(payload, edit):
                  "tree 0 has a leaf whose 'leaf_frac'", id="leaf-frac"),
     pytest.param(lambda p: _break_tree(p, "right", lambda a: a.__setitem__(0, "x")),
                  "tree 0 has a non-numeric 'right'", id="non-numeric"),
+    # an index of 0.5 was read as 0, and a NaN threshold sent every row right
+    pytest.param(lambda p: _break_tree(p, "feature", lambda a: a.__setitem__(0, a[0] + 0.5)),
+                 "tree 0 has a non-integer 'feature'", id="fractional-index"),
+    pytest.param(lambda p: _break_tree(p, "threshold", lambda a: a.__setitem__(0, float("nan"))),
+                 "tree 0 has a 'threshold' that is not finite", id="nan-threshold"),
     pytest.param(lambda p: json.dumps({**p, "trees": p["trees"][:1] + [{"feature": [-1]}] + p["trees"][2:]}),
                  "tree 1 lacks 'threshold'", id="missing-field"),
     pytest.param(lambda p: json.dumps({**p, "n_trees": 4}), "'n_trees'", id="n-trees"),
     pytest.param(lambda p: json.dumps({**p, "n_trees": 0, "trees": []}), "'n_trees'", id="no-trees"),
     pytest.param(lambda p: json.dumps({k: v for k, v in p.items() if k != "m_try"}), "lacks 'm_try'",
                  id="missing-key"),
+    pytest.param(lambda p: json.dumps({**p, "seed": float("inf")}), "malformed 'seed'", id="infinite-seed"),
     pytest.param(lambda p: json.dumps(p)[:200], "not valid JSON", id="truncated"),
     pytest.param(lambda p: "[1, 2]", "not a JSON object", id="not-an-object"),
     # a categorical source without levels used to raise KeyError in encode_cohort

@@ -298,7 +298,11 @@ def test_weak_robust_degenerate_model_removes_nothing():
 
 def test_weak_robust_calibration_never_passes():
     cohort = _confounded_cohort(seed=5, n_per_class=60)
-    calibration = make_calibration_cohort(8, n_per_class=100, seed=5, bayes_accuracy=0.55)
+    # labels drawn apart from the features: no weak model can solve the task
+    rng = np.random.default_rng(5)
+    calibration = make_cohort(
+        [make_record(f"cal{i}", i % 2, features=rng.normal(size=8)) for i in range(200)]
+    )
     result = weak_robust_curate(
         cohort, calibration, WeakProbeConfig(k_max=4, calibration_uar_threshold=0.95, seed=5)
     )

@@ -237,7 +237,7 @@ def test_cli_synth_probe_flow(tmp_path):
     nn_out = tmp_path / "nn.json"
     assert main([
         "probe", "nn", "--matched", str(matched), "--features", str(feats),
-        "--scores", str(scores), "--distance", "euclidean", "--seed", "3", "--out", str(nn_out),
+        "--scores", str(scores), "--distance", "euclidean", "--out", str(nn_out),
     ]) == 0
     assert json.load(open(nn_out))["post_auc"] is not None
 
@@ -338,7 +338,7 @@ def test_cli_invalid_config_key_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["resample", "--n-pos", "0", "--n-neg", "50"],
     ["resample", "--n-pos", "50", "--n-neg", "50", "--p-sym-neg", "1.5"],
-    ["probe", "nn", "--threshold", "0.3"],
+    ["probe", "weak", "--threshold", "0.3"],
     ["probe", "weak", "--kmax", "0"],
 ])
 def test_cli_rejected_arguments_exit_2(tmp_path, capsys, argv):
@@ -350,6 +350,23 @@ def test_cli_rejected_arguments_exit_2(tmp_path, capsys, argv):
     assert code == 2
     assert err.startswith("config error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# each subcommand takes only the flags it reads: these changed no output
+@pytest.mark.parametrize("argv", [
+    ["eval", "--in", "p.csv", "--out", "o", "--seed", "1"],
+    ["utility", "--roc", "r.csv", "--rt", "1.5", "--eps", "0.2", "--out", "o", "--seed", "1"],
+    ["baseline", "predict", "--model", "m.json", "--in", "p.csv", "--out", "o", "--seed", "1"],
+    ["probe", "nn", "--matched", "p.csv", "--out", "o", "--seed", "1"],
+    ["probe", "nn", "--matched", "p.csv", "--out", "o", "--kmax", "3"],
+    ["probe", "nn", "--matched", "p.csv", "--out", "o", "--threshold", "0.99"],
+    ["probe", "weak", "--matched", "p.csv", "--out", "o", "--distance", "manhattan"],
+])
+def test_cli_unread_flags_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + argv[-2] in capsys.readouterr().err
 
 
 def test_cli_runtime_error_exit_1(tmp_path, capsys):
@@ -418,11 +435,27 @@ def test_cli_runtime_error_exit_1(tmp_path, capsys):
     (["report", "--config", "{rtneg}", "--out-dir", "{out}"], 2, "'utility': r_t must be >= 0"),
     (["report", "--config", "{pimax2}", "--out-dir", "{out}"], 2, "'utility': pi_max must lie in [0, 1]"),
     (["synth", "--config", "{synthprev}", "--out", "{out}"], 2, "'prevalence': must lie in (0, 1)"),
+    (["utility", "--roc", "{roc}", "--rt", "-1", "--eps", "0.2", "--out", "{out}"], 2, "'utility': r_t must be >= 0"),
+    (["utility", "--roc", "{roc}", "--rt", "1.5", "--eps", "0.2", "--delta", "-0.5", "--out", "{out}"], 2,
+     "'utility': delta must be >= 0"),
+    (["utility", "--roc", "{roc}", "--rt", "1.5", "--eps", "0.2", "--pi-max", "2", "--out", "{out}"], 2,
+     "'utility': pi_max must lie in [0, 1], got 2.0"),
+    (["utility", "--roc", "{roc}", "--rt", "1.5", "--eps", "0.2", "--pi-max", "nan", "--out", "{out}"], 2,
+     "'utility': pi_max must lie in [0, 1], got nan"),
+    # a manifest replays its own config and seed
+    (["report", "--manifest", "{notjson}", "--config", "{ntrees}", "--out-dir", "{out}"], 2,
+     "drop --config and --seed"),
+    (["report", "--manifest", "{notjson}", "--seed", "1", "--out-dir", "{out}"], 2, "drop --config and --seed"),
+    # model node indices must be integers and thresholds finite
+    (["baseline", "predict", "--model", "{fracmodel}", "--in", "{pool}", "--out", "{out}"], 1,
+     "tree 0 has a non-integer 'feature'"),
+    (["baseline", "predict", "--model", "{nanmodel}", "--in", "{pool}", "--out", "{out}"], 1,
+     "tree 0 has a 'threshold' that is not finite"),
 ])
 def test_cli_errors_exit_with_one_line(tmp_path, capsys, argv, code, message):
     names = ("pool", "short", "word", "noscore", "nan", "above", "repeat", "nanfeat", "blankflag", "badroc", "badjson",
              "model", "badmodel", "nolevels", "feat", "unscored", "blanklabel", "fewneg", "header", "missing", "feat3", "featid", "ntrees", "synthnum", "synthcfg", "notjson",
-             "fdr2", "prevalence2", "rtneg", "pimax2", "synthprev", "out")
+             "fdr2", "prevalence2", "rtneg", "pimax2", "synthprev", "roc", "fracmodel", "nanmodel", "out")
     paths = {name: str(tmp_path / name) for name in names}
     _write_pool(paths["pool"], n=60)
     with open(paths["pool"], encoding="utf-8") as fh:
@@ -472,6 +505,9 @@ def test_cli_errors_exit_with_one_line(tmp_path, capsys, argv, code, message):
         "rtneg": '{"utility": {"r_t": -1}}',
         "pimax2": '{"utility": {"pi_max": 2}}',
         "synthprev": '{"prevalence": 2}',
+        "roc": "threshold,sensitivity,specificity\n0.2,1.0,0.0\n0.7,0.6,0.8\n",
+        "fracmodel": json.dumps({**model, "trees": [{**tree, "feature": [0.5, -1, -1]}]}),
+        "nanmodel": json.dumps({**model, "trees": [{**tree, "threshold": [float("nan"), 0.0, 0.0]}]}),
     }
     for name, text in files.items():
         with open(paths[name], "w", encoding="utf-8") as fh:

@@ -176,7 +176,7 @@ def test_max_eu_rejects_rates_outside_unit_interval(field, bad):
     values = getattr(curve, field).copy()
     values[1] = bad
     with pytest.raises(OutOfRange):
-        max_eu_curve(RocCurve(**{**vars(curve), field: values}), UtilityParams(1.5, 0.2, 0.0))
+        max_eu_curve(RocCurve(**{**vars(curve), field: values}), UtilityParams(1.5, 0.2, 0.0), default_pi_grid())
 
 
 def test_default_grid_shape():
