@@ -19,13 +19,22 @@ An optional ``any_symptom`` column carries a self-reported aggregate flag
 as categorical covariates, whatever their names, and written back in sorted
 order after those. A blank symptom cell is a missing flag (see
 :attr:`SymptomProfile.missing`), and is written back blank.
+
+The bulk record builders (:func:`load_cohort`, :func:`load_features` and
+``synth.generate_population``) pause the cyclic garbage collector while they
+build, with :func:`gc_paused`. Their records hold no reference cycles, so a
+collection during a build could free nothing, yet it would walk every new
+record. The caveat: cyclic garbage that other threads make meanwhile waits
+until the build ends.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as _dt
+import gc
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import compress
 from operator import attrgetter, itemgetter
@@ -227,6 +236,19 @@ def child_manifest(parent: dict, step: str, **extra) -> dict:
 # -- CSV ingestion ----------------------------------------------------------
 
 
+@contextmanager
+def gc_paused():
+    """Turn the cyclic garbage collector off for a block, and back on after
+    it only if it was on before."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 # cell spellings, after strip().lower(); a blank cell is a missing value
 _BOOLS = {"": None, "1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 _LABELS = {"": None, "0": 0, "1": 1}
@@ -259,7 +281,7 @@ def load_cohort(path: str) -> Cohort:
     Malformed non-empty cells raise ``BadValue`` with the 1-based data row
     number. Blank lines are skipped and not counted.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8") as fh, gc_paused():
         reader = csv.reader(fh)
         header = next(reader, [])
         col = {h: j for j, h in enumerate(header)}
@@ -335,8 +357,7 @@ def load_cohort(path: str) -> Cohort:
     return Cohort(records=tuple(records), manifest=manifest)
 
 
-# feature rows parsed per numpy call; the cells wait in one flat list of
-# strings, which the cyclic garbage collector does not track
+# feature rows parsed per numpy call; the cells wait in one flat list
 _PARSE_ROWS = 4096
 
 
@@ -357,13 +378,14 @@ def _parse_rows(cells: list[str], first_row: int, n_rows: int, dim: int) -> np.n
 def load_features(cohort: Cohort, path: str) -> Cohort:
     """Attach feature vectors from a sidecar ``id,f0,f1,...`` CSV.
 
-    A header without ``id`` first, or with no column after it, raises
-    ``MissingColumn``. A malformed, NaN or infinite value, or a repeated id,
-    raises ``BadValue`` with the 1-based data row and the column. The
-    manifest counts the feature rows that match no record and the records
-    left without a vector.
+    Ids are read stripped, as :func:`load_cohort` reads them, and blank
+    lines are skipped and not counted. A header without ``id`` first, or
+    with no column after it, raises ``MissingColumn``. A malformed, NaN or
+    infinite value, or a repeated id, raises ``BadValue`` with the 1-based
+    data row and the column. The manifest counts the feature rows that
+    match no record and the records left without a vector.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8") as fh, gc_paused():
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or header[0] != "id":
@@ -374,26 +396,31 @@ def load_features(cohort: Cohort, path: str) -> Cohort:
         row_of: dict[str, int] = {}
         blocks: list[np.ndarray] = []
         cells: list[str] = []
-        for i, row in enumerate(reader, start=1):
+        i = 0
+        for row in reader:
+            if not row:
+                continue
+            i += 1
             if len(row) - 1 != dim:
                 raise BadValue(i, "features", f"expected {dim} values")
-            if row[0] in row_of:
-                raise BadValue(i, "id", row[0])
-            row_of[row[0]] = i - 1
+            rid = row[0].strip()
+            if rid in row_of:
+                raise BadValue(i, "id", rid)
+            row_of[rid] = i - 1
             cells += row[1:]
             if i % _PARSE_ROWS == 0:
                 blocks.append(_parse_rows(cells, i - _PARSE_ROWS + 1, _PARSE_ROWS, dim))
                 cells = []
-        tail = len(row_of) % _PARSE_ROWS
-        blocks.append(_parse_rows(cells, len(row_of) - tail + 1, tail, dim))
-    block = np.concatenate(blocks)
-    bad = np.argwhere(~np.isfinite(block))
-    if bad.size:
-        i, j = bad[0]
-        raise BadValue(int(i) + 1, header[j + 1], float(block[i, j]))
-    records = tuple(
-        r.with_features(block[row_of[r.id]]) if r.id in row_of else r for r in cohort.records
-    )
+        tail = i % _PARSE_ROWS
+        blocks.append(_parse_rows(cells, i - tail + 1, tail, dim))
+        block = np.concatenate(blocks)
+        bad = np.argwhere(~np.isfinite(block))
+        if bad.size:
+            i, j = bad[0]
+            raise BadValue(int(i) + 1, header[j + 1], float(block[i, j]))
+        records = tuple(
+            r.with_features(block[row_of[r.id]]) if r.id in row_of else r for r in cohort.records
+        )
     matched = sum(r.id in row_of for r in cohort.records)
     manifest = child_manifest(
         cohort.manifest,

@@ -35,6 +35,7 @@ from .cohort import (
     Cohort,
     ParticipantRecord,
     derive_any_symptom,
+    gc_paused,
     make_manifest,
     symptom_profile,
 )
@@ -168,17 +169,18 @@ def generate_population(cfg: SynthConfig) -> list[SynthRecord]:
     shared = [symptom_profile(tuple(row)) for row in flag_rows[first].tolist()]
     profiles = map(shared.__getitem__, inverse.tolist())
     genders = ["male" if m else "female" for m in male.tolist()]
-    return [
-        SynthRecord(
-            record=ParticipantRecord(
-                f"syn-{i:07d}", label, profile, age_i, gender, "synthetic", features=features[i]
-            ),
-            latent_signal=w_i,
-        )
-        for i, label, profile, age_i, gender, w_i in zip(
-            range(n), y.tolist(), profiles, age.tolist(), genders, w.tolist()
-        )
-    ]
+    with gc_paused():
+        return [
+            SynthRecord(
+                record=ParticipantRecord(
+                    f"syn-{i:07d}", label, profile, age_i, gender, "synthetic", features=features[i]
+                ),
+                latent_signal=w_i,
+            )
+            for i, label, profile, age_i, gender, w_i in zip(
+                range(n), y.tolist(), profiles, age.tolist(), genders, w.tolist()
+            )
+        ]
 
 
 def enrol(population: list[SynthRecord], cfg: SynthConfig) -> Cohort:

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -42,3 +44,12 @@ def tmp_csv(tmp_path):
         return str(path)
 
     return write
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def collector_state(request):
+    """Run a test with the cyclic collector on, then off; restore it after."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()

@@ -1,3 +1,6 @@
+import gc
+from contextlib import nullcontext
+
 import pytest
 
 from confound_audit.cohort import (
@@ -185,6 +188,45 @@ def test_load_features_counts_unmatched_rows_and_bare_records(tmp_path):
     assert [r.features is not None for r in cohort.records] == [True, False, False]
     assert cohort.manifest["unmatched_feature_rows"] == 2
     assert cohort.manifest["records_without_features"] == 2
+
+
+def test_load_features_reads_ids_and_blank_lines_as_load_cohort_does(tmp_path):
+    cohort = _features_fixture(tmp_path, "id,f0\n a ,0.5\n\nb,0.25\n\n")()
+    assert [r.features is not None and r.features.tolist() for r in cohort.records] == [[0.5], [0.25], False]
+    assert cohort.manifest["unmatched_feature_rows"] == 0
+    assert cohort.manifest["records_without_features"] == 1
+
+
+@pytest.mark.parametrize(
+    "text, bad",
+    [
+        ("id,f0\n\na,0.5\nb,x\n", (2, "features")),
+        ("id,f0\n\na,0.5\nb,inf\n", (2, "f0")),
+        ("id,f0\na,0.5\n\n\n a,0.75\n", (2, "id")),
+    ],
+    ids=["malformed", "non-finite", "repeated-id"],
+)
+def test_load_features_row_numbers_skip_blank_lines(tmp_path, text, bad):
+    with pytest.raises(BadValue) as err:
+        _features_fixture(tmp_path, text)()
+    assert (err.value.row, err.value.column) == bad
+
+
+@pytest.mark.parametrize(
+    "participant, features, raises",
+    [
+        (row("a"), "id,f0\na,0.5\n", False),
+        (row("a", label="2"), "id,f0\na,0.5\n", True),
+        (row("a"), "id,f0\na,x\n", True),
+    ],
+    ids=["loads", "load_cohort-raises", "load_features-raises"],
+)
+def test_loaders_leave_the_collector_as_they_found_it(tmp_csv, collector_state, participant, features, raises):
+    parts = tmp_csv("p.csv", HEADER + "\n" + participant + "\n")
+    feats = tmp_csv("f.csv", features)
+    with pytest.raises(BadValue) if raises else nullcontext():
+        load_features(load_cohort(parts), feats)
+    assert gc.isenabled() is collector_state
 
 
 def test_validate_rejects_minors():

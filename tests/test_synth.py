@@ -1,8 +1,13 @@
+import gc
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
-from confound_audit.errors import ConfigError, EmptyEnrolment
+from confound_audit import synth
+from confound_audit.cohort import Cohort, load_cohort, load_features, make_manifest, write_cohort, write_features
+from confound_audit.errors import BadValue, ConfigError, EmptyEnrolment
 from confound_audit.matching import stratum_keyer, TEST_SET, MatchSpec
 from confound_audit.metrics import ScoredLabels, auc, table_2x2_stats
 from confound_audit.synth import SynthConfig, enrol, generate_cohort, generate_population
@@ -127,3 +132,38 @@ def test_empty_population_rejected():
     cfg = SynthConfig(n_population=10, seed=0)
     with pytest.raises(EmptyEnrolment):
         enrol([], cfg)
+
+
+@pytest.mark.parametrize("raises", [False, True], ids=["builds", "raises"])
+def test_generate_population_leaves_the_collector_as_it_found_it(collector_state, monkeypatch, raises):
+    if raises:
+        monkeypatch.setattr(synth, "SynthRecord", lambda **_: 1 / 0)
+    with pytest.raises(ZeroDivisionError) if raises else nullcontext():
+        generate_population(SynthConfig(n_population=50, seed=1))
+    assert gc.isenabled() is collector_state
+
+
+def test_bulk_builders_leave_no_reference_cycles(tmp_path):
+    # the builders pause the collector because their records hold no cycles:
+    # with it off throughout, a collection after them must find nothing
+    cfg = SynthConfig(n_population=5000, feature_dim=3, seed=4)
+    parts, feats, bad = (str(tmp_path / name) for name in ("p.csv", "f.csv", "bad.csv"))
+    cohort = Cohort(tuple(sr.record for sr in generate_population(cfg)), make_manifest("fixture"))
+    write_cohort(cohort, parts)
+    write_features(cohort, feats)
+    with open(bad, "w", encoding="utf-8") as fh:
+        fh.write("id,f0,f1,f2\nsyn-0000000,0.5,x,1\n")
+    del cohort
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        population = generate_population(cfg)
+        loaded = load_features(load_cohort(parts), feats)
+        with pytest.raises(BadValue):
+            load_features(loaded, bad)
+        del population, loaded
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
