@@ -78,13 +78,10 @@ from .resample import PopulationSpec, ResampleReport, resample_general_populatio
 from .synth import SynthConfig, SynthRecord, enrol, generate_cohort, generate_population
 from .utility import (
     MaxEuPoint,
-    OutcomeProbs,
     UtilityMatrix,
     UtilityParams,
     default_pi_grid,
-    enumerate_outcome_probs,
     expected_utility,
-    expected_utility_enumerated,
     max_eu_curve,
     utility_matrix,
 )

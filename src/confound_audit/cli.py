@@ -64,7 +64,8 @@ def _load_scored_cohort(path: str, features: str | None = None) -> Cohort:
 
 
 def _read_score_map(path: str) -> dict[str, float]:
-    """Read an ``id,score`` CSV; scores must be numbers in [0, 1], ids unique."""
+    """Read an ``id,score`` CSV; scores must be numbers in [0, 1], ids
+    unique and not blank (read stripped, as ``load_cohort`` reads them)."""
     out: dict[str, float] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -72,9 +73,9 @@ def _read_score_map(path: str) -> dict[str, float]:
             if column not in (reader.fieldnames or []):
                 raise MissingColumn(column)
         for i, row in enumerate(reader, start=1):
-            rid, raw = row["id"], row["score"]
-            if rid in out:
-                raise BadValue(i, "id", rid)
+            rid, raw = (row["id"] or "").strip(), row["score"]
+            if not rid or rid in out:
+                raise BadValue(i, "id", row["id"])
             try:
                 score = float(raw)
             except (TypeError, ValueError):
@@ -153,8 +154,15 @@ def cmd_resample(args) -> int:
     return 0
 
 
+_EVAL_METRICS = ("roc", "pr", "uar")
+
+
 def cmd_eval(args) -> int:
     strata_cfg = StrataConfig(args.min_per_class, args.fdr)
+    wanted = args.metrics.split(",")
+    unknown = next((name for name in wanted if name not in _EVAL_METRICS), None)
+    if unknown is not None:
+        raise ConfigError("metrics", f"unknown metric {unknown!r}; choose from {', '.join(_EVAL_METRICS)}")
     cohort = _load_scored_cohort(getattr(args, "in"), args.features)
     cohort, rejections = validate_cohort(cohort)
     if not len(cohort):
@@ -162,7 +170,6 @@ def cmd_eval(args) -> int:
     scores = cohort.scores()
     labels = cohort.labels()
     data = ScoredLabels(scores, labels)
-    wanted = args.metrics.split(",")
     result: dict = {
         "n_pos": int((labels == 1).sum()),
         "n_neg": int((labels == 0).sum()),
@@ -273,6 +280,8 @@ def _probe_cohort(args) -> Cohort:
 
 def cmd_probe_weak(args) -> int:
     cfg = WeakProbeConfig(k_max=args.kmax, calibration_uar_threshold=args.threshold)
+    if args.calib_features and not args.calib:
+        raise ConfigError("calib-features", "features of a calibration cohort need --calib")
     matched = _probe_cohort(args)
     if args.calib:
         calibration = _load_scored_cohort(args.calib, args.calib_features)
@@ -398,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="accuracy metrics for a scored cohort")
     p.add_argument("--in", required=True)
     p.add_argument("--features", default=None)
-    p.add_argument("--metrics", default="roc,pr,uar")
+    p.add_argument("--metrics", default=",".join(_EVAL_METRICS), help="comma-separated subset of roc,pr,uar")
     p.add_argument("--ci", choices=("delong", "hanley_mcneil"), default="delong")
     p.add_argument("--threshold", type=float, default=0.5, help="score cut for UAR")
     p.add_argument("--stratified", action="store_true")

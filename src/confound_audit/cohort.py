@@ -103,11 +103,6 @@ class SymptomProfile:
     def any_symptom(self) -> bool:
         return derive_any_symptom(self)
 
-    def flag(self, name: str) -> bool:
-        if name == "any_symptom":
-            return self.any_symptom
-        return bool(getattr(self, name))
-
 
 def derive_any_symptom(s: SymptomProfile) -> bool:
     """OR over the six acute respiratory flags."""
@@ -381,8 +376,8 @@ def load_features(cohort: Cohort, path: str) -> Cohort:
     Ids are read stripped, as :func:`load_cohort` reads them, and blank
     lines are skipped and not counted. A header without ``id`` first, or
     with no column after it, raises ``MissingColumn``. A malformed, NaN or
-    infinite value, or a repeated id, raises ``BadValue`` with the 1-based
-    data row and the column. The manifest counts the feature rows that
+    infinite value, or a blank or repeated id, raises ``BadValue`` with the
+    1-based data row and the column. The manifest counts the feature rows that
     match no record and the records left without a vector.
     """
     with open(path, newline="", encoding="utf-8") as fh, gc_paused():
@@ -404,8 +399,8 @@ def load_features(cohort: Cohort, path: str) -> Cohort:
             if len(row) - 1 != dim:
                 raise BadValue(i, "features", f"expected {dim} values")
             rid = row[0].strip()
-            if rid in row_of:
-                raise BadValue(i, "id", rid)
+            if not rid or rid in row_of:
+                raise BadValue(i, "id", row[0])
             row_of[rid] = i - 1
             cells += row[1:]
             if i % _PARSE_ROWS == 0:

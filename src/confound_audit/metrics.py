@@ -152,23 +152,22 @@ class ConfidenceInterval:
     detail: HanleyMcNeilDetail | None = None
 
 
-def _normal_interval(est: float, se: float, level: float, method: str, detail=None) -> ConfidenceInterval:
-    z = norm.ppf(0.5 + level / 2.0)
+def _normal_interval(est: float, se: float, method: str, detail=None) -> ConfidenceInterval:
+    z = norm.ppf(0.975)
     lo, hi = est - z * se, est + z * se
     clipped = lo < 0.0 or hi > 1.0
     return ConfidenceInterval(
         estimate=est,
         lower=max(0.0, lo),
         upper=min(1.0, hi),
-        level=level,
         method=method,
         clipped=clipped,
         detail=detail,
     )
 
 
-def auc_ci(data: ScoredLabels, method: str = "delong", level: float = 0.95) -> ConfidenceInterval:
-    """AUC confidence interval, clipped to [0, 1] (the ``clipped`` field
+def auc_ci(data: ScoredLabels, method: str = "delong") -> ConfidenceInterval:
+    """95% AUC confidence interval, clipped to [0, 1] (the ``clipped`` field
     records whether clipping occurred).
 
     hanley_mcneil:  SE^2 = [A(1-A) + (m-1)(Q1-A^2) + (n-1)(Q2-A^2)] / (mn)
@@ -185,13 +184,13 @@ def auc_ci(data: ScoredLabels, method: str = "delong", level: float = 0.95) -> C
         var = (a * (1.0 - a) + (m - 1) * (q1 - a * a) + (n - 1) * (q2 - a * a)) / (m * n)
         se = math.sqrt(max(0.0, var))
         detail = HanleyMcNeilDetail(q1=q1, q2=q2, se=se)
-        return _normal_interval(estimate, se, level, method, detail)
+        return _normal_interval(estimate, se, method, detail)
     if method == "delong":
         if m < 2 or n < 2:
             raise TooFewSamples("DeLong variance needs at least 2 records per class")
         v_pos, v_neg = _psi_components(data.scores, data.labels)
         var = np.var(v_pos, ddof=1) / m + np.var(v_neg, ddof=1) / n
-        return _normal_interval(estimate, math.sqrt(max(0.0, var)), level, method)
+        return _normal_interval(estimate, math.sqrt(max(0.0, var)), method)
     raise ValueError(f"unknown CI method {method!r}")
 
 
@@ -441,17 +440,17 @@ class CalibrationBin:
     count: int
 
 
-def calibration_bins(scores, labels, n_bins: int = 10) -> tuple[list[CalibrationBin], float]:
-    """Equal-width reliability bins on [0, 1] plus the expected calibration
+def calibration_bins(scores, labels) -> tuple[list[CalibrationBin], float]:
+    """Ten equal-width reliability bins on [0, 1] plus the expected calibration
     error ECE = sum_b (count_b / N) * |mean_score_b - frac_positive_b|."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=int)
     if np.any((scores < 0) | (scores > 1)):
         raise ValueError("scores must lie in [0, 1]")
-    idx = np.minimum((scores * n_bins).astype(int), n_bins - 1)
+    idx = np.minimum((scores * 10).astype(int), 9)
     bins: list[CalibrationBin] = []
     ece = 0.0
-    for b in range(n_bins):
+    for b in range(10):
         mask = idx == b
         count = int(mask.sum())
         if count == 0:
@@ -468,7 +467,6 @@ class UncertaintySummary:
     predictive_entropy: float
     expected_entropy: float
     mutual_information: float
-    n_samples: int
 
 
 def _entropy(p: np.ndarray) -> float:
@@ -499,5 +497,4 @@ def uncertainty_decompose(sample_probs) -> UncertaintySummary:
         predictive_entropy=predictive,
         expected_entropy=expected,
         mutual_information=predictive - expected,
-        n_samples=probs.shape[0],
     )

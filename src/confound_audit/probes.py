@@ -28,7 +28,7 @@ positive) so probe outputs are bit-reproducible.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -46,7 +46,6 @@ from .rngs import substream
 class PcaModel:
     mean: np.ndarray
     components: np.ndarray  # rows orthonormal, ordered by explained variance
-    explained_variances: np.ndarray
 
     @property
     def n_components(self) -> int:
@@ -94,12 +93,11 @@ def pca_fit(features: np.ndarray, n_components: int) -> PcaModel:
         j = int(np.argmax(np.abs(components[i])))
         if components[i, j] < 0:
             components[i] = -components[i]
-    return PcaModel(mean=mean, components=components, explained_variances=eigvals[:k])
+    return PcaModel(mean=mean, components=components)
 
 
-def pca_project(model: PcaModel, features: np.ndarray, k: int | None = None) -> np.ndarray:
-    k = model.n_components if k is None else k
-    return (np.asarray(features, dtype=float) - model.mean) @ model.components[:k].T
+def pca_project(model: PcaModel, features: np.ndarray) -> np.ndarray:
+    return (np.asarray(features, dtype=float) - model.mean) @ model.components.T
 
 
 # -- weak linear classifier -----------------------------------------------------
@@ -245,7 +243,6 @@ class ProbeResult:
     curated_auc_at_tau: float | None = None
     curated_size_per_k: tuple[int, ...] = ()
     # nearest-neighbour probe outputs
-    substitution_map: dict[str, str] = field(default_factory=dict)
     distinct_neighbours: int | None = None
     pre_auc: float | None = None
     post_auc: float | None = None
@@ -371,7 +368,6 @@ def nn_substitute(matched: Cohort, cfg: WeakProbeConfig) -> ProbeResult:
     if not (y == 0).any():
         raise NoNegatives("substitution requires negative records")
     x = matched.feature_matrix()
-    ids = matched.ids()
 
     pos_idx = np.nonzero(y == 1)[0]
     neg_idx = np.nonzero(y == 0)[0]
@@ -397,7 +393,6 @@ def nn_substitute(matched: Cohort, cfg: WeakProbeConfig) -> ProbeResult:
         and frac >= cfg.nn_min_distinct_fraction
     )
     return ProbeResult(
-        substitution_map={ids[i]: ids[neg_idx[nearest[j]]] for j, i in enumerate(pos_idx)},
         distinct_neighbours=distinct,
         pre_auc=float(pre_auc),
         post_auc=float(post_auc),

@@ -36,11 +36,6 @@ class UtilityMatrix:
     u00: float
     u01: float
 
-    @property
-    def pathological(self) -> bool:
-        """True when EU would decrease in sensitivity or specificity."""
-        return self.u11 < self.u01 or self.u00 < self.u10
-
 
 @dataclass(frozen=True)
 class UtilityParams:
@@ -63,29 +58,9 @@ def utility_matrix(params: UtilityParams) -> UtilityMatrix:
     )
 
 
-@dataclass(frozen=True)
-class OutcomeProbs:
-    p11: float
-    p10: float
-    p00: float
-    p01: float
-
-
 def _check_unit(name: str, value: float) -> None:
     if not (0.0 <= value <= 1.0):
         raise OutOfRange(f"{name} must lie in [0, 1], got {value}")
-
-
-def enumerate_outcome_probs(pi: float, sens: float, spec: float) -> OutcomeProbs:
-    _check_unit("pi", pi)
-    _check_unit("sens", sens)
-    _check_unit("spec", spec)
-    return OutcomeProbs(
-        p11=pi * sens,
-        p01=pi * (1.0 - sens),
-        p00=(1.0 - pi) * spec,
-        p10=(1.0 - pi) * (1.0 - spec),
-    )
 
 
 def _eu(u: UtilityMatrix, pi, sens, spec):
@@ -98,11 +73,6 @@ def expected_utility(u: UtilityMatrix, pi: float, sens: float, spec: float) -> f
     _check_unit("sens", sens)
     _check_unit("spec", spec)
     return _eu(u, pi, sens, spec)
-
-
-def expected_utility_enumerated(u: UtilityMatrix, probs: OutcomeProbs) -> float:
-    """sum(u_zy * p_zy); agrees with :func:`expected_utility` to rounding."""
-    return u.u11 * probs.p11 + u.u10 * probs.p10 + u.u00 * probs.p00 + u.u01 * probs.p01
 
 
 @dataclass(frozen=True)

@@ -1,22 +1,26 @@
-"""Slow reference implementations of the rank, max-EU, CART, weak-model
-and per-record kernels.
+"""Slow reference implementations of the rank, max-EU, CART, weak-model,
+nearest-neighbour and per-record kernels.
 
 These are the direct O(m*n), per-element and enumerating forms of
-``metrics`` and ``utility`` internals, the argsort-per-node-per-feature
-CART of ``forest``, the one-model-at-a-time weak linear fit and curation of
-``probes`` (and the PCA reconstruction that checks its projection), and
-the per-record loops of ``synth``, ``matching`` and ``cohort`` (one
-profile object per person, one RNG draw per person, a covariate check per
-record, ``csv.DictReader``). The fast kernels must return exactly the same
-values; ``test_rank_kernels.py``, ``test_forest.py``,
-``test_probes.py`` and ``test_record_kernels.py`` compare the two. None of
-the rank kernels accept NaN: ``midranks_loop`` never terminates on it.
+``metrics`` and ``utility`` internals (with the outcome-probability
+enumeration of expected utility that acceptance criterion 2 checks the
+closed form against), the argsort-per-node-per-feature CART of ``forest``,
+the one-model-at-a-time weak linear fit and curation of ``probes`` (and the
+PCA reconstruction that checks its projection), the per-positive
+nearest-negative search of ``probes.nn_substitute``, and the per-record
+loops of ``synth``, ``matching`` and ``cohort`` (one profile object per
+person, one RNG draw per person, a covariate check per record,
+``csv.DictReader``). The fast kernels must return exactly the same values;
+``test_rank_kernels.py``, ``test_forest.py``, ``test_probes.py`` and
+``test_record_kernels.py`` compare the two. None of the rank kernels accept
+NaN: ``midranks_loop`` never terminates on it.
 """
 
 from __future__ import annotations
 
 import csv
 import warnings
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -30,6 +34,7 @@ from confound_audit.cohort import (
     Cohort,
     ParticipantRecord,
     SymptomProfile,
+    derive_any_symptom,
     make_manifest,
 )
 from confound_audit.errors import (
@@ -46,6 +51,7 @@ from confound_audit.metrics import ScoredLabels, auc, uar
 from confound_audit.probes import PcaModel, ProbeResult, WeakModel, WeakProbeConfig, pca_fit, pca_project
 from confound_audit.rngs import substream
 from confound_audit.synth import _EMBEDDED_COVARIATES, P_COPD, P_OTHER_RESP, P_SMOKER, SynthRecord, covariate_loadings
+from confound_audit.utility import UtilityMatrix
 
 
 def midranks_loop(x: np.ndarray) -> np.ndarray:
@@ -111,6 +117,29 @@ def max_eu_points(roc, u, pi_grid) -> list[tuple]:
         best = max(range(eu.size), key=lambda i: (eu[i], spec[i]))
         out.append((float(pi), float(eu[best]), float(roc.thresholds[best]), float(sens[best]), float(spec[best])))
     return out
+
+
+@dataclass(frozen=True)
+class OutcomeProbs:
+    p11: float
+    p10: float
+    p00: float
+    p01: float
+
+
+def enumerate_outcome_probs(pi: float, sens: float, spec: float) -> OutcomeProbs:
+    """Probability of each (prediction, truth) outcome of one test."""
+    return OutcomeProbs(
+        p11=pi * sens,
+        p01=pi * (1.0 - sens),
+        p00=(1.0 - pi) * spec,
+        p10=(1.0 - pi) * (1.0 - spec),
+    )
+
+
+def expected_utility_enumerated(u: UtilityMatrix, probs: OutcomeProbs) -> float:
+    """sum(u_zy * p_zy); agrees with ``utility.expected_utility`` to rounding."""
+    return u.u11 * probs.p11 + u.u10 * probs.p10 + u.u00 * probs.p00 + u.u01 * probs.p01
 
 
 def grow_tree_argsort_per_node(x: np.ndarray, y: np.ndarray, rng: np.random.Generator, m_try: int) -> dict:
@@ -302,6 +331,13 @@ def age_bin_arith(age_years: int) -> str:
     return f"{lo}-{lo + AGE_BIN_WIDTH - 1}"
 
 
+def symptom_flag(symptoms: SymptomProfile, name: str) -> bool:
+    """One flag of a profile by name; ``any_symptom`` is derived."""
+    if name == "any_symptom":
+        return derive_any_symptom(symptoms)
+    return bool(getattr(symptoms, name))
+
+
 def stratum_key_loop(record: ParticipantRecord, spec: MatchSpec) -> tuple:
     """``matching.stratum_keyer(spec)(record)`` with every covariate name (one of
     ``SYMPTOM_FIELDS`` or ``any_symptom``) checked on every record; it does
@@ -316,7 +352,7 @@ def stratum_key_loop(record: ParticipantRecord, spec: MatchSpec) -> tuple:
     for name in spec.covariates:
         if name != "any_symptom" and name not in SYMPTOM_FIELDS:
             raise MissingCovariate(name)
-        parts.append(int(record.symptoms.flag(name)))
+        parts.append(int(symptom_flag(record.symptoms, name)))
     return tuple(parts)
 
 
@@ -518,3 +554,31 @@ def weak_robust_curate_loop(matched: Cohort, calibration: Cohort, cfg: WeakProbe
         uncurated_auc=float(uncurated_auc),
         curated_auc_at_tau=(curated_auc[tau - 1] if tau is not None else None),
     )
+
+
+@dataclass(frozen=True)
+class Substitution:
+    neighbours: list[int]  # per positive, in cohort order: the index of its negative
+    post_scores: np.ndarray
+    post_auc: float
+    distinct_neighbours: int
+
+
+def nn_substitute_loop(matched: Cohort, distance: str) -> Substitution:
+    """``probes.nn_substitute`` by brute force: for each positive, the
+    argmin over every negative's distance, ties going to the lowest index."""
+    y = matched.labels()
+    x = matched.feature_matrix()
+    scores = matched.scores()
+    neg = [i for i in range(y.size) if y[i] == 0]
+    post = scores.copy()
+    neighbours = []
+    for i in range(y.size):
+        if y[i] != 1:
+            continue
+        diff = x[neg] - x[i]
+        d = np.abs(diff).sum(axis=1) if distance == "manhattan" else np.sqrt((diff * diff).sum(axis=1))
+        best = int(np.flatnonzero(d == d.min())[0])
+        neighbours.append(neg[best])
+        post[i] = scores[neg[best]]
+    return Substitution(neighbours, post, auc(ScoredLabels(post, y)), len(set(neighbours)))

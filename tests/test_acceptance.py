@@ -39,14 +39,10 @@ from confound_audit.probes import (
 )
 from confound_audit.resample import PopulationSpec, resample_general_population
 from confound_audit.synth import SynthConfig, generate_cohort
-from confound_audit.utility import (
-    UtilityMatrix,
-    enumerate_outcome_probs,
-    expected_utility,
-    expected_utility_enumerated,
-)
+from confound_audit.utility import UtilityMatrix, expected_utility
 
 from conftest import make_cohort, make_record
+from reference_kernels import enumerate_outcome_probs, expected_utility_enumerated, symptom_flag
 
 
 def _report(criterion, detail):
@@ -330,7 +326,7 @@ def test_criterion_08_matching_invariants():
             for flag in preset:
                 t = [[0, 0], [0, 0]]
                 for r in matched.records:
-                    t[int(r.symptoms.flag(flag))][r.label] += 1
+                    t[int(symptom_flag(r.symptoms, flag))][r.label] += 1
                 if min(t[0][0] + t[0][1], t[1][0] + t[1][1]) > 0:
                     assert table_2x2_stats(t).phi == 0.0
             checked += 1

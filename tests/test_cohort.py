@@ -182,6 +182,14 @@ def test_load_features_refuses_a_header_without_feature_columns(tmp_path, text):
     assert err.value.name == "f0"
 
 
+@pytest.mark.parametrize("blank", ["", "  "])
+def test_load_features_rejects_a_blank_id(tmp_path, blank):
+    # load_cohort's rule: a blank id is an error, not an unmatched row
+    with pytest.raises(BadValue) as err:
+        _features_fixture(tmp_path, f"id,f0\na,0.5\n{blank},0.25\n")()
+    assert (err.value.row, err.value.column) == (2, "id")
+
+
 def test_load_features_counts_unmatched_rows_and_bare_records(tmp_path):
     load = _features_fixture(tmp_path, "id,f0\na,0.5\nzz,0.25\nyy,1.0\n")
     cohort = load()

@@ -6,6 +6,7 @@ from confound_audit.matching import TEST_SET, TRAIN_SET, MatchSpec, age_bin, mat
 from confound_audit.metrics import table_2x2_stats
 
 from conftest import make_cohort, make_record
+from reference_kernels import symptom_flag
 
 
 def test_age_bins():
@@ -100,7 +101,7 @@ def _mixed_cohort(seed=0, n=400):
 def _phi(cohort, flag_name):
     t = [[0, 0], [0, 0]]
     for r in cohort.records:
-        t[int(r.symptoms.flag(flag_name))][r.label] += 1
+        t[int(symptom_flag(r.symptoms, flag_name))][r.label] += 1
     if t[0][0] + t[0][1] == 0 or t[1][0] + t[1][1] == 0:
         return 0.0  # flag constant in the matched output: trivially independent
     return table_2x2_stats(t).phi

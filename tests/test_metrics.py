@@ -482,15 +482,17 @@ def test_stratified_no_eligible():
 
 
 def test_calibration_diagonal_zero_ece():
+    # 0.25 falls in the bin [0.2, 0.3) and 0.75 in [0.7, 0.8); each bin's
+    # share of positives equals its mean score
     scores = np.array([0.25] * 4 + [0.75] * 4)
     labels = np.array([1, 0, 0, 0] + [1, 1, 1, 0])
-    bins, ece = calibration_bins(scores, labels, n_bins=4)
+    bins, ece = calibration_bins(scores, labels)
     assert ece == 0.0
-    assert all(b.mean_score == b.frac_positive for b in bins)
+    assert [(b.mean_score, b.frac_positive, b.count) for b in bins] == [(0.25, 0.25, 4), (0.75, 0.75, 4)]
 
 
 def test_calibration_worst_case():
-    bins, ece = calibration_bins(np.ones(5), np.zeros(5, dtype=int), n_bins=10)
+    bins, ece = calibration_bins(np.ones(5), np.zeros(5, dtype=int))
     assert len(bins) == 1
     assert ece == 1.0
 
@@ -499,7 +501,7 @@ def test_calibration_matches_bruteforce():
     rng = np.random.default_rng(13)
     scores = rng.random(500)
     labels = (rng.random(500) < scores).astype(int)  # logistic-style fixture
-    bins, ece = calibration_bins(scores, labels, n_bins=10)
+    bins, ece = calibration_bins(scores, labels)
     expected = 0.0
     for b in range(10):
         mask = (np.minimum((scores * 10).astype(int), 9)) == b

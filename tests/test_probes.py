@@ -21,7 +21,7 @@ from confound_audit.probes import (
 )
 
 from conftest import make_cohort, make_record
-from reference_kernels import pca_reconstruct, train_weak_linear_loop, weak_robust_curate_loop
+from reference_kernels import nn_substitute_loop, pca_reconstruct, train_weak_linear_loop, weak_robust_curate_loop
 
 
 # -- PCA ------------------------------------------------------------------------
@@ -34,7 +34,7 @@ def test_pca_axis_aligned():
     model = pca_fit(x, n_components=1)
     assert abs(abs(model.components[0, 1]) - 1.0) < 1e-9
     assert model.components[0, 1] > 0  # sign convention: largest coordinate positive
-    assert abs(model.explained_variances[0] - x[:, 1].var(ddof=1)) < 1e-9
+    assert abs(pca_project(model, x).var(axis=0, ddof=1)[0] - x[:, 1].var(ddof=1)) < 1e-9
 
 
 def test_pca_orthonormal_components():
@@ -43,14 +43,15 @@ def test_pca_orthonormal_components():
     model = pca_fit(x, n_components=6)
     gram = model.components @ model.components.T
     assert np.allclose(gram, np.eye(6), atol=1e-9)
-    assert (np.diff(model.explained_variances) <= 1e-12).all()
+    assert (np.diff(pca_project(model, x).var(axis=0, ddof=1)) <= 1e-12).all()
 
 
 def test_pca_isotropic_variances_roughly_equal():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(10_000, 6))
     model = pca_fit(x, n_components=6)
-    ratio = model.explained_variances[0] / model.explained_variances[-1]
+    variances = pca_project(model, x).var(axis=0, ddof=1)
+    ratio = variances[0] / variances[-1]
     assert ratio < 1.2
 
 
@@ -379,8 +380,11 @@ def test_weak_robust_needs_more_negatives_than_components():
 def test_nn_preserves_negatives_and_size():
     cohort = _confounded_cohort(seed=30, n_per_class=40)
     result = nn_substitute(cohort, WeakProbeConfig(seed=0))
-    assert set(result.substitution_map.keys()) == {r.id for r in cohort.records if r.label == 1}
-    assert set(result.substitution_map.values()) <= {r.id for r in cohort.records if r.label == 0}
+    ref = nn_substitute_loop(cohort, "euclidean")
+    y = cohort.labels()
+    assert len(ref.neighbours) == (y == 1).sum() and all(y[j] == 0 for j in ref.neighbours)
+    assert (ref.post_scores[y == 0] == cohort.scores()[y == 0]).all()
+    assert (result.post_auc, result.distinct_neighbours) == (ref.post_auc, ref.distinct_neighbours)
 
 
 def test_nn_requires_negatives():
@@ -396,9 +400,39 @@ def test_nn_manhattan_vs_euclidean_can_differ():
         records.append(make_record(f"p{i}", 1, score=0.8, features=rng.normal(size=4)))
         records.append(make_record(f"n{i}", 0, score=0.2, features=rng.normal(size=4)))
     cohort = make_cohort(records)
-    a = nn_substitute(cohort, WeakProbeConfig(distance="euclidean", seed=0))
-    b = nn_substitute(cohort, WeakProbeConfig(distance="manhattan", seed=0))
-    assert a.substitution_map != b.substitution_map  # metrics disagree somewhere
+    refs = {}
+    for distance in ("euclidean", "manhattan"):
+        result = nn_substitute(cohort, WeakProbeConfig(distance=distance, seed=0))
+        refs[distance] = nn_substitute_loop(cohort, distance)
+        assert (result.post_auc, result.distinct_neighbours) == (refs[distance].post_auc,
+                                                                 refs[distance].distinct_neighbours)
+    assert refs["euclidean"].neighbours != refs["manhattan"].neighbours  # metrics disagree somewhere
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 4),
+    spread=st.integers(1, 3),
+    large=st.booleans(),
+    distance=st.sampled_from(["euclidean", "manhattan"]),
+)
+def test_nn_substitute_matches_brute_force(seed, dim, spread, large, distance):
+    # small integer coordinates tie many distances, and sums of their squares
+    # are exact, so any order of summation gives the same distances; 1500
+    # positives against 2000 negatives take two cdist chunks
+    rng = np.random.default_rng(seed)
+    n_pos, n_neg = (1500, 2000) if large else (int(rng.integers(1, 40)), int(rng.integers(1, 40)))
+    y = np.array([1] * n_pos + [0] * n_neg)
+    rng.shuffle(y)
+    x = rng.integers(-spread, spread + 1, size=(y.size, dim)).astype(float)
+    scores = np.round(rng.random(y.size), 1)
+    cohort = make_cohort([make_record(f"r{i}", int(y[i]), score=float(scores[i]), features=x[i])
+                          for i in range(y.size)])
+    result = nn_substitute(cohort, WeakProbeConfig(distance=distance))
+    ref = nn_substitute_loop(cohort, distance)
+    assert result.post_auc == ref.post_auc
+    assert result.distinct_neighbours == ref.distinct_neighbours
 
 
 def test_calibration_cohort_solvable_at_full_dimension():

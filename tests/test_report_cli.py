@@ -340,11 +340,15 @@ def test_cli_invalid_config_key_exit_2(tmp_path, capsys):
     ["resample", "--n-pos", "50", "--n-neg", "50", "--p-sym-neg", "1.5"],
     ["probe", "weak", "--threshold", "0.3"],
     ["probe", "weak", "--kmax", "0"],
+    ["probe", "weak", "--calib-features", "features.csv"],
+    ["eval", "--metrics", "rocc"],
+    ["eval", "--metrics", ""],
+    ["eval", "--metrics", "roc,"],
 ])
 def test_cli_rejected_arguments_exit_2(tmp_path, capsys, argv):
     pool = tmp_path / "pool.csv"
     _write_pool(pool, n=60)
-    inputs = ["--in", str(pool)] if argv[0] == "resample" else ["--matched", str(pool)]
+    inputs = ["--in", str(pool)] if argv[0] in ("resample", "eval") else ["--matched", str(pool)]
     code = main(argv + inputs + ["--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 2
@@ -367,6 +371,22 @@ def test_cli_unread_flags_are_refused(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments: " + argv[-2] in capsys.readouterr().err
+
+
+def test_cli_probe_reads_score_ids_stripped(tmp_path):
+    # ids in a --scores file are read stripped, as load_cohort reads them
+    pool = tmp_path / "pool.csv"
+    _write_pool(pool, n=60)
+    feats = tmp_path / "feat.csv"
+    feats.write_text("id,f0,f1\n" + "".join(f"r{i},{i % 7 / 7},{i * i % 11 / 11}\n" for i in range(60)))
+    outs = []
+    for pad in ("", " "):
+        scores = tmp_path / f"scores{len(pad)}.csv"
+        scores.write_text("id,score\n" + "".join(f"{pad}r{i}{pad},{i / 60}\n" for i in range(60)))
+        outs.append(tmp_path / f"nn{len(pad)}.json")
+        assert main(["probe", "nn", "--matched", str(pool), "--features", str(feats), "--scores", str(scores),
+                     "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_cli_runtime_error_exit_1(tmp_path, capsys):
@@ -451,11 +471,20 @@ def test_cli_runtime_error_exit_1(tmp_path, capsys):
      "tree 0 has a non-integer 'feature'"),
     (["baseline", "predict", "--model", "{nanmodel}", "--in", "{pool}", "--out", "{out}"], 1,
      "tree 0 has a 'threshold' that is not finite"),
+    # ids are read by load_cohort's rule: a blank one is refused
+    (["probe", "nn", "--matched", "{pool}", "--scores", "{blankid}", "--out", "{out}"], 1, "'id' on data row 4: ''"),
+    (["probe", "nn", "--matched", "{pool}", "--features", "{featblankid}", "--out", "{out}"], 1,
+     "'id' on data row 4: ' '"),
+    # refused before the cohort is read
+    (["eval", "--in", "{missing}", "--metrics", "roc,rocc", "--out", "{out}"], 2, "unknown metric 'rocc'"),
+    (["probe", "weak", "--matched", "{missing}", "--calib-features", "{missing}", "--out", "{out}"], 2,
+     "need --calib"),
 ])
 def test_cli_errors_exit_with_one_line(tmp_path, capsys, argv, code, message):
     names = ("pool", "short", "word", "noscore", "nan", "above", "repeat", "nanfeat", "blankflag", "badroc", "badjson",
              "model", "badmodel", "nolevels", "feat", "unscored", "blanklabel", "fewneg", "header", "missing", "feat3", "featid", "ntrees", "synthnum", "synthcfg", "notjson",
-             "fdr2", "prevalence2", "rtneg", "pimax2", "synthprev", "roc", "fracmodel", "nanmodel", "out")
+             "fdr2", "prevalence2", "rtneg", "pimax2", "synthprev", "roc", "fracmodel", "nanmodel", "blankid",
+             "featblankid", "out")
     paths = {name: str(tmp_path / name) for name in names}
     _write_pool(paths["pool"], n=60)
     with open(paths["pool"], encoding="utf-8") as fh:
@@ -481,6 +510,8 @@ def test_cli_errors_exit_with_one_line(tmp_path, capsys, argv, code, message):
         "nan": "id,score\n" + "".join(scores[:3]) + "r3,nan\n" + "".join(scores[4:]),
         "above": "id,score\n" + "".join(scores[:3]) + "r3,1.5\n" + "".join(scores[4:]),
         "repeat": "id,score\n" + "".join(scores) + "r0,0.25\n",
+        "blankid": "id,score\n" + "".join(scores[:3]) + ",0.5\n" + "".join(scores[3:]),
+        "featblankid": "id,f0,f1\n" + "".join(f"{' ' if i == 3 else f'r{i}'},0.5,0.25\n" for i in range(60)),
         "nanfeat": "id,f0,f1\n" + "".join(f"r{i},0.5,{'nan' if i == 1 else 0.25}\n" for i in range(60)),
         "blankflag": recolumn("cough", lambda i, v: "" if i == 3 else v),
         "badroc": "threshold,sensitivity,specificity\n0.2,1.0,0.0\nabc,0.7,0.8\n",

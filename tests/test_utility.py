@@ -7,12 +7,12 @@ from confound_audit.utility import (
     UtilityMatrix,
     UtilityParams,
     default_pi_grid,
-    enumerate_outcome_probs,
     expected_utility,
-    expected_utility_enumerated,
     max_eu_curve,
     utility_matrix,
 )
+
+from reference_kernels import enumerate_outcome_probs, expected_utility_enumerated
 
 
 def test_utility_matrix_mapping():
@@ -27,11 +27,6 @@ def test_utility_matrix_mapping():
 def test_utility_params_validation():
     with pytest.raises(OutOfRange):
         UtilityParams(r_t=-1.0, epsilon=0.0)
-
-
-def test_pathological_flag():
-    assert UtilityMatrix(u11=-1.0, u10=0.0, u00=0.0, u01=0.0).pathological
-    assert not utility_matrix(UtilityParams(1.5, 0.2, 0.0)).pathological
 
 
 def test_eu_perfect_test():
