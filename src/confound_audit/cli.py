@@ -63,6 +63,15 @@ def _load_scored_cohort(path: str, features: str | None = None) -> Cohort:
     return cohort
 
 
+_JOIN_COUNTS = ("unmatched_feature_rows", "records_without_features", "unmatched_score_rows")
+
+
+def _join_counts(cohort: Cohort) -> dict[str, int]:
+    """The counts of rows that ``load_features`` or ``hybrid_features`` could
+    not join, from ``cohort``'s manifest, for ``--manifest-out``."""
+    return {k: cohort.manifest[k] for k in _JOIN_COUNTS if k in cohort.manifest}
+
+
 def _read_score_map(path: str) -> dict[str, float]:
     """Read an ``id,score`` CSV; scores must be numbers in [0, 1], ids
     unique and not blank (read stripped, as ``load_cohort`` reads them)."""
@@ -113,7 +122,7 @@ def cmd_synth(args) -> int:
 
 def _match_spec(args) -> MatchSpec:
     """Strata for ``match`` and ``eval --stratified``; ``--preset train`` drops the channel."""
-    if getattr(args, "covariates", None):
+    if getattr(args, "covariates", None) is not None:
         covs = tuple(args.covariates.split(","))
     else:
         covs = TEST_SET if args.preset == "test" else TRAIN_SET
@@ -163,8 +172,7 @@ def cmd_eval(args) -> int:
     unknown = next((name for name in wanted if name not in _EVAL_METRICS), None)
     if unknown is not None:
         raise ConfigError("metrics", f"unknown metric {unknown!r}; choose from {', '.join(_EVAL_METRICS)}")
-    cohort = _load_scored_cohort(getattr(args, "in"), args.features)
-    cohort, rejections = validate_cohort(cohort)
+    cohort, rejections = validate_cohort(load_cohort(getattr(args, "in")))
     if not len(cohort):
         raise TooFewRecords(f"no record left to evaluate ({rejections.total_removed} rejected by validation)")
     scores = cohort.scores()
@@ -271,18 +279,22 @@ def cmd_utility(args) -> int:
     return 0
 
 
-def _probe_cohort(args) -> Cohort:
+def _probe_cohort(args) -> tuple[Cohort, dict[str, int]]:
+    """The matched cohort of a probe, and the join counts of its
+    ``--features`` and ``--scores``."""
     matched = _load_scored_cohort(args.matched, args.features)
+    counts = _join_counts(matched)
     if args.scores:
         matched = hybrid_features(matched, _read_score_map(args.scores))
-    return matched
+        counts.update(_join_counts(matched))
+    return matched, counts
 
 
 def cmd_probe_weak(args) -> int:
     cfg = WeakProbeConfig(k_max=args.kmax, calibration_uar_threshold=args.threshold)
     if args.calib_features and not args.calib:
         raise ConfigError("calib-features", "features of a calibration cohort need --calib")
-    matched = _probe_cohort(args)
+    matched, counts = _probe_cohort(args)
     if args.calib:
         calibration = _load_scored_cohort(args.calib, args.calib_features)
     else:
@@ -290,15 +302,16 @@ def cmd_probe_weak(args) -> int:
         calibration = make_calibration_cohort(dim, n_per_class=300, seed=args.seed or 0)
     result = weak_robust_curate(matched, calibration, cfg)
     write_json(args.out, result.to_dict())
-    _write_manifest(args, {"tau": result.tau})
+    _write_manifest(args, {"tau": result.tau, **counts})
     print(f"weak probe (tau={result.tau}) -> {args.out}")
     return 0
 
 
 def cmd_probe_nn(args) -> int:
-    result = nn_substitute(_probe_cohort(args), WeakProbeConfig(distance=args.distance))
+    matched, counts = _probe_cohort(args)
+    result = nn_substitute(matched, WeakProbeConfig(distance=args.distance))
     write_json(args.out, result.to_dict())
-    _write_manifest(args, {"post_auc": result.post_auc})
+    _write_manifest(args, {"post_auc": result.post_auc, **counts})
     print(
         f"nn probe: auc {result.pre_auc:.3f} -> {result.post_auc:.3f}, "
         f"{result.distinct_neighbours} distinct neighbours, flag={result.attribution_flag} -> {args.out}"
@@ -310,6 +323,7 @@ def cmd_baseline_train(args) -> int:
     if args.n_trees < 1:
         raise ConfigError("n-trees", "must be >= 1")
     train = _load_scored_cohort(getattr(args, "in"), args.features)
+    counts = _join_counts(train)
     train, rejections = validate_cohort(train)
     predictors = tuple(args.predictors.split(",")) if args.predictors else DEFAULT_SYMPTOM_PREDICTORS
     if args.hybrid:
@@ -322,6 +336,7 @@ def cmd_baseline_train(args) -> int:
         "oob_accuracy": model.oob_accuracy,
         "n_rejected": rejections.total_removed,
         "rejected": dict(sorted(rejections.counts.items())),
+        **counts,
     })
     oob = "n/a" if model.oob_accuracy is None else f"{model.oob_accuracy:.3f}"
     print(f"trained {model.n_trees} trees (oob accuracy {oob}, {rejections.total_removed} records rejected)"
@@ -334,7 +349,7 @@ def cmd_baseline_predict(args) -> int:
         model = model_from_json(fh.read())
     cohort = _load_scored_cohort(getattr(args, "in"), args.features)
     write_csv(args.out, ["id", "score"], zip(cohort.ids(), predict_proba(model, cohort).tolist()))
-    _write_manifest(args)
+    _write_manifest(args, _join_counts(cohort))
     print(f"scored {len(cohort)} records -> {args.out}")
     return 0
 
@@ -406,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="accuracy metrics for a scored cohort")
     p.add_argument("--in", required=True)
-    p.add_argument("--features", default=None)
     p.add_argument("--metrics", default=",".join(_EVAL_METRICS), help="comma-separated subset of roc,pr,uar")
     p.add_argument("--ci", choices=("delong", "hanley_mcneil"), default="delong")
     p.add_argument("--threshold", type=float, default=0.5, help="score cut for UAR")

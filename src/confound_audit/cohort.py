@@ -213,17 +213,19 @@ class Cohort:
                 raise MissingFeatures(r.id)
         return np.stack([r.features for r in self.records])
 
+    def derive(self, records, step: str, **extra) -> "Cohort":
+        """The cohort of ``records`` that ``step`` made from this one. Its
+        manifest keeps this cohort's ``source``, names this cohort's step as
+        ``parent_steps``, and adds ``extra`` (the step's settings and counts)."""
+        source, parent = self.manifest.get("source", "unknown"), self.manifest.get("step")
+        return Cohort(records=tuple(records), manifest=make_manifest(source, step=step, parent_steps=parent, **extra))
+
+
 def make_manifest(source: str, **extra) -> dict:
     m = {
         "source": source,
         "created": _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds"),
     }
-    m.update(extra)
-    return m
-
-
-def child_manifest(parent: dict, step: str, **extra) -> dict:
-    m = make_manifest(parent.get("source", "unknown"), step=step, parent_steps=parent.get("step"))
     m.update(extra)
     return m
 
@@ -413,18 +415,11 @@ def load_features(cohort: Cohort, path: str) -> Cohort:
         if bad.size:
             i, j = bad[0]
             raise BadValue(int(i) + 1, header[j + 1], float(block[i, j]))
-        records = tuple(
-            r.with_features(block[row_of[r.id]]) if r.id in row_of else r for r in cohort.records
+        matched = sum(r.id in row_of for r in cohort.records)
+        return cohort.derive(
+            (r.with_features(block[row_of[r.id]]) if r.id in row_of else r for r in cohort.records), "load_features",
+            features=path, unmatched_feature_rows=len(row_of) - matched, records_without_features=len(cohort) - matched,
         )
-    matched = sum(r.id in row_of for r in cohort.records)
-    manifest = child_manifest(
-        cohort.manifest,
-        "load_features",
-        features=path,
-        unmatched_feature_rows=len(row_of) - matched,
-        records_without_features=len(cohort.records) - matched,
-    )
-    return Cohort(records=records, manifest=manifest)
 
 
 def _fmt_bool(v: bool) -> str:
@@ -522,11 +517,7 @@ def validate_cohort(cohort: Cohort) -> tuple[Cohort, RejectionReport]:
         else:
             kept.append(r)
     removed = len(cohort.records) - len(kept)
-    out = Cohort(
-        records=tuple(kept),
-        manifest=child_manifest(cohort.manifest, "validate", removed=removed),
-    )
-    return out, RejectionReport(counts=counts, total_removed=removed)
+    return cohort.derive(kept, "validate", removed=removed), RejectionReport(counts=counts, total_removed=removed)
 
 
 # -- splitting ----------------------------------------------------------------
@@ -554,8 +545,7 @@ def split_cohort(cohort: Cohort, spec: SplitSpec) -> tuple[Cohort, Cohort]:
     order = rng.permutation(n)
     in_train = np.zeros(n, dtype=bool)
     in_train[order[:n_train]] = True
-    train = tuple(compress(cohort.records, in_train.tolist()))
-    test = tuple(compress(cohort.records, (~in_train).tolist()))
-    mt = child_manifest(cohort.manifest, "split_train", seed=spec.seed, fraction=spec.train_fraction)
-    me = child_manifest(cohort.manifest, "split_test", seed=spec.seed, fraction=spec.train_fraction)
-    return Cohort(records=train, manifest=mt), Cohort(records=test, manifest=me)
+    settings = {"seed": spec.seed, "fraction": spec.train_fraction}
+    train = cohort.derive(compress(cohort.records, in_train.tolist()), "split_train", **settings)
+    test = cohort.derive(compress(cohort.records, (~in_train).tolist()), "split_test", **settings)
+    return train, test

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cohort import SYMPTOM_FIELDS, Cohort, child_manifest
+from .cohort import SYMPTOM_FIELDS, Cohort
 from .errors import EncodingMismatch, MissingScore, OneClassOnly
 from .rngs import substream
 
@@ -520,7 +520,8 @@ def hybrid_features(cohort: Cohort, audio_scores) -> Cohort:
     """Attach an audio score to every record so that ``audio_score`` can be
     used as an additional numeric predictor; every record must be covered.
     This is the one place scores are attached to a cohort (the pipeline and
-    ``probe --scores`` use it too)."""
+    ``probe --scores`` use it too). The manifest counts the scores, keyed by
+    id, that match no record."""
     if isinstance(audio_scores, dict):
         lookup = audio_scores
     else:
@@ -533,7 +534,7 @@ def hybrid_features(cohort: Cohort, audio_scores) -> Cohort:
         if r.id not in lookup or lookup[r.id] is None:
             raise MissingScore(r.id)
         records.append(r.with_score(float(lookup[r.id])))
-    return Cohort(records=tuple(records), manifest=child_manifest(cohort.manifest, "hybrid_features"))
+    return cohort.derive(records, "hybrid_features", unmatched_score_rows=len(lookup) - len(records))
 
 
 # -- JSON serialization ---------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter
 
-from .cohort import ACUTE_SYMPTOM_FIELDS, SYMPTOM_FIELDS, Cohort, ParticipantRecord, SymptomProfile, child_manifest
+from .cohort import ACUTE_SYMPTOM_FIELDS, SYMPTOM_FIELDS, Cohort, ParticipantRecord, SymptomProfile
 from .errors import EmptyResult, MissingCovariate, OverlappingInputs
 from .rngs import substream
 
@@ -202,16 +202,8 @@ def match_exact(
     if not kept_ids:
         raise EmptyResult("every stratum lacked one of the classes")
 
-    records = tuple(r for r in cohort.records if r.id in kept_ids)
-    n_dropped = len(cohort.records) - len(records)
-    out = Cohort(
-        records=records,
-        manifest=child_manifest(
-            cohort.manifest,
-            "match_exact",
-            seed=spec.seed,
-            covariates=list(spec.covariates),
-            include_channel=spec.include_channel,
-        ),
+    out = cohort.derive(
+        (r for r in cohort.records if r.id in kept_ids), "match_exact",
+        seed=spec.seed, covariates=list(spec.covariates), include_channel=spec.include_channel,
     )
-    return out, BalanceReport(strata=tuple(balances), n_kept=len(records), n_dropped=n_dropped)
+    return out, BalanceReport(strata=tuple(balances), n_kept=len(out), n_dropped=len(cohort) - len(out))

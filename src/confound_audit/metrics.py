@@ -406,29 +406,20 @@ def stratified_auc(cohort, spec, min_per_class: int = 10, q: float = 0.05) -> li
     for i, r in enumerate(cohort.records):
         members.setdefault(key_of(r), []).append(i)
 
-    eligible = []
+    eligible: list[tuple[tuple, ScoredLabels]] = []
     for key in sorted(members, key=stratum_order):
         idx = np.array(members[key])
         data = ScoredLabels(scores[idx], labels[idx])
-        n_pos, n_neg = data.pos.size, data.neg.size
-        if min(n_pos, n_neg) < min_per_class:
-            continue
-        eligible.append((key, n_pos, n_neg, data))
+        if min(data.pos.size, data.neg.size) >= min_per_class:
+            eligible.append((key, data))
     if not eligible:
         raise NoEligibleStrata(f"no stratum has {min_per_class} records of each class")
 
-    p_values = []
-    partial = []
-    for key, n_pos, n_neg, data in eligible:
+    p_values = [mwu_test(data.pos, data.neg, mode="normal")["p"] for _, data in eligible]
+    results = []
+    for (key, data), p, reject in zip(eligible, p_values, bh_fdr(p_values, q)):
         ci = auc_ci(data, method="delong")
-        p = mwu_test(data.pos, data.neg, mode="normal")["p"]
-        partial.append((key, n_pos, n_neg, ci.estimate, ci, p))
-        p_values.append(p)
-    rejects = bh_fdr(p_values, q)
-    results = [
-        StratumResult(key=key, n_pos=n_pos, n_neg=n_neg, auc=a, ci=ci, mwu_p=p, fdr_reject=rej)
-        for (key, n_pos, n_neg, a, ci, p), rej in zip(partial, rejects)
-    ]
+        results.append(StratumResult(key, data.pos.size, data.neg.size, ci.estimate, ci, p, reject))
     results.sort(key=lambda s: (-(s.n_pos + s.n_neg), stratum_order(s.key)))
     return results
 

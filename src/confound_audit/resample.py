@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cohort import Cohort, child_manifest
+from .cohort import Cohort
 from .errors import ConfigError, InsufficientPool
 from .matching import MatchSpec, stratum_keyer, stratum_label, stratum_order
 from .rngs import substream
@@ -195,19 +195,9 @@ def resample_general_population(
         picked = rng.choice(len(members), size=need, replace=False) if need < len(members) else range(need)
         chosen.update(members[i] for i in picked)
 
-    records = tuple(r for r in pool.records if r.id in chosen)
     achieved = {key: n for key, members in index.items() if (n := len(chosen.intersection(members)))}
-    out = Cohort(
-        records=records,
-        manifest=child_manifest(
-            pool.manifest,
-            "resample",
-            seed=spec.seed,
-            n_pos=spec.n_pos,
-            n_neg=spec.n_neg,
-            p_sym_pos=spec.p_sym_pos,
-            p_sym_neg=spec.p_sym_neg,
-            equalize_age=spec.equalize_age,
-        ),
+    out = pool.derive(
+        (r for r in pool.records if r.id in chosen), "resample", seed=spec.seed, n_pos=spec.n_pos,
+        n_neg=spec.n_neg, p_sym_pos=spec.p_sym_pos, p_sym_neg=spec.p_sym_neg, equalize_age=spec.equalize_age,
     )
     return out, ResampleReport(achieved=achieved, shortfalls=tuple(shortfalls), skipped=skipped)

@@ -1,6 +1,7 @@
 import gc
 from contextlib import nullcontext
 
+import numpy as np
 import pytest
 
 from confound_audit.cohort import (
@@ -23,6 +24,9 @@ from confound_audit.errors import (
     MissingScore,
     TooFewRecords,
 )
+from confound_audit.forest import hybrid_features
+from confound_audit.matching import MatchSpec, match_exact
+from confound_audit.resample import PopulationSpec, resample_general_population
 
 from conftest import make_cohort, make_record
 
@@ -375,3 +379,43 @@ def test_cohort_arrays_name_the_first_record_lacking_a_value():
     assert complete.feature_matrix().tolist() == [[0.0, 1.0], [2.0, 3.0]]
     with pytest.raises(TooFewRecords):
         make_cohort([]).feature_matrix()
+
+
+def test_every_derived_cohort_records_its_lineage(tmp_path):
+    # each selection step names itself and its parent's step, keeps the
+    # root's source, and adds its own settings and counts after those keys
+    rng = np.random.default_rng(5)
+    records = [
+        make_record(f"r{i}", label=i % 2, age=int(rng.integers(16, 80)), gender=("male", "female")[i // 2 % 2],
+                    cough=bool(rng.random() < 0.4))
+        for i in range(400)
+    ]
+    path = str(tmp_path / "pool.csv")
+    write_cohort(make_cohort(records), path)
+    root = load_cohort(path)
+    valid, _ = validate_cohort(root)
+    train, test = split_cohort(valid, SplitSpec(train_fraction=0.5, seed=2))
+    matched, _ = match_exact(train, MatchSpec(covariates=("cough",), include_channel=False, seed=3))
+    drawn, _ = resample_general_population(valid, PopulationSpec(n_pos=20, n_neg=20, equalize_age=False, seed=4))
+    feats = tmp_path / "features.csv"
+    feats.write_text("id,f0\nr0,0.5\nzz,0.25\n")
+    featured = load_features(root, str(feats))
+    scored = hybrid_features(featured, {"zzz": 0.5, **{rid: 0.5 for rid in featured.ids()}})
+    split = {"seed": 2, "fraction": 0.5}
+    resample = {"seed": 4, "n_pos": 20, "n_neg": 20, "p_sym_pos": 0.65, "p_sym_neg": 0.2, "equalize_age": False}
+    cases = [
+        (valid, "validate", "load", {"removed": sum(r.age_years < 18 for r in records)}),
+        (train, "split_train", "validate", split),
+        (test, "split_test", "validate", split),
+        (matched, "match_exact", "split_train", {"seed": 3, "covariates": ["cough"], "include_channel": False}),
+        (drawn, "resample", "validate", resample),
+        (featured, "load_features", "load",
+         {"features": str(feats), "unmatched_feature_rows": 1, "records_without_features": 399}),
+        (scored, "hybrid_features", "load_features", {"unmatched_score_rows": 1}),
+    ]
+    assert valid.manifest["removed"] > 0
+    for cohort, step, parent, extra in cases:
+        m = cohort.manifest
+        assert list(m) == ["source", "created", "step", "parent_steps", *extra]
+        assert (m["source"], m["step"], m["parent_steps"]) == (path, step, parent)
+        assert {k: m[k] for k in extra} == extra

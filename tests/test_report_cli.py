@@ -359,6 +359,7 @@ def test_cli_rejected_arguments_exit_2(tmp_path, capsys, argv):
 # each subcommand takes only the flags it reads: these changed no output
 @pytest.mark.parametrize("argv", [
     ["eval", "--in", "p.csv", "--out", "o", "--seed", "1"],
+    ["eval", "--in", "p.csv", "--out", "o", "--features", "f.csv"],
     ["utility", "--roc", "r.csv", "--rt", "1.5", "--eps", "0.2", "--out", "o", "--seed", "1"],
     ["baseline", "predict", "--model", "m.json", "--in", "p.csv", "--out", "o", "--seed", "1"],
     ["probe", "nn", "--matched", "p.csv", "--out", "o", "--seed", "1"],
@@ -418,6 +419,8 @@ def test_cli_runtime_error_exit_1(tmp_path, capsys):
     (["baseline", "predict", "--model", "{badmodel}", "--in", "{pool}", "--out", "{out}"], 1,
      "tree 0: node 0 has 'right' child 7"),
     (["match", "--in", "{pool}", "--covariates", "flag", "--out", "{out}"], 1, "covariate 'flag'"),
+    # an empty list is a name outside the flags, not the preset
+    (["match", "--in", "{pool}", "--covariates", "", "--out", "{out}"], 1, "covariate ''"),
     (["baseline", "predict", "--model", "{nolevels}", "--in", "{pool}", "--out", "{out}"], 1,
      "source 'gender' has no levels"),
     # the cohort arrays name the first record lacking a label or a score
@@ -647,3 +650,38 @@ def test_cli_resample_counts_skipped_records(tmp_path, capsys):
     assert payload["n_skipped"] == 2
     assert payload["skipped"] == {"no_label": 1, "no_age": 1}
     assert "2 pool records skipped" in capsys.readouterr().out
+
+
+def test_cli_manifests_count_the_rows_a_join_drops(tmp_path):
+    # a --features or --scores row whose id matches no record changes no
+    # output; --manifest-out counts it
+    pool, feats, model = tmp_path / "pool.csv", tmp_path / "feat.csv", tmp_path / "model.json"
+    _write_pool(pool, n=60)
+    feats.write_text("id,f0,f1\n" + "".join(f"r{i},{i % 7 / 7},{i * i % 11 / 11}\n" for i in range(60))
+                     + "zz,0.5,0.5\n")
+    feature_counts = {"unmatched_feature_rows": 1, "records_without_features": 0}
+    runs = {
+        "train": ["baseline", "train", "--in", str(pool), "--features", str(feats), "--predictors", "features",
+                  "--n-trees", "5", "--seed", "1", "--model", str(model)],
+        "predict": ["baseline", "predict", "--model", str(model), "--in", str(pool), "--features", str(feats),
+                    "--out", str(tmp_path / "scores.csv")],
+    }
+    for name, argv in runs.items():
+        assert main(argv + ["--manifest-out", str(tmp_path / f"{name}.manifest.json")]) == 0
+        payload = json.load(open(tmp_path / f"{name}.manifest.json"))
+        assert {k: payload.get(k) for k in feature_counts} == feature_counts
+        assert "unmatched_score_rows" not in payload
+
+    extra = tmp_path / "extra.csv"
+    extra.write_text((tmp_path / "scores.csv").read_text() + "zzz-not-a-record,0.5\n")
+    for probe in (["weak", "--kmax", "2", "--seed", "1"], ["nn"]):
+        outs = []
+        for unmatched, scores in enumerate(("scores.csv", "extra.csv")):
+            out, man = tmp_path / f"{probe[0]}{unmatched}.json", tmp_path / f"{probe[0]}{unmatched}.manifest.json"
+            assert main(["probe", *probe, "--matched", str(pool), "--features", str(feats),
+                         "--scores", str(tmp_path / scores), "--out", str(out), "--manifest-out", str(man)]) == 0
+            payload = json.load(open(man))
+            assert payload["unmatched_score_rows"] == unmatched
+            assert {k: payload[k] for k in feature_counts} == feature_counts
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
