@@ -359,13 +359,13 @@ def test_cli_rejected_arguments_exit_2(tmp_path, capsys, argv):
 # each subcommand takes only the flags it reads: these changed no output
 @pytest.mark.parametrize("argv", [
     ["eval", "--in", "p.csv", "--out", "o", "--seed", "1"],
-    ["eval", "--in", "p.csv", "--out", "o", "--features", "f.csv"],
     ["utility", "--roc", "r.csv", "--rt", "1.5", "--eps", "0.2", "--out", "o", "--seed", "1"],
     ["baseline", "predict", "--model", "m.json", "--in", "p.csv", "--out", "o", "--seed", "1"],
     ["probe", "nn", "--matched", "p.csv", "--out", "o", "--seed", "1"],
     ["probe", "nn", "--matched", "p.csv", "--out", "o", "--kmax", "3"],
     ["probe", "nn", "--matched", "p.csv", "--out", "o", "--threshold", "0.99"],
     ["probe", "weak", "--matched", "p.csv", "--out", "o", "--distance", "manhattan"],
+    ["eval", "--in", "p.csv", "--out", "o", "--features", "f.csv"],
 ])
 def test_cli_unread_flags_are_refused(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -419,8 +419,6 @@ def test_cli_runtime_error_exit_1(tmp_path, capsys):
     (["baseline", "predict", "--model", "{badmodel}", "--in", "{pool}", "--out", "{out}"], 1,
      "tree 0: node 0 has 'right' child 7"),
     (["match", "--in", "{pool}", "--covariates", "flag", "--out", "{out}"], 1, "covariate 'flag'"),
-    # an empty list is a name outside the flags, not the preset
-    (["match", "--in", "{pool}", "--covariates", "", "--out", "{out}"], 1, "covariate ''"),
     (["baseline", "predict", "--model", "{nolevels}", "--in", "{pool}", "--out", "{out}"], 1,
      "source 'gender' has no levels"),
     # the cohort arrays name the first record lacking a label or a score
@@ -482,6 +480,8 @@ def test_cli_runtime_error_exit_1(tmp_path, capsys):
     (["eval", "--in", "{missing}", "--metrics", "roc,rocc", "--out", "{out}"], 2, "unknown metric 'rocc'"),
     (["probe", "weak", "--matched", "{missing}", "--calib-features", "{missing}", "--out", "{out}"], 2,
      "need --calib"),
+    # an empty list is a name outside the flags, not the preset
+    (["match", "--in", "{pool}", "--covariates", "", "--out", "{out}"], 1, "covariate ''"),
 ])
 def test_cli_errors_exit_with_one_line(tmp_path, capsys, argv, code, message):
     names = ("pool", "short", "word", "noscore", "nan", "above", "repeat", "nanfeat", "blankflag", "badroc", "badjson",
