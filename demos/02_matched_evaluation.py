@@ -12,8 +12,6 @@ Run:  python demos/02_matched_evaluation.py
 
 import os
 
-import numpy as np
-
 from confound_audit import (
     MatchSpec,
     ScoredLabels,
@@ -58,7 +56,7 @@ def main():
 
     spec = MatchSpec(covariates=TEST_SET, include_channel=False, seed=SEED)
     matched, balance = match_exact(test, spec)
-    scores = np.clip(model.predict_matrix(encode_cohort(matched, encoding)), 0, 1)
+    scores = model.predict_matrix(encode_cohort(matched, encoding))
     matched = hybrid_features(matched, scores)
     md = ScoredLabels(matched.scores(), matched.labels())
     ci_match = auc_ci(md, method="delong")

@@ -13,8 +13,6 @@ Run:  python demos/03_utility_curves.py
 
 import os
 
-import numpy as np
-
 from confound_audit import (
     PopulationSpec,
     ScoredLabels,
@@ -59,7 +57,7 @@ def main():
 
     # symptoms questionnaire baseline and the hybrid with the audio score appended
     sym_model = train_symptoms_model(train, n_trees=60, seed=SEED)
-    train_h = hybrid_features(train, np.clip(audio_model.predict_matrix(encode_cohort(train, feat_enc)), 0, 1))
+    train_h = hybrid_features(train, audio_model.predict_matrix(encode_cohort(train, feat_enc)))
     hybrid_model = train_symptoms_model(
         train_h,
         predictors=tuple(s[0] for s in sym_model.encoding.sources) + ("audio_score",),
@@ -73,7 +71,7 @@ def main():
           f"(65% of positives symptomatic, 20% of negatives)")
 
     labels = pool.labels()
-    audio_scores = np.clip(audio_model.predict_matrix(encode_cohort(pool, feat_enc)), 0, 1)
+    audio_scores = audio_model.predict_matrix(encode_cohort(pool, feat_enc))
     pool_h = hybrid_features(pool, audio_scores)
     entries = []
     for name, scores in [

@@ -56,7 +56,7 @@ def confounded_matched_cohort():
     # matching only on the aggregate leaves profile-level leakage behind,
     # standing in for confounders that were never measured
     matched, _ = match_exact(test, MatchSpec(covariates=("any_symptom",), include_channel=False, seed=SEED))
-    return hybrid_features(matched, np.clip(model.predict_matrix(encode_cohort(matched, enc)), 0, 1))
+    return hybrid_features(matched, model.predict_matrix(encode_cohort(matched, enc)))
 
 
 def true_signal_cohort():
@@ -78,7 +78,7 @@ def true_signal_cohort():
 
     train, test = draw(300, "tr"), draw(250, "te")
     model = fit_forest(train.feature_matrix(), train.labels(), n_trees=40, seed=SEED)
-    return hybrid_features(test, np.clip(model.predict_matrix(test.feature_matrix()), 0, 1))
+    return hybrid_features(test, model.predict_matrix(test.feature_matrix()))
 
 
 def run_probes(name, cohort):

@@ -3,6 +3,12 @@
 Subcommands: synth, match, resample, eval, utility, probe weak, probe nn,
 baseline train, baseline predict, report. Exit codes: 0 success, 1 runtime
 error, 2 configuration error.
+
+Each ``cmd_*`` handler reads its input cohorts through ``_load`` (which
+counts the rows a feature or score join could not place), writes its outputs
+and returns ``(message, manifest_extras)``. ``main`` alone writes
+``--manifest-out`` and then prints the message, so a failure at either step
+exits nonzero with no success line.
 """
 
 from __future__ import annotations
@@ -42,34 +48,20 @@ from .synth import SynthConfig, enrol, generate_population
 from .utility import UtilityParams, default_pi_grid, max_eu_curve
 
 
-def _write_manifest(args, extra: dict | None = None) -> None:
-    if not getattr(args, "manifest_out", None):
-        return
-    payload = {
-        "tool": "confound-audit",
-        "version": __version__,
-        "subcommand": args.command,
-        "args": {k: v for k, v in vars(args).items() if k not in ("func", "command") and v is not None},
-    }
-    if extra:
-        payload.update(extra)
-    write_json(args.manifest_out, payload, sort_keys=True)
-
-
-def _load_scored_cohort(path: str, features: str | None = None) -> Cohort:
+def _load(path: str, features: str | None = None, scores: str | None = None) -> tuple[Cohort, dict[str, int]]:
+    """The cohort at ``path``, with the vectors of a ``features`` file joined
+    by ``load_features`` and the scores of an ``id,score`` file by
+    ``hybrid_features``, and the counts of the rows each join could not place,
+    for ``--manifest-out``."""
     cohort = load_cohort(path)
+    counts = {}
     if features:
         cohort = load_features(cohort, features)
-    return cohort
-
-
-_JOIN_COUNTS = ("unmatched_feature_rows", "records_without_features", "unmatched_score_rows")
-
-
-def _join_counts(cohort: Cohort) -> dict[str, int]:
-    """The counts of rows that ``load_features`` or ``hybrid_features`` could
-    not join, from ``cohort``'s manifest, for ``--manifest-out``."""
-    return {k: cohort.manifest[k] for k in _JOIN_COUNTS if k in cohort.manifest}
+        counts = {k: cohort.manifest[k] for k in ("unmatched_feature_rows", "records_without_features")}
+    if scores:
+        cohort = hybrid_features(cohort, _read_score_map(scores))
+        counts["unmatched_score_rows"] = cohort.manifest["unmatched_score_rows"]
+    return cohort, counts
 
 
 def _read_score_map(path: str) -> dict[str, float]:
@@ -98,7 +90,7 @@ def _read_score_map(path: str) -> dict[str, float]:
 # -- subcommand handlers ------------------------------------------------------------
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> tuple[str, dict]:
     cfg_data = read_config(args.config) if args.config else {}
     if args.seed is not None:
         cfg_data["seed"] = args.seed
@@ -115,9 +107,7 @@ def cmd_synth(args) -> int:
              int(sr.record.id in enrolled)]
             for sr in population
         ))
-    _write_manifest(args, {"n_enrolled": len(cohort)})
-    print(f"enrolled {len(cohort)} of {cfg.n_population} -> {args.out}")
-    return 0
+    return f"enrolled {len(cohort)} of {cfg.n_population} -> {args.out}", {"n_enrolled": len(cohort)}
 
 
 def _match_spec(args) -> MatchSpec:
@@ -130,20 +120,17 @@ def _match_spec(args) -> MatchSpec:
     return MatchSpec(covariates=covs, include_channel=include_channel, seed=getattr(args, "seed", None) or 0)
 
 
-def cmd_match(args) -> int:
-    cohort = load_cohort(getattr(args, "in"))
-    spec = _match_spec(args)
-    disjoint = load_cohort(args.disjoint_from) if args.disjoint_from else None
-    matched, report = match_exact(cohort, spec, disjoint_from=disjoint)
+def cmd_match(args) -> tuple[str, dict]:
+    cohort = _load(getattr(args, "in"))[0]
+    disjoint = _load(args.disjoint_from)[0] if args.disjoint_from else None
+    matched, report = match_exact(cohort, _match_spec(args), disjoint_from=disjoint)
     write_cohort(matched, args.out)
     if args.report:
         write_json(args.report, report.to_dict())
-    _write_manifest(args, {"n_kept": report.n_kept})
-    print(f"kept {report.n_kept}, dropped {report.n_dropped} -> {args.out}")
-    return 0
+    return f"kept {report.n_kept}, dropped {report.n_dropped} -> {args.out}", {"n_kept": report.n_kept}
 
 
-def cmd_resample(args) -> int:
+def cmd_resample(args) -> tuple[str, dict]:
     spec = PopulationSpec(
         n_pos=args.n_pos,
         n_neg=args.n_neg,
@@ -152,27 +139,26 @@ def cmd_resample(args) -> int:
         equalize_age=not args.no_equalize_age,
         seed=args.seed or 0,
     )
-    pool = load_cohort(getattr(args, "in"))
-    out, report = resample_general_population(pool, spec)
+    out, report = resample_general_population(_load(getattr(args, "in"))[0], spec)
     write_cohort(out, args.out)
     if args.report:
         write_json(args.report, report.to_dict())
     n_skipped = sum(report.skipped.values())
-    _write_manifest(args, {"n": report.n_total(), "n_skipped": n_skipped, "skipped": report.skipped})
-    print(f"drew {report.n_total()} records ({n_skipped} pool records skipped) -> {args.out}")
-    return 0
+    return (f"drew {report.n_total()} records ({n_skipped} pool records skipped) -> {args.out}",
+            {"n": report.n_total(), "n_skipped": n_skipped, "skipped": report.skipped})
 
 
 _EVAL_METRICS = ("roc", "pr", "uar")
+_ROC_COLUMNS = ("threshold", "sensitivity", "specificity")
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> tuple[str, dict]:
     strata_cfg = StrataConfig(args.min_per_class, args.fdr)
     wanted = args.metrics.split(",")
     unknown = next((name for name in wanted if name not in _EVAL_METRICS), None)
     if unknown is not None:
         raise ConfigError("metrics", f"unknown metric {unknown!r}; choose from {', '.join(_EVAL_METRICS)}")
-    cohort, rejections = validate_cohort(load_cohort(getattr(args, "in")))
+    cohort, rejections = validate_cohort(_load(getattr(args, "in"))[0])
     if not len(cohort):
         raise TooFewRecords(f"no record left to evaluate ({rejections.total_removed} rejected by validation)")
     scores = cohort.scores()
@@ -192,12 +178,8 @@ def cmd_eval(args) -> int:
         result["roc_auc_ci"] = [ci.lower, ci.upper]
         result["ci_method"] = ci.method
         result["roc_points"] = [
-            {"threshold": t, "sensitivity": se, "specificity": sp}
-            for t, se, sp in zip(
-                [float(x) for x in curve.thresholds],
-                [float(x) for x in curve.sensitivities],
-                [float(x) for x in curve.specificities],
-            )
+            dict(zip(_ROC_COLUMNS, map(float, point)))
+            for point in zip(curve.thresholds, curve.sensitivities, curve.specificities)
         ]
     if "pr" in wanted:
         result["pr_auc"] = pr_auc(data)
@@ -218,12 +200,7 @@ def cmd_eval(args) -> int:
             for s in strata
         ]
     write_json(args.out, result)
-    _write_manifest(args)
-    print(f"metrics -> {args.out}")
-    return 0
-
-
-_ROC_COLUMNS = ("threshold", "sensitivity", "specificity")
+    return f"metrics -> {args.out}", {}
 
 
 def _read_roc(path: str) -> RocCurve:
@@ -264,7 +241,7 @@ def _read_roc(path: str) -> RocCurve:
     return RocCurve(*(np.array(values[column]) for column in _ROC_COLUMNS))
 
 
-def cmd_utility(args) -> int:
+def cmd_utility(args) -> tuple[str, dict]:
     try:
         params = UtilityParams(r_t=args.rt, epsilon=args.eps, delta=args.delta)
         grid = default_pi_grid(args.pi_max)
@@ -274,56 +251,38 @@ def cmd_utility(args) -> int:
     write_csv(args.out, ["pi", "max_eu", "sensitivity", "specificity", "threshold"], (
         [p.pi, p.max_eu, p.sensitivity, p.specificity, p.threshold] for p in points
     ))
-    _write_manifest(args)
-    print(f"max-EU curve -> {args.out}")
-    return 0
+    return f"max-EU curve -> {args.out}", {}
 
 
-def _probe_cohort(args) -> tuple[Cohort, dict[str, int]]:
-    """The matched cohort of a probe, and the join counts of its
-    ``--features`` and ``--scores``."""
-    matched = _load_scored_cohort(args.matched, args.features)
-    counts = _join_counts(matched)
-    if args.scores:
-        matched = hybrid_features(matched, _read_score_map(args.scores))
-        counts.update(_join_counts(matched))
-    return matched, counts
-
-
-def cmd_probe_weak(args) -> int:
+def cmd_probe_weak(args) -> tuple[str, dict]:
     cfg = WeakProbeConfig(k_max=args.kmax, calibration_uar_threshold=args.threshold)
     if args.calib_features and not args.calib:
         raise ConfigError("calib-features", "features of a calibration cohort need --calib")
-    matched, counts = _probe_cohort(args)
+    matched, counts = _load(args.matched, args.features, args.scores)
     if args.calib:
-        calibration = _load_scored_cohort(args.calib, args.calib_features)
+        calibration, calib_counts = _load(args.calib, args.calib_features)
+        counts.update((f"calib_{k}", v) for k, v in calib_counts.items())
     else:
         dim = matched.feature_matrix().shape[1]
         calibration = make_calibration_cohort(dim, n_per_class=300, seed=args.seed or 0)
     result = weak_robust_curate(matched, calibration, cfg)
     write_json(args.out, result.to_dict())
-    _write_manifest(args, {"tau": result.tau, **counts})
-    print(f"weak probe (tau={result.tau}) -> {args.out}")
-    return 0
+    return f"weak probe (tau={result.tau}) -> {args.out}", {"tau": result.tau, **counts}
 
 
-def cmd_probe_nn(args) -> int:
-    matched, counts = _probe_cohort(args)
+def cmd_probe_nn(args) -> tuple[str, dict]:
+    matched, counts = _load(args.matched, args.features, args.scores)
     result = nn_substitute(matched, WeakProbeConfig(distance=args.distance))
     write_json(args.out, result.to_dict())
-    _write_manifest(args, {"post_auc": result.post_auc, **counts})
-    print(
-        f"nn probe: auc {result.pre_auc:.3f} -> {result.post_auc:.3f}, "
-        f"{result.distinct_neighbours} distinct neighbours, flag={result.attribution_flag} -> {args.out}"
-    )
-    return 0
+    return (f"nn probe: auc {result.pre_auc:.3f} -> {result.post_auc:.3f}, "
+            f"{result.distinct_neighbours} distinct neighbours, flag={result.attribution_flag} -> {args.out}",
+            {"post_auc": result.post_auc, **counts})
 
 
-def cmd_baseline_train(args) -> int:
+def cmd_baseline_train(args) -> tuple[str, dict]:
     if args.n_trees < 1:
         raise ConfigError("n-trees", "must be >= 1")
-    train = _load_scored_cohort(getattr(args, "in"), args.features)
-    counts = _join_counts(train)
+    train, counts = _load(getattr(args, "in"), args.features)
     train, rejections = validate_cohort(train)
     predictors = tuple(args.predictors.split(",")) if args.predictors else DEFAULT_SYMPTOM_PREDICTORS
     if args.hybrid:
@@ -332,29 +291,25 @@ def cmd_baseline_train(args) -> int:
     with open(args.model, "w", encoding="utf-8") as fh:
         fh.write(model_to_json(model))
         fh.write("\n")
-    _write_manifest(args, {
-        "oob_accuracy": model.oob_accuracy,
-        "n_rejected": rejections.total_removed,
-        "rejected": dict(sorted(rejections.counts.items())),
-        **counts,
-    })
     oob = "n/a" if model.oob_accuracy is None else f"{model.oob_accuracy:.3f}"
-    print(f"trained {model.n_trees} trees (oob accuracy {oob}, {rejections.total_removed} records rejected)"
-          f" -> {args.model}")
-    return 0
+    return (f"trained {model.n_trees} trees (oob accuracy {oob}, {rejections.total_removed} records rejected)"
+            f" -> {args.model}", {
+                "oob_accuracy": model.oob_accuracy,
+                "n_rejected": rejections.total_removed,
+                "rejected": dict(sorted(rejections.counts.items())),
+                **counts,
+            })
 
 
-def cmd_baseline_predict(args) -> int:
+def cmd_baseline_predict(args) -> tuple[str, dict]:
     with open(args.model, encoding="utf-8") as fh:
         model = model_from_json(fh.read())
-    cohort = _load_scored_cohort(getattr(args, "in"), args.features)
+    cohort, counts = _load(getattr(args, "in"), args.features)
     write_csv(args.out, ["id", "score"], zip(cohort.ids(), predict_proba(model, cohort).tolist()))
-    _write_manifest(args, _join_counts(cohort))
-    print(f"scored {len(cohort)} records -> {args.out}")
-    return 0
+    return f"scored {len(cohort)} records -> {args.out}", counts
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> tuple[str, dict]:
     if args.manifest:
         if args.config or args.seed is not None:
             raise ConfigError("manifest", "a manifest replays its own config and seed; drop --config and --seed")
@@ -366,9 +321,7 @@ def cmd_report(args) -> int:
         bundle = run_pipeline(RunConfig.from_dict(data))
     outdir = bundle.manifest["config"]["out_dir"] if args.out_dir is None else args.out_dir
     bundle.write(outdir)
-    _write_manifest(args, {"out_dir": outdir})
-    print(f"wrote {len(bundle.figures)} figures and {len(bundle.tables)} tables -> {outdir}")
-    return 0
+    return f"wrote {len(bundle.figures)} figures and {len(bundle.tables)} tables -> {outdir}", {"out_dir": outdir}
 
 
 # -- parser ---------------------------------------------------------------------------
@@ -500,19 +453,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        message, extras = args.func(args)
+        if args.manifest_out:
+            write_json(args.manifest_out, {
+                "tool": "confound-audit",
+                "version": __version__,
+                "subcommand": args.command,
+                "args": {k: v for k, v in vars(args).items() if k not in ("func", "command") and v is not None},
+                **extras,
+            }, sort_keys=True)
+        print(message)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ConfoundAuditError as exc:
+    except (ConfoundAuditError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return 0
 
 
 if __name__ == "__main__":

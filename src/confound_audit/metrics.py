@@ -83,11 +83,6 @@ class RocCurve:
     sensitivities: np.ndarray
     specificities: np.ndarray
 
-    def area(self) -> float:
-        # integrate along the curve (descending threshold => ascending FPR)
-        fpr = (1.0 - self.specificities)[::-1]
-        return float(np.trapezoid(self.sensitivities[::-1], fpr))
-
 
 def roc_curve(data: ScoredLabels) -> RocCurve:
     data.require_both_classes()

@@ -16,8 +16,6 @@ import math
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
-import numpy as np
-
 from . import __version__
 from .cohort import Cohort, SplitSpec, split_cohort
 from .errors import ConfigError, OutOfRange
@@ -163,7 +161,7 @@ def bias_demo(cfg: RunConfig) -> ReportBundle:
 
     match_spec = MatchSpec(covariates=("any_symptom",), include_channel=False, seed=cfg.seed)
     matched, balance = match_exact(test, match_spec)
-    matched = hybrid_features(matched, np.clip(model.predict_matrix(encode_cohort(matched, encoding)), 0.0, 1.0))
+    matched = hybrid_features(matched, model.predict_matrix(encode_cohort(matched, encoding)))
     matched_scored = ScoredLabels(matched.scores(), matched.labels())
 
     figures: dict[str, str] = {}
@@ -212,7 +210,7 @@ def bias_demo(cfg: RunConfig) -> ReportBundle:
         "two_by_two", table, table_2x2_stats(table), title="Any symptom vs status (enrolled)"
     )
 
-    bins, ece = calibration_bins(np.clip(test_scores, 0, 1), test.labels())
+    bins, ece = calibration_bins(test_scores, test.labels())
     figures["calibration"], tables["calibration"] = emit_figure("calibration", bins, ece)
 
     tables["balance"] = csv_text(

@@ -168,7 +168,7 @@ def csv_text(header: list[str], rows) -> str:
 
 
 def roc_comparison(curves: list[dict], title: str = "ROC comparison") -> tuple[str, str]:
-    """``curves``: [{"name", "roc": RocCurve, "ci": ConfidenceInterval | None}]."""
+    """``curves``: [{"name", "roc": RocCurve, "ci": ConfidenceInterval}]."""
     if not curves:
         raise ShapeMismatch("need at least one curve")
     canvas = _Canvas((0, 1), (0, 1), title=title, xlabel="1 - specificity", ylabel="sensitivity")
@@ -181,13 +181,8 @@ def roc_comparison(curves: list[dict], title: str = "ROC comparison") -> tuple[s
         fpr = (1.0 - roc.specificities)[::-1]
         tpr = roc.sensitivities[::-1]
         canvas.polyline(fpr, tpr, color)
-        label = spec["name"]
-        ci = spec.get("ci")
-        if ci is not None:
-            label += f" AUC={_fmt(ci.estimate)} [{_fmt(ci.lower)}-{_fmt(ci.upper)}]"
-        else:
-            label += f" AUC={_fmt(roc.area())}"
-        legend.append((label, color))
+        ci = spec["ci"]
+        legend.append((f"{spec['name']} AUC={_fmt(ci.estimate)} [{_fmt(ci.lower)}-{_fmt(ci.upper)}]", color))
         for t, se, sp in zip(roc.thresholds, roc.sensitivities, roc.specificities):
             rows.append([spec["name"], float(t), float(se), float(sp)])
     canvas.legend(legend)
@@ -200,10 +195,8 @@ def max_eu_vs_prevalence(curves: list[dict], title: str = "Maximum expected util
         raise ShapeMismatch("need nonempty max-EU curves")
     all_eu = [p.max_eu for c in curves for p in c["points"]]
     all_pi = [p.pi for c in curves for p in c["points"]]
-    lo = min(0.0, min(all_eu))
-    hi = max(all_eu) if max(all_eu) > lo else lo + 1.0
     canvas = _Canvas(
-        (min(all_pi), max(all_pi)), (lo, hi),
+        (min(all_pi), max(all_pi)), (min(0.0, min(all_eu)), max(all_eu)),
         title=title, xlabel="prevalence", ylabel="max expected utility",
     )
     legend = []

@@ -39,7 +39,7 @@ from .cohort import (
     make_manifest,
     symptom_profile,
 )
-from .errors import ConfigError, EmptyEnrolment
+from .errors import ConfigError, EmptyEnrolment, EmptyResult
 from .matching import TEST_SET, MatchSpec, match_exact
 from .rngs import substream
 
@@ -224,7 +224,7 @@ def enrol(population: list[SynthRecord], cfg: SynthConfig) -> Cohort:
     spec = MatchSpec(covariates=TEST_SET, include_channel=False, seed=cfg.seed)
     try:
         matched, _report = match_exact(full, spec)
-    except Exception as exc:  # EmptyResult
+    except EmptyResult as exc:
         raise EmptyEnrolment(str(exc)) from exc
     return matched
 

@@ -2,10 +2,11 @@
 nearest-neighbour and per-record kernels.
 
 These are the direct O(m*n), per-element and enumerating forms of
-``metrics`` and ``utility`` internals (with the outcome-probability
-enumeration of expected utility that acceptance criterion 2 checks the
-closed form against), the argsort-per-node-per-feature CART of ``forest``,
-the one-model-at-a-time weak linear fit and curation of ``probes`` (and the
+``metrics`` and ``utility`` internals (with the trapezoid area under a ROC
+curve, and the outcome-probability enumeration of expected utility that
+acceptance criterion 2 checks the closed form against), the
+argsort-per-node-per-feature CART of ``forest``, the one-model-at-a-time
+weak linear fit and curation of ``probes`` (and the
 PCA reconstruction that checks its projection), the per-positive
 nearest-negative search of ``probes.nn_substitute``, and the per-record
 loops of ``synth``, ``matching`` and ``cohort`` (one profile object per
@@ -104,6 +105,13 @@ def mwu_exact_enumerated(pos: np.ndarray, neg: np.ndarray) -> dict:
         if abs(u - m * n / 2.0) >= dev_obs - 1e-12:
             hits += 1
     return {"u": u_obs, "p": hits / total}
+
+
+def roc_area(roc) -> float:
+    """Trapezoid area under a ``RocCurve``, integrated along the curve
+    (descending threshold, so ascending false-positive rate)."""
+    fpr = (1.0 - roc.specificities)[::-1]
+    return float(np.trapezoid(roc.sensitivities[::-1], fpr))
 
 
 def max_eu_points(roc, u, pi_grid) -> list[tuple]:

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from confound_audit import __version__
 from confound_audit.cli import main
 from confound_audit.cohort import CSV_COLUMNS
 from confound_audit.errors import ConfigError, ShapeMismatch
@@ -395,6 +396,13 @@ def test_cli_runtime_error_exit_1(tmp_path, capsys):
     assert code == 1
 
 
+# a one-split tree on cough
+_TREE = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, -1, -1], "right": [2, -1, -1],
+         "leaf_frac": [-1.0, 0.25, 0.75]}
+_MODEL = {"n_trees": 1, "seed": 0, "m_try": 1, "oob_accuracy": None, "trees": [_TREE],
+          "encoding": {"sources": [["cough", "bool"]], "levels": {}, "vector_dim": 0, "dropped": []}}
+
+
 @pytest.mark.parametrize("argv, code, message", [
     (["baseline", "train", "--in", "{pool}", "--model", "{out}", "--n-trees", "0"], 2, "n-trees"),
     (["eval", "--in", "{missing}", "--stratified", "--fdr", "1.5", "--out", "{out}"], 2, "fdr"),
@@ -501,11 +509,6 @@ def test_cli_errors_exit_with_one_line(tmp_path, capsys, argv, code, message):
         return pool_rows[0] + "".join(",".join(row) + "\n" for row in rows)
 
     scores = [f"r{i},0.5\n" for i in range(60)]
-    # a one-split tree on cough; "badmodel" points its right child outside the tree
-    tree = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, -1, -1], "right": [2, -1, -1],
-            "leaf_frac": [-1.0, 0.25, 0.75]}
-    model = {"n_trees": 1, "seed": 0, "m_try": 1, "oob_accuracy": None, "trees": [tree],
-             "encoding": {"sources": [["cough", "bool"]], "levels": {}, "vector_dim": 0, "dropped": []}}
     files = {
         "short": "id,score\n" + "".join(scores[:7]),
         "word": "id,score\n" + "".join(scores[:3]) + "r3,high\n" + "".join(scores[4:]),
@@ -519,10 +522,11 @@ def test_cli_errors_exit_with_one_line(tmp_path, capsys, argv, code, message):
         "blankflag": recolumn("cough", lambda i, v: "" if i == 3 else v),
         "badroc": "threshold,sensitivity,specificity\n0.2,1.0,0.0\nabc,0.7,0.8\n",
         "badjson": '{"roc_points": [{"threshold": Infinity, "sensitivity": "high", "specificity": 1.0}]}\n',
-        "model": json.dumps(model),
-        "badmodel": json.dumps({**model, "trees": [{**tree, "right": [7, -1, -1]}]}),
-        "nolevels": json.dumps({**model, "encoding": {**model["encoding"],
-                                                       "sources": [["cough", "bool"], ["gender", "categorical"]]}}),
+        "model": json.dumps(_MODEL),
+        # the right child of "badmodel" points outside its tree
+        "badmodel": json.dumps({**_MODEL, "trees": [{**_TREE, "right": [7, -1, -1]}]}),
+        "nolevels": json.dumps({**_MODEL, "encoding": {**_MODEL["encoding"],
+                                                        "sources": [["cough", "bool"], ["gender", "categorical"]]}}),
         "feat": "id,f0,f1\n" + "".join(f"r{i},{i % 7 / 7},{i * i % 11 / 11}\n" for i in range(60)),
         "unscored": recolumn("score", lambda i, v: ""),
         "blanklabel": recolumn("label", lambda i, v: "" if i == 3 else v),
@@ -540,8 +544,8 @@ def test_cli_errors_exit_with_one_line(tmp_path, capsys, argv, code, message):
         "pimax2": '{"utility": {"pi_max": 2}}',
         "synthprev": '{"prevalence": 2}',
         "roc": "threshold,sensitivity,specificity\n0.2,1.0,0.0\n0.7,0.6,0.8\n",
-        "fracmodel": json.dumps({**model, "trees": [{**tree, "feature": [0.5, -1, -1]}]}),
-        "nanmodel": json.dumps({**model, "trees": [{**tree, "threshold": [float("nan"), 0.0, 0.0]}]}),
+        "fracmodel": json.dumps({**_MODEL, "trees": [{**_TREE, "feature": [0.5, -1, -1]}]}),
+        "nanmodel": json.dumps({**_MODEL, "trees": [{**_TREE, "threshold": [float("nan"), 0.0, 0.0]}]}),
     }
     for name, text in files.items():
         with open(paths[name], "w", encoding="utf-8") as fh:
@@ -568,18 +572,73 @@ def test_cli_eval_train_preset_drops_channel(tmp_path):
     assert keys["train"] and all("TT" not in k for k in keys["train"])
 
 
-def test_cli_manifest_out(tmp_path):
-    pool = tmp_path / "pool.csv"
-    _write_pool(pool, n=400)
-    matched = tmp_path / "m.csv"
-    man = tmp_path / "manifest.json"
-    assert main([
-        "match", "--in", str(pool), "--preset", "test", "--no-channel",
-        "--seed", "1", "--out", str(matched), "--manifest-out", str(man),
-    ]) == 0
+_FEATURE_COUNTS = {"unmatched_feature_rows", "records_without_features"}
+_PROBE_COUNTS = _FEATURE_COUNTS | {"unmatched_score_rows"}
+
+
+# per subcommand: its arguments, the keys it adds to --manifest-out, and its
+# printed line from that manifest (m), the output path (out) and its file
+@pytest.mark.parametrize("argv, extras, line", [
+    (["match", "--in", "{pool}", "--preset", "test", "--no-channel", "--seed", "1", "--out", "{out}"], {"n_kept"},
+     lambda m, out: f"kept {m['n_kept']}, dropped {400 - m['n_kept']} -> {out}"),
+    (["synth", "--config", "{synthcfg}", "--seed", "2", "--out", "{out}"], {"n_enrolled"},
+     lambda m, out: f"enrolled {m['n_enrolled']} of 1500 -> {out}"),
+    (["resample", "--in", "{pool}", "--n-pos", "20", "--n-neg", "20", "--no-equalize-age", "--seed", "1",
+      "--out", "{out}"], {"n", "n_skipped", "skipped"},
+     lambda m, out: f"drew {m['n']} records ({m['n_skipped']} pool records skipped) -> {out}"),
+    (["eval", "--in", "{pool}", "--metrics", "roc", "--out", "{out}"], set(), lambda m, out: f"metrics -> {out}"),
+    (["utility", "--roc", "{roc}", "--rt", "1.5", "--eps", "0.2", "--out", "{out}"], set(),
+     lambda m, out: f"max-EU curve -> {out}"),
+    (["probe", "weak", "--matched", "{pool}", "--features", "{feat}", "--scores", "{scores}", "--calib", "{pool}",
+      "--calib-features", "{feat}", "--kmax", "2", "--out", "{out}"],
+     {"tau", "calib_unmatched_feature_rows", "calib_records_without_features"} | _PROBE_COUNTS,
+     lambda m, out: f"weak probe (tau={m['tau']}) -> {out}"),
+    (["probe", "nn", "--matched", "{pool}", "--features", "{feat}", "--scores", "{scores}", "--out", "{out}"],
+     {"post_auc"} | _PROBE_COUNTS,
+     lambda m, out: "nn probe: auc {pre_auc:.3f} -> {post_auc:.3f}, {distinct_neighbours} distinct neighbours, "
+                    "flag={attribution_flag} -> {out}".format(**json.load(open(out)), out=out)),
+    (["baseline", "train", "--in", "{pool}", "--features", "{feat}", "--n-trees", "3", "--seed", "1",
+      "--model", "{out}"], {"oob_accuracy", "n_rejected", "rejected"} | _FEATURE_COUNTS,
+     lambda m, out: f"trained 3 trees (oob accuracy {m['oob_accuracy']:.3f}, {m['n_rejected']} records rejected)"
+                    f" -> {out}"),
+    (["baseline", "predict", "--model", "{model}", "--in", "{pool}", "--features", "{feat}", "--out", "{out}"],
+     _FEATURE_COUNTS, lambda m, out: f"scored 400 records -> {out}"),
+    (["report", "--config", "{reportcfg}", "--out-dir", "{out}"], {"out_dir"},
+     lambda m, out: f"wrote 6 figures and 8 tables -> {out}"),
+], ids=["match", "synth", "resample", "eval", "utility", "probe-weak", "probe-nn", "baseline-train",
+        "baseline-predict", "report"])
+def test_cli_manifest_out(tmp_path, capsys, argv, extras, line):
+    paths = {name: str(tmp_path / name) for name in
+             ("pool", "feat", "scores", "roc", "model", "synthcfg", "reportcfg", "out", "manifest.json")}
+    _write_pool(paths["pool"], n=400)
+    files = {
+        "feat": "id,f0,f1\n" + "".join(f"r{i},{i % 7 / 7},{i * i % 11 / 11}\n" for i in range(400)),
+        "scores": "id,score\n" + "".join(f"r{i},{i / 400}\n" for i in range(400)),
+        "roc": "threshold,sensitivity,specificity\n0.2,1.0,0.0\n0.7,0.6,0.8\n",
+        "model": json.dumps(_MODEL),
+        "synthcfg": json.dumps({"n_population": 1500, "feature_dim": 4}),
+        "reportcfg": json.dumps({"n_trees": 3, "synth": {"n_population": 1500, "feature_dim": 4},
+                                 "metrics": {"min_per_class": 3}}),
+    }
+    for name, text in files.items():
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            fh.write(text)
+    argv = [a.format(**paths) for a in argv]
+    man = paths["manifest.json"]
+    assert main(argv + ["--manifest-out", man]) == 0
     payload = json.load(open(man))
-    assert payload["subcommand"] == "match"
     assert payload["tool"] == "confound-audit"
+    assert payload["version"] == __version__
+    assert payload["subcommand"] == argv[0]
+    # every flag given is recorded as parsed; defaults are recorded, unset flags are not
+    given = {flag[2:].replace("-", "_"): value for flag, value in zip(argv, argv[1:] + ["--"])
+             if flag.startswith("--")}
+    args = payload["args"]
+    assert args["manifest_out"] == man and "func" not in args and "command" not in args
+    assert all(v is not None for v in args.values())
+    assert {k: str(args[k]) for k in given} == {k: "True" if v.startswith("--") else v for k, v in given.items()}
+    assert set(payload) - {"tool", "version", "subcommand", "args"} == extras
+    assert capsys.readouterr().out == line(payload, paths["out"]) + "\n"
 
 
 def test_cli_match_disjoint_refusal(tmp_path, capsys):
@@ -685,3 +744,19 @@ def test_cli_manifests_count_the_rows_a_join_drops(tmp_path):
             assert {k: payload[k] for k in feature_counts} == feature_counts
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    # the calibration cohort's feature join is counted apart from the matched cohort's
+    clean = tmp_path / "clean.csv"
+    clean.write_text(feats.read_text().replace("zz,0.5,0.5\n", ""))
+    outs = []
+    for unmatched, calib_feats in enumerate((clean, feats)):
+        out, man = tmp_path / f"calib{unmatched}.json", tmp_path / f"calib{unmatched}.manifest.json"
+        assert main(["probe", "weak", "--kmax", "2", "--matched", str(pool), "--features", str(clean),
+                     "--calib", str(pool), "--calib-features", str(calib_feats), "--out", str(out),
+                     "--manifest-out", str(man)]) == 0
+        payload = json.load(open(man))
+        assert payload["unmatched_feature_rows"] == 0
+        assert payload["calib_unmatched_feature_rows"] == unmatched
+        assert payload["calib_records_without_features"] == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]

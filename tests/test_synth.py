@@ -134,6 +134,17 @@ def test_empty_population_rejected():
         enrol([], cfg)
 
 
+def test_matched_enrolment_lets_other_faults_through(monkeypatch):
+    # only an empty match is an empty enrolment; any other fault propagates
+    def broken(*_args, **_kwargs):
+        raise RuntimeError("fault inside matching")
+
+    monkeypatch.setattr(synth, "match_exact", broken)
+    cfg = SynthConfig(n_population=500, prevalence=0.3, feature_dim=2, enrolment="matched", seed=1)
+    with pytest.raises(RuntimeError, match="fault inside matching"):
+        enrol(generate_population(cfg), cfg)
+
+
 @pytest.mark.parametrize("raises", [False, True], ids=["builds", "raises"])
 def test_generate_population_leaves_the_collector_as_it_found_it(collector_state, monkeypatch, raises):
     if raises:
