@@ -50,14 +50,16 @@ def main():
     model = fit_forest(encode_cohort(train, encoding), train.labels(), n_trees=60, seed=SEED)
     print(f"out-of-bag accuracy {model.oob_accuracy:.3f}")
 
-    rand = ScoredLabels(model.predict_matrix(encode_cohort(test, encoding)), test.labels())
+    test_scores = model.predict_matrix(encode_cohort(test, encoding))
+    rand = ScoredLabels(test_scores, test.labels())
     ci_rand = auc_ci(rand, method="delong")
     print(f"\nrandomised split : AUC {ci_rand.estimate:.3f} [{ci_rand.lower:.3f}-{ci_rand.upper:.3f}]")
 
     spec = MatchSpec(covariates=TEST_SET, include_channel=False, seed=SEED)
     matched, balance = match_exact(test, spec)
-    scores = model.predict_matrix(encode_cohort(matched, encoding))
-    matched = hybrid_features(matched, scores)
+    # matched keeps the test set's order: take its records' scores
+    kept = set(matched.ids())
+    matched = hybrid_features(matched, test_scores[[r.id in kept for r in test.records]])
     md = ScoredLabels(matched.scores(), matched.labels())
     ci_match = auc_ci(md, method="delong")
     print(f"matched test set : AUC {ci_match.estimate:.3f} [{ci_match.lower:.3f}-{ci_match.upper:.3f}]"

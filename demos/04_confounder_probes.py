@@ -84,7 +84,7 @@ def true_signal_cohort():
 def run_probes(name, cohort):
     print(f"\n=== {name} (n={len(cohort)}) ===")
     cfg = WeakProbeConfig(k_max=10, seed=SEED)
-    calibration = make_calibration_cohort(DIM, n_per_class=300, seed=SEED)
+    calibration = make_calibration_cohort(DIM, seed=SEED)
     weak = weak_robust_curate(cohort, calibration, cfg)
     print(f"weak probe: uncurated AUC {weak.uncurated_auc:.3f}, tau={weak.tau}, "
           f"curated AUC at tau {weak.curated_auc_at_tau:.3f}")

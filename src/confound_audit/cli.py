@@ -258,13 +258,15 @@ def cmd_probe_weak(args) -> tuple[str, dict]:
     cfg = WeakProbeConfig(k_max=args.kmax, calibration_uar_threshold=args.threshold)
     if args.calib_features and not args.calib:
         raise ConfigError("calib-features", "features of a calibration cohort need --calib")
+    if args.calib and args.seed is not None:
+        raise ConfigError("seed", "--seed draws the synthetic calibration task, which --calib replaces; drop --seed")
     matched, counts = _load(args.matched, args.features, args.scores)
     if args.calib:
         calibration, calib_counts = _load(args.calib, args.calib_features)
         counts.update((f"calib_{k}", v) for k, v in calib_counts.items())
     else:
         dim = matched.feature_matrix().shape[1]
-        calibration = make_calibration_cohort(dim, n_per_class=300, seed=args.seed or 0)
+        calibration = make_calibration_cohort(dim, seed=args.seed or 0)
     result = weak_robust_curate(matched, calibration, cfg)
     write_json(args.out, result.to_dict())
     return f"weak probe (tau={result.tau}) -> {args.out}", {"tau": result.tau, **counts}

@@ -19,7 +19,7 @@ from operator import attrgetter
 
 from .cohort import ACUTE_SYMPTOM_FIELDS, SYMPTOM_FIELDS, Cohort, ParticipantRecord, SymptomProfile
 from .errors import EmptyResult, MissingCovariate, OverlappingInputs
-from .rngs import substream
+from .rngs import draw_sorted
 
 AGE_BIN_WIDTH = 10
 AGE_BIN_START = 18
@@ -158,8 +158,8 @@ def match_exact(
 ) -> tuple[Cohort, BalanceReport]:
     """Balance class counts exactly within every stratum.
 
-    Majority-class subsampling draws from a per-stratum RNG substream derived
-    from (seed, stratum key), over members sorted by id, so the retained id
+    The majority class is subsampled by ``rngs.draw_sorted`` under the tokens
+    ("match", stratum key), over members sorted by id, so the retained id
     set does not depend on the input ordering. ``disjoint_from`` guards
     against reusing participants across matched train/test constructions: any
     overlap is an error rather than a silent exclusion.
@@ -188,16 +188,9 @@ def match_exact(
         pos, neg = strata[key][1], strata[key][0]
         m = min(len(pos), len(neg))
         balances.append(StratumBalance(key, len(pos), len(neg), m))
-        if m == 0:
-            continue
-        rng = substream(spec.seed, "match", key)
+        # only a class of more than m > 0 members draws: one draw per stratum substream at most
         for members in (pos, neg):
-            ordered = sorted(members)
-            if len(ordered) == m:
-                kept_ids.update(ordered)
-            else:
-                picked = rng.choice(len(ordered), size=m, replace=False)
-                kept_ids.update(ordered[i] for i in sorted(picked.tolist()))
+            kept_ids.update(draw_sorted(members, m, spec.seed, "match", key))
 
     if not kept_ids:
         raise EmptyResult("every stratum lacked one of the classes")

@@ -161,7 +161,9 @@ def bias_demo(cfg: RunConfig) -> ReportBundle:
 
     match_spec = MatchSpec(covariates=("any_symptom",), include_channel=False, seed=cfg.seed)
     matched, balance = match_exact(test, match_spec)
-    matched = hybrid_features(matched, model.predict_matrix(encode_cohort(matched, encoding)))
+    # matched keeps the test half's order, and a row's score does not depend on the rows scored with it
+    kept = set(matched.ids())
+    matched = hybrid_features(matched, test_scores[[r.id in kept for r in test.records]])
     matched_scored = ScoredLabels(matched.scores(), matched.labels())
 
     figures: dict[str, str] = {}
@@ -190,7 +192,7 @@ def bias_demo(cfg: RunConfig) -> ReportBundle:
     figures["strata"], tables["strata"] = emit_figure("stratified_forest", strata, reference=0.62)
 
     probe_cfg = cfg.probe_config
-    calibration = make_calibration_cohort(cfg.synth_config.feature_dim, n_per_class=300, seed=cfg.seed)
+    calibration = make_calibration_cohort(cfg.synth_config.feature_dim, seed=cfg.seed)
     weak = weak_robust_curate(matched, calibration, probe_cfg)
     figures["probe"], tables["probe"] = emit_figure("weak_robust_curve", weak)
 

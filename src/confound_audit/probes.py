@@ -403,7 +403,7 @@ def nn_substitute(matched: Cohort, cfg: WeakProbeConfig) -> ProbeResult:
 # -- default calibration task ------------------------------------------------------
 
 
-def make_calibration_cohort(feature_dim: int, n_per_class: int = 200, seed: int = 0) -> Cohort:
+def make_calibration_cohort(feature_dim: int, n_per_class: int = 300, seed: int = 0) -> Cohort:
     """Synthetic easy two-class task in the given feature space.
 
     The classes are unit-variance Gaussians separated along one random

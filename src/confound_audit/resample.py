@@ -9,8 +9,9 @@ Age equalization targets the normalized per-bin minimum of the two classes'
 pool availability (the feasible common envelope) and apportions counts with
 largest-remainder rounding; the symptomatic and gender constraints are then
 spread across bins by controlled rounding so that every marginal is hit
-exactly. Cell draws use per-cell RNG substreams over id-sorted members, so
-results do not depend on pool ordering.
+exactly. Without age equalization each class is one bin holding every age.
+Cell draws go through ``rngs.draw_sorted`` (per-cell RNG substreams over
+id-sorted members), so results do not depend on pool ordering.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from .cohort import Cohort
 from .errors import ConfigError, InsufficientPool
 from .matching import MatchSpec, stratum_keyer, stratum_label, stratum_order
-from .rngs import substream
+from .rngs import draw_sorted
 
 
 def _round_half_up(x: float) -> int:
@@ -122,8 +123,6 @@ def _pool_index(pool: Cohort) -> tuple[dict[tuple, list[str]], dict[str, int]]:
         b, gender, sym = key_of(r)
         # the symptomatic status stays a bool: each cell's substream hashes str(cell)
         index.setdefault((r.label, bool(sym), gender, b), []).append(r.id)
-    for members in index.values():
-        members.sort()
     return index, skipped
 
 
@@ -137,41 +136,35 @@ def resample_general_population(
     flagged in the report.
     """
     index, skipped = _pool_index(pool)
-    genders = ("male", "female")
 
     # bins present for either class, in a stable order
-    bins = sorted({k[3] for k in index})
-    avail_by_bin = {
-        cls: [sum(len(index.get((cls, s, g, b), [])) for s in (True, False) for g in genders) for b in bins]
-        for cls in (1, 0)
-    }
+    pool_bins = sorted({k[3] for k in index})
+    if spec.equalize_age:
+        # per bin, the smaller of the two classes' pool counts
+        bins = pool_bins
+        envelope = [min(sum(len(v) for k, v in index.items() if k[0] == c and k[3] == b) for c in (1, 0))
+                    for b in bins]
+        if sum(envelope) == 0:
+            raise InsufficientPool("age-envelope", max(spec.n_pos, spec.n_neg), 0)
+    else:
+        # one bin, None, holding every age
+        bins, envelope = [None], [1]
 
     targets: dict[tuple, int] = {}
     for cls, n_cls, p_sym in ((1, spec.n_pos, spec.p_sym_pos), (0, spec.n_neg, spec.p_sym_neg)):
         n_sym = _round_half_up(n_cls * p_sym)
         n_male = n_cls // 2  # odd totals give the extra record to female
-
-        if spec.equalize_age:
-            envelope = [min(avail_by_bin[1][i], avail_by_bin[0][i]) for i in range(len(bins))]
-            if sum(envelope) == 0:
-                raise InsufficientPool("age-envelope", max(spec.n_pos, spec.n_neg), 0)
-            per_bin = _apportion(n_cls, [float(e) for e in envelope])
-            sym_per_bin = _controlled_split(per_bin, n_sym)
-            # males spread over the (bin x symptomatic) cells in fixed order
-            cells = []
-            for i in range(len(bins)):
-                cells.append((bins[i], True, sym_per_bin[i]))
-                cells.append((bins[i], False, per_bin[i] - sym_per_bin[i]))
-            male_per_cell = _controlled_split([c[2] for c in cells], n_male)
-            for (b, sym, size), m in zip(cells, male_per_cell):
-                targets[(cls, sym, "male", b)] = m
-                targets[(cls, sym, "female", b)] = size - m
-        else:
-            block_sizes = [n_sym, n_cls - n_sym]
-            male_per_block = _controlled_split(block_sizes, n_male)
-            for sym, size, m in zip((True, False), block_sizes, male_per_block):
-                targets[(cls, sym, "male", None)] = m
-                targets[(cls, sym, "female", None)] = size - m
+        per_bin = _apportion(n_cls, envelope)
+        sym_per_bin = _controlled_split(per_bin, n_sym)
+        # males spread over the (bin x symptomatic) cells in fixed order
+        cells = []
+        for i in range(len(bins)):
+            cells.append((bins[i], True, sym_per_bin[i]))
+            cells.append((bins[i], False, per_bin[i] - sym_per_bin[i]))
+        male_per_cell = _controlled_split([c[2] for c in cells], n_male)
+        for (b, sym, size), m in zip(cells, male_per_cell):
+            targets[(cls, sym, "male", b)] = m
+            targets[(cls, sym, "female", b)] = size - m
 
     chosen: set[str] = set()
     shortfalls: list[tuple] = []
@@ -180,20 +173,14 @@ def resample_general_population(
         if need == 0:
             continue
         cls, sym, gender, b = cell
-        if b is None:
-            members = sorted(
-                m for bb in bins for m in index.get((cls, sym, gender, bb), [])
-            )
-        else:
-            members = index.get((cls, sym, gender, b), [])
+        ages = pool_bins if b is None else (b,)
+        members = [m for a in ages for m in index.get((cls, sym, gender, a), [])]
         if len(members) < need:
             if strict:
                 raise InsufficientPool(str(cell), need, len(members))
             shortfalls.append(cell)
             need = len(members)
-        rng = substream(spec.seed, "resample", cell)
-        picked = rng.choice(len(members), size=need, replace=False) if need < len(members) else range(need)
-        chosen.update(members[i] for i in picked)
+        chosen.update(draw_sorted(members, need, spec.seed, "resample", cell))
 
     achieved = {key: n for key, members in index.items() if (n := len(chosen.intersection(members)))}
     out = pool.derive(

@@ -21,3 +21,13 @@ def token_hash(*tokens: object) -> int:
 def substream(seed: int, *tokens: object) -> np.random.Generator:
     """Generator for the substream named by ``tokens`` under ``seed``."""
     return np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, token_hash(*tokens)]))
+
+
+def draw_sorted(members, k: int, seed: int, *tokens: object) -> list:
+    """``k`` of ``sorted(members)``, drawn without replacement from the
+    substream named by ``tokens`` (none or all of them, drawing nothing, when
+    ``k`` is 0 or their count), so the draw ignores the order of ``members``."""
+    ordered = sorted(members)
+    if k == 0 or k == len(ordered):
+        return ordered[:k]
+    return [ordered[i] for i in substream(seed, *tokens).choice(len(ordered), size=k, replace=False).tolist()]

@@ -84,9 +84,9 @@ class MaxEuPoint:
     specificity: float
 
 
-def default_pi_grid(pi_max: float = 0.1, n: int = 101) -> np.ndarray:
+def default_pi_grid(pi_max: float = 0.1) -> np.ndarray:
     _check_unit("pi_max", pi_max)
-    return np.linspace(0.0, pi_max, n)
+    return np.linspace(0.0, pi_max, 101)
 
 
 def max_eu_curve(roc: RocCurve, params: UtilityParams, pi_grid) -> list[MaxEuPoint]:

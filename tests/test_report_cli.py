@@ -490,6 +490,9 @@ _MODEL = {"n_trees": 1, "seed": 0, "m_try": 1, "oob_accuracy": None, "trees": [_
      "need --calib"),
     # an empty list is a name outside the flags, not the preset
     (["match", "--in", "{pool}", "--covariates", "", "--out", "{out}"], 1, "covariate ''"),
+    # --seed draws only the synthetic calibration task: refused with --calib, before any file is read
+    (["probe", "weak", "--matched", "{missing}", "--calib", "{missing}", "--seed", "1", "--out", "{out}"], 2,
+     "drop --seed"),
 ])
 def test_cli_errors_exit_with_one_line(tmp_path, capsys, argv, code, message):
     names = ("pool", "short", "word", "noscore", "nan", "above", "repeat", "nanfeat", "blankflag", "badroc", "badjson",

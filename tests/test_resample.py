@@ -1,10 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confound_audit.cohort import CSV_COLUMNS, load_cohort, write_cohort
 from confound_audit.errors import InsufficientPool, MissingCovariate
 from confound_audit.matching import age_bin
 from confound_audit.resample import PopulationSpec, resample_general_population
+from confound_audit.rngs import draw_sorted
 
 from conftest import make_cohort, make_record
 
@@ -166,3 +171,31 @@ def test_skipped_records_counted_by_reason(tmp_path):
     again, kept_report = resample_general_population(kept, spec)
     assert again.ids() == out.ids()
     assert kept_report.skipped == {"no_label": 0, "no_age": 0}
+
+
+def test_unequalized_draws_match_golden_digests():
+    """Without age equalization each class is one bin: the sha256 of the
+    drawn id lists, one draw in full and one with two short cells."""
+    pool = big_pool(seed=6)
+    full, report = resample_general_population(pool, PopulationSpec(n_pos=150, n_neg=170, equalize_age=False, seed=8))
+    assert len(full) == 320 and not report.shortfalls
+    assert hashlib.sha256("\n".join(full.ids()).encode()).hexdigest() == (
+        "aa3bc3823e4132ea7df8395ad061844249e7e074fd02818e149a58348566e471")
+    # 1200 asymptomatic negatives wanted, fewer in the pool
+    spec = PopulationSpec(n_pos=300, n_neg=1500, p_sym_neg=0.2, equalize_age=False, seed=8)
+    short, report = resample_general_population(pool, spec, strict=False)
+    assert report.shortfalls == ((0, False, "female", None), (0, False, "male", None))
+    assert len(short) == report.n_total() == 1686
+    assert hashlib.sha256("\n".join(short.ids()).encode()).hexdigest() == (
+        "682187a6460133c86c892acc4e0184d31f56a7d1e7efbbb6a6c038983bb74734")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(max_size=4), unique=True, max_size=30), st.data())
+def test_draw_sorted_ignores_member_order(members, data):
+    k = data.draw(st.integers(0, len(members)))
+    shuffled = data.draw(st.permutations(members))
+    drawn = draw_sorted(members, k, 5, "cell", k)
+    assert draw_sorted(shuffled, k, 5, "cell", k) == drawn
+    assert len(set(drawn)) == k and set(drawn) <= set(members)
+    assert draw_sorted(shuffled, len(members), 5, "cell") == sorted(members)
