@@ -140,10 +140,10 @@ def resample_general_population(
     # bins present for either class, in a stable order
     pool_bins = sorted({k[3] for k in index})
     if spec.equalize_age:
-        # per bin, the smaller of the two classes' pool counts
+        # per bin, the smaller of the two classes' pool counts of drawable (not "other") genders
         bins = pool_bins
-        envelope = [min(sum(len(v) for k, v in index.items() if k[0] == c and k[3] == b) for c in (1, 0))
-                    for b in bins]
+        envelope = [min(sum(len(v) for k, v in index.items() if k[0] == c and k[2] != "other" and k[3] == b)
+                        for c in (1, 0)) for b in bins]
         if sum(envelope) == 0:
             raise InsufficientPool("age-envelope", max(spec.n_pos, spec.n_neg), 0)
     else:

@@ -190,6 +190,27 @@ def test_unequalized_draws_match_golden_digests():
         "682187a6460133c86c892acc4e0184d31f56a7d1e7efbbb6a6c038983bb74734")
 
 
+def test_other_gender_records_stay_out_of_the_age_envelope():
+    """Only male and female cells are drawn, so "other" records widen no
+    bin's envelope: a bin whose negatives are all "other" gets no target,
+    and the drawn ids keep the sha256 of their golden digest."""
+    extra = [make_record(f"y{i}", label=1, age=12, gender=("male", "female")[i % 2], cough=i % 3 == 0)
+             for i in range(40)]
+    extra += [make_record(f"o{i}", label=i % 2, age=12 + i % 70, gender="other", cough=i % 2 == 0)
+              for i in range(60)]
+    pool = make_cohort(list(big_pool(seed=3).records) + extra)
+    out, report = resample_general_population(pool, PopulationSpec(n_pos=400, n_neg=400, seed=4))
+    assert len(out) == 800 and not report.shortfalls
+    assert not any(i.startswith(("y", "o")) for i in out.ids())
+    assert hashlib.sha256("\n".join(out.ids()).encode()).hexdigest() == (
+        "861087d8728d8953d6504615a81d72ac0667567ac2e17ea18d010ea314a5f33b")
+    # the classes overlap only through "other" records: no envelope at all
+    only = make_cohort([make_record(f"a{i}", label=1, age=30, gender="male", cough=True) for i in range(5)]
+                       + [make_record(f"b{i}", label=0, age=30, gender="other", cough=True) for i in range(5)])
+    with pytest.raises(InsufficientPool, match="age-envelope"):
+        resample_general_population(only, PopulationSpec(n_pos=2, n_neg=2))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.text(max_size=4), unique=True, max_size=30), st.data())
 def test_draw_sorted_ignores_member_order(members, data):
