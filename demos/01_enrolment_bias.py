@@ -11,17 +11,10 @@ Run:  python demos/01_enrolment_bias.py
 
 import os
 
-from confound_audit import SynthConfig, enrol, generate_population, table_2x2_stats
-from confound_audit.report import emit_figure
+from confound_audit import SynthConfig, any_symptom_table, enrol, generate_population, table_2x2_stats
+from confound_audit.report import emit_figure, write_figure
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
-
-
-def any_symptom_table(cohort):
-    t = [[0, 0], [0, 0]]
-    for r in cohort.records:
-        t[int(r.symptoms.any_symptom)][r.label] += 1
-    return t
 
 
 def describe(name, cohort):
@@ -48,12 +41,7 @@ def main():
         cfg = SynthConfig(**base, enrolment=mode)
         cohort = enrol(generate_population(cfg), cfg)
         t, stats = describe(title, cohort)
-        svg, csv_text = emit_figure("two_by_two", t, stats, title=title)
-        stem = os.path.join(OUT, f"enrolment_{mode}")
-        with open(stem + ".svg", "w") as fh:
-            fh.write(svg)
-        with open(stem + ".csv", "w") as fh:
-            fh.write(csv_text)
+        write_figure(os.path.join(OUT, f"enrolment_{mode}"), emit_figure("two_by_two", t, stats, title=title))
 
     print(f"\nfigures written to {OUT}/enrolment_*.svg")
     print("note how phi collapses to exactly zero under matched enrolment,")

@@ -29,7 +29,7 @@ from confound_audit import (
     split_cohort,
     stratified_auc,
 )
-from confound_audit.report import emit_figure
+from confound_audit.report import emit_figure, write_figure
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
 SEED = 11
@@ -50,29 +50,22 @@ def main():
     model = fit_forest(encode_cohort(train, encoding), train.labels(), n_trees=60, seed=SEED)
     print(f"out-of-bag accuracy {model.oob_accuracy:.3f}")
 
-    test_scores = model.predict_matrix(encode_cohort(test, encoding))
-    rand = ScoredLabels(test_scores, test.labels())
+    test = hybrid_features(test, model.predict_matrix(encode_cohort(test, encoding)))
+    rand = ScoredLabels(test.scores(), test.labels())
     ci_rand = auc_ci(rand, method="delong")
     print(f"\nrandomised split : AUC {ci_rand.estimate:.3f} [{ci_rand.lower:.3f}-{ci_rand.upper:.3f}]")
 
     spec = MatchSpec(covariates=TEST_SET, include_channel=False, seed=SEED)
-    matched, balance = match_exact(test, spec)
-    # matched keeps the test set's order: take its records' scores
-    kept = set(matched.ids())
-    matched = hybrid_features(matched, test_scores[[r.id in kept for r in test.records]])
+    matched, balance = match_exact(test, spec)  # the matched records keep their scores
     md = ScoredLabels(matched.scores(), matched.labels())
     ci_match = auc_ci(md, method="delong")
     print(f"matched test set : AUC {ci_match.estimate:.3f} [{ci_match.lower:.3f}-{ci_match.upper:.3f}]"
           f"  ({balance.n_kept} kept, {balance.n_dropped} dropped)")
 
-    svg, csv_text = emit_figure("roc_comparison", [
+    write_figure(os.path.join(OUT, "matched_vs_random_roc"), emit_figure("roc_comparison", [
         {"name": "randomised split", "roc": roc_curve(rand), "ci": ci_rand},
         {"name": "matched test set", "roc": roc_curve(md), "ci": ci_match},
-    ])
-    with open(os.path.join(OUT, "matched_vs_random_roc.svg"), "w") as fh:
-        fh.write(svg)
-    with open(os.path.join(OUT, "matched_vs_random_roc.csv"), "w") as fh:
-        fh.write(csv_text)
+    ]))
 
     # full-preset strata are tiny at this scale; report per-stratum AUC over
     # the coarser (age bin x gender x any-symptom) key instead
@@ -82,11 +75,7 @@ def main():
     for s in strata[:8]:
         mark = "*" if s.fdr_reject else " "
         print(f"  {mark} n={s.n_pos + s.n_neg:4d}  AUC {s.auc:.3f} [{s.ci.lower:.3f}-{s.ci.upper:.3f}]  p={s.mwu_p:.3f}")
-    svg, csv_text = emit_figure("stratified_forest", strata, reference=0.5)
-    with open(os.path.join(OUT, "matched_strata.svg"), "w") as fh:
-        fh.write(svg)
-    with open(os.path.join(OUT, "matched_strata.csv"), "w") as fh:
-        fh.write(csv_text)
+    write_figure(os.path.join(OUT, "matched_strata"), emit_figure("stratified_forest", strata, reference=0.5))
     print(f"\nfigures written to {OUT}/")
 
 

@@ -33,7 +33,7 @@ from confound_audit import (
     split_cohort,
     train_symptoms_model,
 )
-from confound_audit.report import emit_figure
+from confound_audit.report import emit_figure, write_figure
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
 SEED = 23
@@ -64,6 +64,8 @@ def main():
         n_trees=60, seed=SEED,
     )
 
+    # scored before the resample, which keeps each drawn record's audio score
+    test = hybrid_features(test, audio_model.predict_matrix(encode_cohort(test, feat_enc)))
     pool, report = resample_general_population(
         test, PopulationSpec(n_pos=200, n_neg=200, p_sym_pos=0.65, p_sym_neg=0.20, seed=SEED)
     )
@@ -71,37 +73,28 @@ def main():
           f"(65% of positives symptomatic, 20% of negatives)")
 
     labels = pool.labels()
-    audio_scores = audio_model.predict_matrix(encode_cohort(pool, feat_enc))
-    pool_h = hybrid_features(pool, audio_scores)
     entries = []
     for name, scores in [
         ("symptoms", predict_proba(sym_model, pool)),
-        ("symptoms+audio", predict_proba(hybrid_model, pool_h)),
-        ("audio", audio_scores),
+        ("symptoms+audio", predict_proba(hybrid_model, pool)),
+        ("audio", pool.scores()),
     ]:
         d = ScoredLabels(scores, labels)
         ci = auc_ci(d, method="delong")
         print(f"  {name:15s} AUC {ci.estimate:.3f} [{ci.lower:.3f}-{ci.upper:.3f}]")
         entries.append({"name": name, "roc": roc_curve(d), "ci": ci})
 
-    svg, csv_text = emit_figure("roc_comparison", entries, title="General-population ROC")
-    with open(os.path.join(OUT, "genpop_roc.svg"), "w") as fh:
-        fh.write(svg)
-    with open(os.path.join(OUT, "genpop_roc.csv"), "w") as fh:
-        fh.write(csv_text)
+    write_figure(os.path.join(OUT, "genpop_roc"),
+                 emit_figure("roc_comparison", entries, title="General-population ROC"))
 
     params = UtilityParams(r_t=1.5, epsilon=0.2, delta=0.0)
     curves = [
         {"name": e["name"], "points": max_eu_curve(e["roc"], params, default_pi_grid())} for e in entries
     ]
-    svg, csv_text = emit_figure(
+    write_figure(os.path.join(OUT, "genpop_eu"), emit_figure(
         "max_eu_vs_prevalence", curves,
         title="Max expected utility (R_t=1.5, eps=0.2, delta=0)",
-    )
-    with open(os.path.join(OUT, "genpop_eu.svg"), "w") as fh:
-        fh.write(svg)
-    with open(os.path.join(OUT, "genpop_eu.csv"), "w") as fh:
-        fh.write(csv_text)
+    ))
 
     print("\nmax expected utility at selected prevalences (infections prevented per test):")
     grid_idx = [10, 50, 100]  # pi = 0.01, 0.05, 0.1

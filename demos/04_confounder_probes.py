@@ -37,7 +37,7 @@ from confound_audit import (
     weak_robust_curate,
 )
 from confound_audit.cohort import Cohort, ParticipantRecord, SymptomProfile, make_manifest
-from confound_audit.report import emit_figure
+from confound_audit.report import emit_figure, write_figure
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
 SEED = 5
@@ -53,10 +53,10 @@ def confounded_matched_cohort():
     train, test = split_cohort(enrolled, SplitSpec(train_fraction=0.5, seed=SEED))
     enc = build_encoding(train, ("features",))
     model = fit_forest(encode_cohort(train, enc), train.labels(), n_trees=50, seed=SEED)
+    test = hybrid_features(test, model.predict_matrix(encode_cohort(test, enc)))
     # matching only on the aggregate leaves profile-level leakage behind,
     # standing in for confounders that were never measured
-    matched, _ = match_exact(test, MatchSpec(covariates=("any_symptom",), include_channel=False, seed=SEED))
-    return hybrid_features(matched, model.predict_matrix(encode_cohort(matched, enc)))
+    return match_exact(test, MatchSpec(covariates=("any_symptom",), include_channel=False, seed=SEED))[0]
 
 
 def true_signal_cohort():
@@ -93,12 +93,8 @@ def run_probes(name, cohort):
         marker = " <- tau" if k == weak.tau else ""
         print(f"  k={k:2d}  weak UAR {m:.3f}  calibration UAR {c:.3f}  removed {n_rm:3d}{marker}")
 
-    svg, csv_text = emit_figure("weak_robust_curve", weak, title=f"Weak-model curation: {name}")
-    stem = os.path.join(OUT, f"probe_{name.replace(' ', '_')}")
-    with open(stem + ".svg", "w") as fh:
-        fh.write(svg)
-    with open(stem + ".csv", "w") as fh:
-        fh.write(csv_text)
+    write_figure(os.path.join(OUT, f"probe_{name.replace(' ', '_')}"),
+                 emit_figure("weak_robust_curve", weak, title=f"Weak-model curation: {name}"))
 
     nn = nn_substitute(cohort, cfg)
     print(f"nn probe:  AUC {nn.pre_auc:.3f} -> {nn.post_auc:.3f} after substitution, "

@@ -50,6 +50,7 @@ from .metrics import (
     StratumResult,
     TableStats,
     UncertaintySummary,
+    any_symptom_table,
     auc,
     auc_ci,
     bh_fdr,

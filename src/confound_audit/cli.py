@@ -42,7 +42,7 @@ from .matching import TEST_SET, TRAIN_SET, MatchSpec, match_exact, stratum_order
 from .metrics import RocCurve, ScoredLabels, StrataConfig, auc_ci, pr_auc, roc_curve, stratified_auc, uar
 from .pipeline import RunConfig, build_section, field_defaults, read_config, run_from_manifest, run_pipeline
 from .probes import WeakProbeConfig, make_calibration_cohort, nn_substitute, weak_robust_curate
-from .report import write_csv, write_json
+from .report import write_csv, write_json, write_text
 from .resample import PopulationSpec, resample_general_population
 from .synth import SynthConfig, enrol, generate_population
 from .utility import UtilityParams, default_pi_grid, max_eu_curve
@@ -290,9 +290,7 @@ def cmd_baseline_train(args) -> tuple[str, dict]:
     if args.hybrid:
         predictors = predictors + ("audio_score",)
     model = train_symptoms_model(train, predictors, n_trees=args.n_trees, seed=args.seed or 0)
-    with open(args.model, "w", encoding="utf-8") as fh:
-        fh.write(model_to_json(model))
-        fh.write("\n")
+    write_text(args.model, model_to_json(model) + "\n")
     oob = "n/a" if model.oob_accuracy is None else f"{model.oob_accuracy:.3f}"
     return (f"trained {model.n_trees} trees (oob accuracy {oob}, {rejections.total_removed} records rejected)"
             f" -> {args.model}", {

@@ -422,14 +422,6 @@ def load_features(cohort: Cohort, path: str) -> Cohort:
         )
 
 
-def _fmt_bool(v: bool) -> str:
-    return "1" if v else "0"
-
-
-def _fmt_float(v: float) -> str:
-    return repr(float(v))
-
-
 _FLAGS = attrgetter(*SYMPTOM_FIELDS)
 
 
@@ -457,9 +449,9 @@ def write_cohort(cohort: Cohort, path: str) -> None:
             if r.symptoms.missing:
                 flags = ["" if f in r.symptoms.missing else v for f, v in zip(SYMPTOM_FIELDS, flags)]
             row += flags
-            row.append("" if r.score is None else _fmt_float(r.score))
+            row.append("" if r.score is None else repr(float(r.score)))
             if reported:
-                row.append("" if r.symptoms.reported_any is None else _fmt_bool(r.symptoms.reported_any))
+                row.append("" if r.symptoms.reported_any is None else "1" if r.symptoms.reported_any else "0")
             row += [r.other_covariates.get(c, "") for c in extra_cols]
             writer.writerow(row)
 

@@ -24,7 +24,7 @@ same ensemble with the audio score appended as one more numeric predictor.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -520,8 +520,10 @@ def hybrid_features(cohort: Cohort, audio_scores) -> Cohort:
     """Attach an audio score to every record so that ``audio_score`` can be
     used as an additional numeric predictor; every record must be covered.
     This is the one place scores are attached to a cohort (the pipeline and
-    ``probe --scores`` use it too). The manifest counts the scores, keyed by
-    id, that match no record."""
+    ``probe --scores`` use it too). The pipeline and the demos score a whole
+    test cohort once and then match or resample it: selection keeps each
+    record's score. The manifest counts the scores, keyed by id, that match
+    no record."""
     if isinstance(audio_scores, dict):
         lookup = audio_scores
     else:
@@ -547,14 +549,7 @@ def model_to_json(model: TreeEnsemble) -> str:
         "m_try": model.m_try,
         "oob_accuracy": model.oob_accuracy,
         "trees": [{name: a.tolist() for name, a in tree.items()} for tree in model.trees],
-        "encoding": None
-        if model.encoding is None
-        else {
-            "sources": [list(s) for s in model.encoding.sources],
-            "levels": {k: list(v) for k, v in model.encoding.levels.items()},
-            "vector_dim": model.encoding.vector_dim,
-            "dropped": list(model.encoding.dropped),
-        },
+        "encoding": None if model.encoding is None else asdict(model.encoding),
     }
     return json.dumps(payload, sort_keys=True)
 

@@ -255,6 +255,15 @@ class TableStats:
     auc: float
 
 
+def any_symptom_table(cohort) -> list[list[int]]:
+    """The record counts of ``cohort`` by any symptom ``z`` and label ``y``,
+    as ``t[z][y]``: the table ``table_2x2_stats`` reads."""
+    t = [[0, 0], [0, 0]]
+    for r in cohort.records:
+        t[int(r.symptoms.any_symptom)][int(r.label)] += 1
+    return t
+
+
 def table_2x2_stats(joint) -> TableStats:
     """Statistics of a 2x2 predictor-by-label table.
 

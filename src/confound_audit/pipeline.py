@@ -17,13 +17,14 @@ import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from . import __version__
-from .cohort import Cohort, SplitSpec, split_cohort
+from .cohort import SplitSpec, split_cohort
 from .errors import ConfigError, OutOfRange
 from .forest import build_encoding, encode_cohort, fit_forest, hybrid_features
 from .matching import MatchSpec, match_exact, stratum_label
 from .metrics import (
     ScoredLabels,
     StrataConfig,
+    any_symptom_table,
     auc_ci,
     calibration_bins,
     roc_curve,
@@ -140,13 +141,6 @@ def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(json.dumps(cfg.to_dict(), sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _any_symptom_table(cohort: Cohort) -> list[list[int]]:
-    t = [[0, 0], [0, 0]]
-    for r in cohort.records:
-        t[int(r.symptoms.any_symptom)][int(r.label)] += 1
-    return t
-
-
 def bias_demo(cfg: RunConfig) -> ReportBundle:
     enrolled, _pop = generate_cohort(cfg.synth_config)
     train, test = split_cohort(enrolled, SplitSpec(train_fraction=0.5, seed=cfg.seed))
@@ -156,14 +150,12 @@ def bias_demo(cfg: RunConfig) -> ReportBundle:
         encode_cohort(train, encoding), train.labels(),
         n_trees=cfg.n_trees, seed=cfg.seed,
     )
-    test_scores = model.predict_matrix(encode_cohort(test, encoding))
-    randomized = ScoredLabels(test_scores, test.labels())
+    # scored once: matching keeps each record's score
+    test = hybrid_features(test, model.predict_matrix(encode_cohort(test, encoding)))
+    randomized = ScoredLabels(test.scores(), test.labels())
 
     match_spec = MatchSpec(covariates=("any_symptom",), include_channel=False, seed=cfg.seed)
     matched, balance = match_exact(test, match_spec)
-    # matched keeps the test half's order, and a row's score does not depend on the rows scored with it
-    kept = set(matched.ids())
-    matched = hybrid_features(matched, test_scores[[r.id in kept for r in test.records]])
     matched_scored = ScoredLabels(matched.scores(), matched.labels())
 
     figures: dict[str, str] = {}
@@ -207,12 +199,12 @@ def bias_demo(cfg: RunConfig) -> ReportBundle:
         ],
     )
 
-    table = _any_symptom_table(enrolled)
+    table = any_symptom_table(enrolled)
     figures["two_by_two"], tables["two_by_two"] = emit_figure(
         "two_by_two", table, table_2x2_stats(table), title="Any symptom vs status (enrolled)"
     )
 
-    bins, ece = calibration_bins(test_scores, test.labels())
+    bins, ece = calibration_bins(randomized.scores, randomized.labels)
     figures["calibration"], tables["calibration"] = emit_figure("calibration", bins, ece)
 
     tables["balance"] = csv_text(

@@ -3,8 +3,9 @@
 Every figure function returns an (svg, csv) pair. The CSV carries the exact
 plotted series at full precision; numbers rendered inside the SVG are rounded
 to four significant figures. SVG output is deterministic and embeds no
-external assets, so goldens diff cleanly. ``write_json`` writes every JSON
-report and manifest the toolkit emits.
+external assets, so goldens diff cleanly. ``write_figure`` writes one
+(svg, csv) pair, and ``write_json`` every JSON report and manifest the
+toolkit emits; both go through ``write_text``.
 """
 
 from __future__ import annotations
@@ -347,22 +348,29 @@ class ReportBundle:
 
     def write(self, outdir: str) -> None:
         os.makedirs(outdir, exist_ok=True)
-        for name, svg in self.figures.items():
-            with open(os.path.join(outdir, name + ".svg"), "w", encoding="utf-8") as fh:
-                fh.write(svg)
-        for name, text in self.tables.items():
-            with open(os.path.join(outdir, name + ".csv"), "w", encoding="utf-8") as fh:
-                fh.write(text)
+        for suffix, texts in ((".svg", self.figures), (".csv", self.tables)):
+            for name, text in texts.items():
+                write_text(os.path.join(outdir, name + suffix), text)
         write_json(os.path.join(outdir, "manifest.json"), self.manifest, sort_keys=True)
 
 
-def write_csv(path: str, header: list[str], rows) -> None:
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` as UTF-8, newlines untranslated: the one file write
+    behind every figure, table, JSON report and manifest emitted here."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(csv_text(header, rows))
+        fh.write(text)
+
+
+def write_figure(stem: str, figure: tuple[str, str]) -> None:
+    """Write an ``emit_figure`` (svg, csv) pair to ``stem.svg`` and ``stem.csv``."""
+    write_text(stem + ".svg", figure[0])
+    write_text(stem + ".csv", figure[1])
+
+
+def write_csv(path: str, header: list[str], rows) -> None:
+    write_text(path, csv_text(header, rows))
 
 
 def write_json(path: str, payload, sort_keys: bool = False) -> None:
     """Write ``payload`` as JSON indented by two spaces, with a final newline."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=sort_keys)
-        fh.write("\n")
+    write_text(path, json.dumps(payload, indent=2, sort_keys=sort_keys) + "\n")

@@ -87,7 +87,8 @@ class PopulationSpec:
 
 @dataclass(frozen=True)
 class ResampleReport:
-    # achieved counts per (label, symptomatic, gender, age_bin)
+    # records drawn per target cell (label, symptomatic, gender, age bin), the
+    # cells ``shortfalls`` names; the bin is None without age equalization
     achieved: dict[tuple, int]
     shortfalls: tuple[tuple, ...]
     # pool records never drawn from, by reason: a blank label ("no_label",
@@ -167,6 +168,7 @@ def resample_general_population(
             targets[(cls, sym, "female", b)] = size - m
 
     chosen: set[str] = set()
+    achieved: dict[tuple, int] = {}
     shortfalls: list[tuple] = []
     for cell in sorted(targets, key=stratum_order):
         need = targets[cell]
@@ -180,9 +182,10 @@ def resample_general_population(
                 raise InsufficientPool(str(cell), need, len(members))
             shortfalls.append(cell)
             need = len(members)
-        chosen.update(draw_sorted(members, need, spec.seed, "resample", cell))
+        if need:
+            achieved[cell] = need
+            chosen.update(draw_sorted(members, need, spec.seed, "resample", cell))
 
-    achieved = {key: n for key, members in index.items() if (n := len(chosen.intersection(members)))}
     out = pool.derive(
         (r for r in pool.records if r.id in chosen), "resample", seed=spec.seed, n_pos=spec.n_pos,
         n_neg=spec.n_neg, p_sym_pos=spec.p_sym_pos, p_sym_neg=spec.p_sym_neg, equalize_age=spec.equalize_age,

@@ -54,7 +54,8 @@ def _report(criterion, detail):
 
 def _confounded_run(seed):
     """One synthetic cohort with symptom-driven enrolment, no true signal,
-    and strong symptom leakage into features; plus a trained classifier."""
+    and strong symptom leakage into features; its test half comes back
+    scored by a classifier trained on the other half."""
     cfg = SynthConfig(
         n_population=9000, prevalence=0.3, enrolment="symptoms_based",
         signal_strength=0.0, confounder_strength=7.0, feature_dim=16,
@@ -64,7 +65,7 @@ def _confounded_run(seed):
     train, test = split_cohort(enrolled, SplitSpec(train_fraction=0.5, seed=seed))
     encoding = build_encoding(train, ("features",))
     model = fit_forest(encode_cohort(train, encoding), train.labels(), n_trees=50, seed=seed)
-    return cfg, train, test, encoding, model
+    return cfg, hybrid_features(test, model.predict_matrix(encode_cohort(test, encoding)))
 
 
 @pytest.fixture(scope="module")
@@ -91,13 +92,6 @@ def _orthogonal_signal_cohort(rng, n_per_class, dim, alpha, prefix):
                 )
             )
     return Cohort(records=tuple(records), manifest=make_manifest("orthogonal-signal"))
-
-
-def _with_scores(cohort, scores):
-    return Cohort(
-        records=tuple(r.with_score(float(np.clip(s, 0.0, 1.0))) for r, s in zip(cohort.records, scores)),
-        manifest=cohort.manifest,
-    )
 
 
 def _sigmoid(z):
@@ -187,14 +181,13 @@ def test_criterion_05_bias_inflation_demo(confounded_runs):
     runs, build_time = confounded_runs
     start = time.monotonic()
     rand_aucs, matched_aucs = [], []
-    for seed, (cfg, train, test, encoding, model) in enumerate(runs):
-        scores = model.predict_matrix(encode_cohort(test, encoding))
-        rand_aucs.append(auc(ScoredLabels(scores, test.labels())))
+    for seed, (cfg, test) in enumerate(runs):
+        rand_aucs.append(auc(ScoredLabels(test.scores(), test.labels())))
+        # matching keeps the scores of the records it keeps
         matched, _ = match_exact(
             test, MatchSpec(covariates=TEST_SET, include_channel=False, seed=seed)
         )
-        m_scores = model.predict_matrix(encode_cohort(matched, encoding))
-        matched_aucs.append(auc(ScoredLabels(m_scores, matched.labels())))
+        matched_aucs.append(auc(ScoredLabels(matched.scores(), matched.labels())))
     elapsed = time.monotonic() - start + build_time  # include cohort + training time
     print("  randomised:", [round(a, 3) for a in rand_aucs])
     print("  matched:   ", [round(a, 3) for a in matched_aucs])
@@ -213,11 +206,10 @@ def test_criterion_06_weak_probe_sensitivity_and_safety(confounded_runs):
     # leakage as the unmeasured confounder; the probe must claw it back
     runs, _ = confounded_runs
     drops = []
-    for seed, (cfg, train, test, encoding, model) in enumerate(runs):
+    for seed, (cfg, test) in enumerate(runs):
         matched, _ = match_exact(
             test, MatchSpec(covariates=("any_symptom",), include_channel=False, seed=seed)
         )
-        matched = _with_scores(matched, model.predict_matrix(encode_cohort(matched, encoding)))
         calibration = make_calibration_cohort(cfg.feature_dim, n_per_class=300, seed=seed)
         result = weak_robust_curate(matched, calibration, WeakProbeConfig(k_max=10, seed=seed))
         assert result.tau is not None
@@ -233,7 +225,7 @@ def test_criterion_06_weak_probe_sensitivity_and_safety(confounded_runs):
         train = _orthogonal_signal_cohort(rng, 300, 16, 2.0, "tr")
         test = _orthogonal_signal_cohort(rng, 250, 16, 2.0, "te")
         model = fit_forest(train.feature_matrix(), train.labels(), n_trees=40, seed=seed)
-        test = _with_scores(test, model.predict_matrix(test.feature_matrix()))
+        test = hybrid_features(test, model.predict_matrix(test.feature_matrix()))
         calibration = make_calibration_cohort(16, n_per_class=300, seed=seed)
         result = weak_robust_curate(test, calibration, WeakProbeConfig(k_max=10, seed=seed))
         assert result.tau is not None

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -74,6 +75,35 @@ def test_pipeline_coherent_and_deterministic(tmp_path):
     assert b1.tables == b2.tables
     assert b1.figures == b2.figures
     assert set(b1.figures) >= {"roc", "eu", "strata", "probe"}
+
+
+# sha256 of each default bias-demo output at seed 1, (kind, name) -> digest
+PIPELINE_DIGESTS = {
+    ("figures", "calibration"): "ec9bb784d6af8e84a269e35c6fa88b4c3d9049dec50153127e9f7c7b92ca6929",
+    ("figures", "eu"): "81003abbb1afdc3d308130de095e3c5bf42289b9f242c9e98ec53591c8b2fddb",
+    ("figures", "probe"): "39d8aaf1e26f5582f8543f61c1add2b10cae59c79474b6bfe5607c92e526c61e",
+    ("figures", "roc"): "31cf5381379d3a8a35e2a62ea285c2a28a745647920235e3bf36833f11802aeb",
+    ("figures", "strata"): "19766e50fa74c3ff4c81843f350a32636de47ccc4969e77eb37db4e8d4aaf290",
+    ("figures", "two_by_two"): "84a0680bbdfafbafaee165a1a4bc68f98e2391fedd741675ede620c0b224a970",
+    ("tables", "balance"): "0a5c2102618369bb3e0ca877515787aa8ecb6ac848edd87e522f52c311170eab",
+    ("tables", "calibration"): "b992721707ade54f9ca97164779d41bc6e38d2bb6815074668b0e13f74b2e0ff",
+    ("tables", "eu"): "52ef7100311c1bea88fd6cce353c6301630b7daa89bbb0f8db6dee10acc4a1e4",
+    ("tables", "nn_probe"): "a53c92cb2ac1102bef297da8f37f367832f32b6421c602b9a0967f57c12a708a",
+    ("tables", "probe"): "bf024f6b87eca4bcb3e4e371f436f8c151e013c7f63fa48427609784f5f11bb4",
+    ("tables", "roc"): "d752491aaef43038cd19a9201132b7a13c31dba12aa34a48ff9304b80aa545a9",
+    ("tables", "strata"): "67e2e36af3f0b89cd563e7edd99974665d205cf63aa792a7982fd612aa61336e",
+    ("tables", "two_by_two"): "ed1a1f3d5ce9581a0a4963aad2e91fcdc84aaca0fb74425c4e02e107ededd072",
+}
+
+
+def test_pipeline_outputs_match_golden_digests():
+    """Every figure and table of the default bias-demo run at seed 1 keeps
+    the sha256 recorded for it, so a change to any output byte fails here
+    even when two reruns of the changed code agree."""
+    bundle = run_pipeline(RunConfig(seed=1))
+    got = {(kind, name): hashlib.sha256(text.encode()).hexdigest()
+           for kind in ("figures", "tables") for name, text in getattr(bundle, kind).items()}
+    assert got == PIPELINE_DIGESTS
 
 
 def test_pipeline_rejects_unknown_keys():

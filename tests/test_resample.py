@@ -190,6 +190,20 @@ def test_unequalized_draws_match_golden_digests():
         "682187a6460133c86c892acc4e0184d31f56a7d1e7efbbb6a6c038983bb74734")
 
 
+def test_unequalized_report_keys_achieved_by_the_cells_it_names_short():
+    """Without age equalization ``achieved`` and ``shortfalls`` key each cell
+    the same way, with bin None, and a short cell counts all its pool holds."""
+    pool = big_pool(seed=6)
+    spec = PopulationSpec(n_pos=100, n_neg=1500, p_sym_neg=0.2, equalize_age=False, seed=1)
+    out, report = resample_general_population(pool, spec, strict=False)
+    assert report.shortfalls == ((0, False, "female", None), (0, False, "male", None))
+    assert all(key.endswith("|None") for key in report.to_dict()["achieved"])
+    for label, sym, gender, b in report.shortfalls:
+        assert report.achieved[(label, sym, gender, b)] == sum(
+            r.label == label and r.symptoms.any_symptom == sym and r.gender == gender for r in pool.records)
+    assert len(out) == report.n_total()
+
+
 def test_other_gender_records_stay_out_of_the_age_envelope():
     """Only male and female cells are drawn, so "other" records widen no
     bin's envelope: a bin whose negatives are all "other" gets no target,

@@ -9,15 +9,12 @@ from confound_audit import synth
 from confound_audit.cohort import Cohort, load_cohort, load_features, make_manifest, write_cohort, write_features
 from confound_audit.errors import BadValue, ConfigError, EmptyEnrolment
 from confound_audit.matching import stratum_keyer, TEST_SET, MatchSpec
-from confound_audit.metrics import ScoredLabels, auc, table_2x2_stats
+from confound_audit.metrics import ScoredLabels, any_symptom_table, auc, table_2x2_stats
 from confound_audit.synth import SynthConfig, enrol, generate_cohort, generate_population
 
 
 def phi_label_vs_any(cohort):
-    t = [[0, 0], [0, 0]]
-    for r in cohort.records:
-        t[int(r.symptoms.any_symptom)][r.label] += 1
-    return table_2x2_stats(t).phi
+    return table_2x2_stats(any_symptom_table(cohort)).phi
 
 
 def test_invalid_configs():
