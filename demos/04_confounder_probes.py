@@ -36,7 +36,7 @@ from confound_audit import (
     split_cohort,
     weak_robust_curate,
 )
-from confound_audit.cohort import Cohort, ParticipantRecord, SymptomProfile, make_manifest
+from confound_audit.cohort import vector_cohort
 from confound_audit.report import emit_figure, write_figure
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
@@ -62,19 +62,13 @@ def confounded_matched_cohort():
 def true_signal_cohort():
     rng = np.random.default_rng(SEED)
 
-    def draw(n_per_class, prefix):
-        records = []
-        for c in (1, 0):
-            x = np.zeros((n_per_class, DIM))
-            x[:, 1:] = rng.normal(size=(n_per_class, DIM - 1))
-            if c == 1:
-                x[:, 0] = 2.0 + rng.normal(size=n_per_class)
-            for i in range(n_per_class):
-                records.append(ParticipantRecord(
-                    id=f"{prefix}-{c}-{i}", label=c, symptoms=SymptomProfile(),
-                    age_years=30, gender="male" if i % 2 == 0 else "female",
-                    channel="synthetic", features=x[i]))
-        return Cohort(records=tuple(records), manifest=make_manifest("true-signal"))
+    def draw(n, prefix):
+        # class 1's rows, then class 0's; negatives do not vary along axis 0
+        x = np.zeros((2 * n, DIM))
+        x[:n, 1:] = rng.normal(size=(n, DIM - 1))
+        x[:n, 0] = 2.0 + rng.normal(size=n)
+        x[n:, 1:] = rng.normal(size=(n, DIM - 1))
+        return vector_cohort(x, np.repeat([1, 0], n), prefix)
 
     train, test = draw(300, "tr"), draw(250, "te")
     model = fit_forest(train.feature_matrix(), train.labels(), n_trees=40, seed=SEED)
@@ -83,7 +77,7 @@ def true_signal_cohort():
 
 def run_probes(name, cohort):
     print(f"\n=== {name} (n={len(cohort)}) ===")
-    cfg = WeakProbeConfig(k_max=10, seed=SEED)
+    cfg = WeakProbeConfig(k_max=10)
     calibration = make_calibration_cohort(DIM, seed=SEED)
     weak = weak_robust_curate(cohort, calibration, cfg)
     print(f"weak probe: uncurated AUC {weak.uncurated_auc:.3f}, tau={weak.tau}, "

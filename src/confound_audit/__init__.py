@@ -19,6 +19,7 @@ from .cohort import (
     load_features,
     split_cohort,
     validate_cohort,
+    vector_cohort,
     write_cohort,
     write_features,
 )

@@ -230,6 +230,21 @@ def make_manifest(source: str, **extra) -> dict:
     return m
 
 
+def vector_cohort(features, labels, prefix: str) -> Cohort:
+    """The root cohort of a task known only by feature vectors and labels:
+    record ``i`` is ``f"{prefix}-{i:05d}"`` with ``int(labels[i])`` and row
+    ``i`` of one float copy of ``features``, no flag set, a blank age, gender
+    "other" and channel "synthetic". Features that are not 2-D with one row
+    per label raise ``ValueError``. Scores go on with ``forest.hybrid_features``."""
+    x = np.array(features, dtype=float)
+    if x.ndim != 2 or x.shape[0] != len(labels):
+        raise ValueError(f"need a 2-D feature matrix with one row per label, got {x.shape} for {len(labels)} labels")
+    profile = symptom_profile((False,) * len(SYMPTOM_FIELDS))
+    records = tuple(ParticipantRecord(f"{prefix}-{i:05d}", int(label), profile, None, "other", "synthetic", features=row)
+                    for i, (label, row) in enumerate(zip(labels, x)))
+    return Cohort(records=records, manifest=make_manifest(prefix, step="vectors"))
+
+
 # -- CSV ingestion ----------------------------------------------------------
 
 

@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .cohort import SYMPTOM_FIELDS, Cohort
-from .errors import EncodingMismatch, MissingScore, OneClassOnly
+from .errors import BadValue, EncodingMismatch, MissingScore, OneClassOnly
 from .rngs import substream
 
 DEFAULT_SYMPTOM_PREDICTORS = SYMPTOM_FIELDS[:8] + ("age", "gender", "smoker")
@@ -522,8 +522,9 @@ def hybrid_features(cohort: Cohort, audio_scores) -> Cohort:
     This is the one place scores are attached to a cohort (the pipeline and
     ``probe --scores`` use it too). The pipeline and the demos score a whole
     test cohort once and then match or resample it: selection keeps each
-    record's score. The manifest counts the scores, keyed by id, that match
-    no record."""
+    record's score. A score that ``load_cohort`` would refuse (NaN, or
+    outside [0, 1]) raises ``BadValue`` with the record's 1-based position.
+    The manifest counts the scores, keyed by id, that match no record."""
     if isinstance(audio_scores, dict):
         lookup = audio_scores
     else:
@@ -532,10 +533,13 @@ def hybrid_features(cohort: Cohort, audio_scores) -> Cohort:
             raise ValueError("audio score sequence does not align with the cohort")
         lookup = {r.id: float(v) for r, v in zip(cohort.records, arr)}
     records = []
-    for r in cohort.records:
+    for position, r in enumerate(cohort.records, start=1):
         if r.id not in lookup or lookup[r.id] is None:
             raise MissingScore(r.id)
-        records.append(r.with_score(float(lookup[r.id])))
+        score = float(lookup[r.id])
+        if not 0.0 <= score <= 1.0:
+            raise BadValue(position, "score", score)
+        records.append(r.with_score(score))
     return cohort.derive(records, "hybrid_features", unmatched_score_rows=len(lookup) - len(records))
 
 

@@ -111,22 +111,21 @@ def auc(data: ScoredLabels) -> float:
 
 
 def _psi_components(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-positive and per-negative placement components.
-
-    v_pos[i] = mean_j psi(pos_i, neg_j) and v_neg[j] = mean_i psi(pos_i, neg_j)
-    with psi = 1, 1/2, 0 for >, =, <; both means equal the AUC.
+    """Per-positive and per-negative placement sums: s_pos[i] = sum_j
+    psi(pos_i, neg_j) and s_neg[j] = sum_i psi(pos_i, neg_j), with psi = 1,
+    1/2, 0 for >, =, <. Divided by n and by m they are the DeLong placements;
+    either total over m * n is the AUC, to the bit :func:`auc` gives.
 
     Placements come from midranks (Sun & Xu 2014): a score's pooled midrank
     minus its midrank within its own class is the number of other-class
-    scores below it plus half the number tied with it. That half-integer
-    count is exact, so each component is one division, in O(N log N).
+    scores below it plus half the number tied with it, an exact half-integer
+    count, in O(N log N).
     """
     is_pos = labels == 1
     pooled = rankdata(scores)
     neg_below_pos = pooled[is_pos] - rankdata(scores[is_pos])
     pos_below_neg = pooled[~is_pos] - rankdata(scores[~is_pos])
-    m, n = neg_below_pos.size, pos_below_neg.size
-    return neg_below_pos / n, (m - pos_below_neg) / m
+    return neg_below_pos, neg_below_pos.size - pos_below_neg
 
 
 @dataclass(frozen=True)
@@ -171,21 +170,20 @@ def auc_ci(data: ScoredLabels, method: str = "delong") -> ConfidenceInterval:
     """
     data.require_both_classes()
     m, n = data.pos.size, data.neg.size
-    estimate = auc(data)
     if method == "hanley_mcneil":
-        a = estimate
+        a = auc(data)
         q1 = a / (2.0 - a)
         q2 = 2.0 * a * a / (1.0 + a)
         var = (a * (1.0 - a) + (m - 1) * (q1 - a * a) + (n - 1) * (q2 - a * a)) / (m * n)
         se = math.sqrt(max(0.0, var))
         detail = HanleyMcNeilDetail(q1=q1, q2=q2, se=se)
-        return _normal_interval(estimate, se, method, detail)
+        return _normal_interval(a, se, method, detail)
     if method == "delong":
         if m < 2 or n < 2:
             raise TooFewSamples("DeLong variance needs at least 2 records per class")
-        v_pos, v_neg = _psi_components(data.scores, data.labels)
-        var = np.var(v_pos, ddof=1) / m + np.var(v_neg, ddof=1) / n
-        return _normal_interval(estimate, math.sqrt(max(0.0, var)), method)
+        s_pos, s_neg = _psi_components(data.scores, data.labels)
+        var = np.var(s_pos / n, ddof=1) / m + np.var(s_neg / m, ddof=1) / n
+        return _normal_interval(float(s_pos.sum() / (m * n)), math.sqrt(max(0.0, var)), method)
     raise ValueError(f"unknown CI method {method!r}")
 
 
@@ -202,10 +200,10 @@ def delong_test(a: ScoredLabels, b: ScoredLabels) -> dict:
     m, n = a.pos.size, a.neg.size
     if m < 2 or n < 2:
         raise TooFewSamples("DeLong variance needs at least 2 records per class")
-    vpa, vna = _psi_components(a.scores, a.labels)
-    vpb, vnb = _psi_components(b.scores, b.labels)
-    auc_a, auc_b = float(np.mean(vpa)), float(np.mean(vpb))
-    var = np.var(vpa - vpb, ddof=1) / m + np.var(vna - vnb, ddof=1) / n
+    spa, sna = _psi_components(a.scores, a.labels)
+    spb, snb = _psi_components(b.scores, b.labels)
+    auc_a, auc_b = float(spa.sum() / (m * n)), float(spb.sum() / (m * n))
+    var = np.var(spa / n - spb / n, ddof=1) / m + np.var(sna / m - snb / m, ddof=1) / n
     if var <= 0.0:
         if auc_a == auc_b:
             return {"z": 0.0, "p": 1.0, "auc_a": auc_a, "auc_b": auc_b}

@@ -45,8 +45,8 @@ def field_defaults(cls, *leave_out: str) -> dict:
 
 # Every key of each RunConfig section with the bias-demo pipeline's default;
 # a key takes values of its default's type. The synth and probe sections take
-# their class's fields but ``seed`` (the run seed sets it), at the class's
-# default unless this table sets another.
+# their class's fields but ``seed``, at the class's default unless this table
+# sets another: the run seed sets the synth seed, and no probe reads one.
 DEFAULTS = {
     "synth": {**field_defaults(SynthConfig, "seed"), "n_population": 6000, "prevalence": 0.25,
               "enrolment": "symptoms_based", "signal_strength": 0.0, "confounder_strength": 5.0, "feature_dim": 12},
@@ -118,7 +118,7 @@ class RunConfig:
             self.utility_params = UtilityParams(**utility)
         except OutOfRange as exc:
             raise ConfigError("utility", str(exc)) from None
-        self.probe_config = build_section(WeakProbeConfig, "probe.", self.probe, DEFAULTS["probe"], seed=self.seed)
+        self.probe_config = build_section(WeakProbeConfig, "probe.", self.probe, DEFAULTS["probe"])
         self.strata = build_section(StrataConfig, "metrics.", self.metrics, DEFAULTS["metrics"])
 
     def to_dict(self) -> dict:

@@ -34,7 +34,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.stats import norm
 
-from .cohort import Cohort, ParticipantRecord, SymptomProfile, make_manifest
+from .cohort import Cohort, vector_cohort
 from .errors import ConfigError, EncodingMismatch, NoNegatives, OneClassOnly, RankDeficientWarning, TooFewSamples
 from .metrics import ScoredLabels, auc, uar
 from .rngs import substream
@@ -415,23 +415,7 @@ def make_calibration_cohort(feature_dim: int, n_per_class: int = 300, seed: int 
     direction = rng.normal(size=feature_dim)
     direction /= np.linalg.norm(direction)
     separation = 2.0 * norm.ppf(0.99)
-    records = []
-    for c in (0, 1):
-        centre = (separation / 2.0) * direction * (1.0 if c == 1 else -1.0)
-        noise = rng.normal(size=(n_per_class, feature_dim))
-        for i in range(n_per_class):
-            records.append(
-                ParticipantRecord(
-                    id=f"cal-{c}-{i:05d}",
-                    label=c,
-                    symptoms=SymptomProfile(),
-                    age_years=40,
-                    gender="male" if i % 2 == 0 else "female",
-                    channel="synthetic",
-                    features=centre + noise[i],
-                )
-            )
-    return Cohort(
-        records=tuple(records),
-        manifest=make_manifest(f"calibration(seed={seed})", step="calibration"),
-    )
+    x = np.concatenate([
+        (separation / 2.0) * direction * sign + rng.normal(size=(n_per_class, feature_dim)) for sign in (-1.0, 1.0)
+    ])
+    return vector_cohort(x, np.repeat([0, 1], n_per_class), "cal")

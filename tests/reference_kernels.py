@@ -74,20 +74,19 @@ def midranks_loop(x: np.ndarray) -> np.ndarray:
 
 
 def psi_components_pairwise(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """DeLong placements from every (positive, negative) comparison."""
+    """DeLong placement sums from every (positive, negative) comparison."""
     pos = scores[labels == 1]
     neg = scores[labels == 0]
-    v_pos = np.zeros(pos.size)
-    v_neg = np.zeros(neg.size)
+    s_pos = np.zeros(pos.size)
+    s_neg = np.zeros(neg.size)
     chunk = max(1, int(2_000_000 / max(1, neg.size)))
     for start in range(0, pos.size, chunk):
         block = pos[start : start + chunk, None]
         psi = (block > neg[None, :]).astype(float)
         psi += 0.5 * (block == neg[None, :])
-        v_pos[start : start + chunk] = psi.mean(axis=1)
-        v_neg += psi.sum(axis=0)
-    v_neg /= pos.size
-    return v_pos, v_neg
+        s_pos[start : start + chunk] = psi.sum(axis=1)
+        s_neg += psi.sum(axis=0)
+    return s_pos, s_neg
 
 
 def mwu_exact_enumerated(pos: np.ndarray, neg: np.ndarray) -> dict:

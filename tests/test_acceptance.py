@@ -11,14 +11,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from confound_audit.cohort import (
-    Cohort,
-    ParticipantRecord,
-    SplitSpec,
-    SymptomProfile,
-    make_manifest,
-    split_cohort,
-)
+from confound_audit.cohort import SplitSpec, split_cohort, vector_cohort
 from confound_audit.forest import build_encoding, encode_cohort, fit_forest, hybrid_features
 from confound_audit.matching import TEST_SET, TRAIN_SET, MatchSpec, match_exact, stratum_keyer
 from confound_audit.metrics import (
@@ -76,22 +69,14 @@ def confounded_runs():
 
 
 def _orthogonal_signal_cohort(rng, n_per_class, dim, alpha, prefix):
-    """True class signal lives on axis 0, along which negatives do not vary."""
-    records = []
-    for c, n in ((1, n_per_class), (0, n_per_class)):
-        x = np.zeros((n, dim))
-        x[:, 1:] = rng.normal(size=(n, dim - 1))
-        if c == 1:
-            x[:, 0] = alpha + rng.normal(size=n)
-        for i in range(n):
-            records.append(
-                ParticipantRecord(
-                    id=f"{prefix}-{c}-{i}", label=c, symptoms=SymptomProfile(),
-                    age_years=30 + (i % 40), gender="male" if i % 2 == 0 else "female",
-                    channel="synthetic", features=x[i],
-                )
-            )
-    return Cohort(records=tuple(records), manifest=make_manifest("orthogonal-signal"))
+    """True class signal lives on axis 0, along which negatives do not vary;
+    class 1's rows come first."""
+    n = n_per_class
+    x = np.zeros((2 * n, dim))
+    x[:n, 1:] = rng.normal(size=(n, dim - 1))
+    x[:n, 0] = alpha + rng.normal(size=n)
+    x[n:, 1:] = rng.normal(size=(n, dim - 1))
+    return vector_cohort(x, np.repeat([1, 0], n), prefix)
 
 
 def _sigmoid(z):

@@ -13,6 +13,7 @@ from confound_audit.cohort import (
     load_features,
     split_cohort,
     validate_cohort,
+    vector_cohort,
     write_cohort,
 )
 from confound_audit.errors import (
@@ -419,3 +420,29 @@ def test_every_derived_cohort_records_its_lineage(tmp_path):
         assert list(m) == ["source", "created", "step", "parent_steps", *extra]
         assert (m["source"], m["step"], m["parent_steps"]) == (path, step, parent)
         assert {k: m[k] for k in extra} == extra
+
+
+def test_vector_cohort_builds_one_blank_record_per_row():
+    x = np.arange(12, dtype=np.int64).reshape(4, 3) / 7.0
+    cohort = vector_cohort(x, np.array([1, 0, 0, 1]), "v")
+    assert cohort.ids() == ["v-00000", "v-00001", "v-00002", "v-00003"]
+    assert cohort.labels().tolist() == [1, 0, 0, 1]
+    assert all(type(r.label) is int for r in cohort)
+    assert cohort.feature_matrix().tobytes() == x.tobytes()
+    x[0, 0] = 99.0  # the records hold a copy
+    assert cohort.records[0].features[0] == 0.0
+    for r in cohort:
+        assert r.symptoms == SymptomProfile() and not r.symptoms.any_symptom
+        assert (r.age_years, r.gender, r.channel, r.score, r.other_covariates) == (None, "other", "synthetic", None, {})
+    assert {(k, v) for k, v in cohort.manifest.items() if k != "created"} == {("source", "v"), ("step", "vectors")}
+
+
+@pytest.mark.parametrize("features, labels", [
+    (np.zeros(4), [0, 1, 0, 1]),  # not 2-D
+    (np.zeros((2, 2, 2)), [0, 1]),
+    (np.zeros((4, 2)), [0, 1, 0]),  # a row without a label
+    (np.zeros((3, 2)), [0, 1, 0, 1]),
+])
+def test_vector_cohort_refuses_features_that_do_not_give_one_row_per_label(features, labels):
+    with pytest.raises(ValueError):
+        vector_cohort(features, labels, "v")

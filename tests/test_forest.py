@@ -8,7 +8,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from confound_audit import forest
-from confound_audit.errors import EncodingMismatch, MissingScore, OneClassOnly
+from confound_audit.cohort import load_cohort, vector_cohort, write_cohort
+from confound_audit.errors import BadValue, EncodingMismatch, MissingScore, OneClassOnly
 from confound_audit.forest import (
     DEFAULT_SYMPTOM_PREDICTORS,
     TREE_ARRAYS,
@@ -438,6 +439,26 @@ def test_hybrid_features_attaches_scores():
     cohort = make_cohort([make_record("a", 1), make_record("b", 0)])
     out = hybrid_features(cohort, {"a": 0.25, "b": 0.75})
     assert [r.score for r in out.records] == [0.25, 0.75]
+
+
+@pytest.mark.parametrize("bad", [np.nan, 1.5, -0.25, np.inf, -np.inf])
+@pytest.mark.parametrize("as_dict", [False, True])
+def test_hybrid_features_refuses_scores_load_cohort_refuses(bad, as_dict):
+    cohort = make_cohort([make_record("a", 1), make_record("b", 0), make_record("c", 1)])
+    scores = [0.2, bad, bad]
+    with pytest.raises(BadValue) as err:
+        hybrid_features(cohort, dict(zip(cohort.ids(), scores)) if as_dict else scores)
+    assert (err.value.row, err.value.column) == (2, "score")
+    assert np.array_equal(err.value.value, bad, equal_nan=True)
+
+
+def test_hybrid_scores_round_trip_through_the_csv(tmp_path):
+    x = np.random.default_rng(3).normal(size=(40, 2))
+    scores = np.concatenate([[0.0, 1.0], np.random.default_rng(4).random(38)])
+    scored = hybrid_features(vector_cohort(x, np.arange(40) % 2, "r"), scores)
+    path = str(tmp_path / "scored.csv")
+    write_cohort(scored, path)
+    assert load_cohort(path).scores().tobytes() == scored.scores().tobytes() == scores.tobytes()
 
 
 def test_encode_missing_audio_score_raises():

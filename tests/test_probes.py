@@ -1,3 +1,4 @@
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confound_audit import pipeline
+from confound_audit.cohort import vector_cohort
 from confound_audit.errors import EncodingMismatch, NoNegatives, OneClassOnly, RankDeficientWarning, TooFewSamples
+from confound_audit.forest import hybrid_features
 from confound_audit.metrics import uar
 from confound_audit.pipeline import RunConfig, run_pipeline
 from confound_audit.probes import (
@@ -241,16 +244,13 @@ def _confounded_cohort(seed=0, n_per_class=150, dim=8, beta=4.0):
 def _orthogonal_signal_cohort(seed=0, n_per_class=150, dim=8, alpha=2.0):
     """Positives shifted along axis 0; negatives have no variance there."""
     rng = np.random.default_rng(seed)
-    records = []
-    for c, n in ((1, n_per_class), (0, n_per_class)):
-        x = np.zeros((n, dim))
-        x[:, 1:] = rng.normal(size=(n, dim - 1))
-        if c == 1:
-            x[:, 0] = alpha + rng.normal(size=n)
-        for i in range(n):
-            score = 1.0 / (1.0 + np.exp(-2.0 * (x[i, 0] - alpha / 2)))
-            records.append(make_record(f"s{c}-{i}", label=c, score=float(score), features=x[i]))
-    return make_cohort(records)
+    n = n_per_class
+    x = np.zeros((2 * n, dim))
+    x[:n, 1:] = rng.normal(size=(n, dim - 1))
+    x[:n, 0] = alpha + rng.normal(size=n)
+    x[n:, 1:] = rng.normal(size=(n, dim - 1))
+    scores = [float(1.0 / (1.0 + np.exp(-2.0 * (v - alpha / 2)))) for v in x[:, 0]]
+    return hybrid_features(vector_cohort(x, np.repeat([1, 0], n), "s"), scores)
 
 
 def test_weak_robust_removes_confounded_records():
@@ -301,9 +301,7 @@ def test_weak_robust_calibration_never_passes():
     cohort = _confounded_cohort(seed=5, n_per_class=60)
     # labels drawn apart from the features: no weak model can solve the task
     rng = np.random.default_rng(5)
-    calibration = make_cohort(
-        [make_record(f"cal{i}", i % 2, features=rng.normal(size=8)) for i in range(200)]
-    )
+    calibration = vector_cohort(rng.normal(size=(200, 8)), np.arange(200) % 2, "cal")
     result = weak_robust_curate(
         cohort, calibration, WeakProbeConfig(k_max=4, calibration_uar_threshold=0.95, seed=5)
     )
@@ -443,6 +441,27 @@ def test_calibration_cohort_solvable_at_full_dimension():
     assert uar(model.predict(x), y) >= 0.9
 
 
+# sha256 of feature_matrix().tobytes() and of labels().tobytes(), recorded
+# before the calibration task was built through cohort.vector_cohort
+CALIBRATION_DIGESTS = {
+    ((16,), (("seed", 5),)): (
+        "11a666f94fcf24225ec0cafcf25303431308b8b86f9f90f1695fc8c51fe71601",
+        "59f68f17789da14ea8d42d7379ef9430852f436f4f76f9d985e3bfee29f2778e",
+    ),
+    ((3,), (("n_per_class", 50), ("seed", 2))): (
+        "dfbb7a579865b1f28fc9bfd6b2703fdcad74c7e2a76a5c40ecd006aaa7aa28c2",
+        "7a2d1817052f5e48eadb566600fcc15d186cd3d7b2f2bfb2994008c15993a210",
+    ),
+}
+
+
+@pytest.mark.parametrize("args, kwargs", list(CALIBRATION_DIGESTS))
+def test_calibration_cohort_matches_golden_digests(args, kwargs):
+    cohort = make_calibration_cohort(*args, **dict(kwargs))
+    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (cohort.feature_matrix(), cohort.labels()))
+    assert digests == CALIBRATION_DIGESTS[args, kwargs]
+
+
 def _random_probe_cohort(seed: int, n: int, dim: int) -> tuple:
     rng = np.random.default_rng(seed)
     x = np.round(rng.normal(size=(n, dim)), int(rng.integers(0, 3)))
@@ -450,8 +469,7 @@ def _random_probe_cohort(seed: int, n: int, dim: int) -> tuple:
     y[:2] = [0, 1]
     x[y == 1, 0] += 1.0
     scores = np.round(rng.random(n), 2)
-    records = [make_record(f"r{i}", int(y[i]), score=float(scores[i]), features=x[i]) for i in range(n)]
-    return make_cohort(records), make_calibration_cohort(dim, n_per_class=60, seed=seed)
+    return hybrid_features(vector_cohort(x, y, "r"), scores), make_calibration_cohort(dim, n_per_class=60, seed=seed)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -63,6 +63,17 @@ def test_auc_equals_loop_midrank_sum(data):
     assert auc(data) == (rank_sum - m * (m + 1) / 2.0) / (m * n)
 
 
+def test_delong_aucs_equal_auc_over_tied_cases():
+    rng = np.random.default_rng(20)
+    for _ in range(500):
+        m, n = rng.integers(2, 60, size=2)
+        labels = rng.permutation(np.repeat([1, 0], [m, n]))
+        a, b = (ScoredLabels(np.round(rng.random(m + n), int(rng.integers(1, 3))), labels) for _ in "ab")
+        result = delong_test(a, b)
+        assert (result["auc_a"], result["auc_b"]) == (auc(a), auc(b))
+        assert auc_ci(a, "delong").estimate == auc(a)
+
+
 @given(scored_labels(min_per_class=2), st.data())
 def test_delong_results_equal_with_pairwise_components(a, draw):
     b = ScoredLabels(draw.draw(tied_scores(a.scores.size)), a.labels)
