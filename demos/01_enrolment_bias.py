@@ -43,7 +43,7 @@ def main():
         t, stats = describe(title, cohort)
         write_figure(os.path.join(OUT, f"enrolment_{mode}"), emit_figure("two_by_two", t, stats, title=title))
 
-    print(f"\nfigures written to {OUT}/enrolment_*.svg")
+    print("\nfigures written to demos/output/enrolment_*.svg")
     print("note how phi collapses to exactly zero under matched enrolment,")
     print("while symptom-driven enrolment inflates it well beyond the random-")
     print("sampling value.")

@@ -76,7 +76,7 @@ def main():
         mark = "*" if s.fdr_reject else " "
         print(f"  {mark} n={s.n_pos + s.n_neg:4d}  AUC {s.auc:.3f} [{s.ci.lower:.3f}-{s.ci.upper:.3f}]  p={s.mwu_p:.3f}")
     write_figure(os.path.join(OUT, "matched_strata"), emit_figure("stratified_forest", strata, reference=0.5))
-    print(f"\nfigures written to {OUT}/")
+    print("\nfigures written to demos/output/")
 
 
 if __name__ == "__main__":

@@ -105,7 +105,7 @@ def main():
             f"{c['points'][i].max_eu:17.4f}" for c in curves
         )
         print(row)
-    print(f"\nfigures written to {OUT}/")
+    print("\nfigures written to demos/output/")
 
 
 if __name__ == "__main__":

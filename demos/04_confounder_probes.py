@@ -99,7 +99,7 @@ def main():
     os.makedirs(OUT, exist_ok=True)
     run_probes("confounded cohort", confounded_matched_cohort())
     run_probes("true-signal cohort", true_signal_cohort())
-    print(f"\nfigures written to {OUT}/")
+    print("\nfigures written to demos/output/")
     print("curation collapses the confounded cohort's accuracy but leaves the")
     print("true-signal cohort intact; the substitution probe flags only the")
     print("cohort whose signal lives inside the negative-class span.")

@@ -75,7 +75,7 @@ GENDERS = ("male", "female", "other")
 CHANNELS = ("TT", "REACT", "synthetic")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymptomProfile:
     """Per-participant symptom flags.
 
@@ -132,9 +132,14 @@ def symptom_profile(
     return profile
 
 
-@dataclass(frozen=True)
+# the ``other_covariates`` of every record without extra columns
+_NO_COVARIATES: dict[str, str] = {}
+
+
+@dataclass(frozen=True, slots=True)
 class ParticipantRecord:
-    """One enrolled individual."""
+    """One enrolled individual. ``other_covariates`` is read-only: records
+    without extra columns share one empty dict."""
 
     id: str
     label: int | None  # binary infection status; None = missing test result
@@ -142,7 +147,7 @@ class ParticipantRecord:
     age_years: int | None
     gender: str  # one of GENDERS; unknown values map to "other" at load
     channel: str  # one of CHANNELS
-    other_covariates: dict[str, str] = field(default_factory=dict)
+    other_covariates: dict[str, str] = field(default_factory=lambda: _NO_COVARIATES)
     score: float | None = None
     features: np.ndarray | None = None
 
@@ -361,7 +366,7 @@ def load_cohort(path: str) -> Cohort:
                     if not (0.0 <= score <= 1.0):
                         raise BadValue(i, "score", raw_score)
 
-            other = {c: row[j].strip() for c, j in extra.items()}
+            other = {c: row[j].strip() for c, j in extra.items()} if extra else _NO_COVARIATES
             records.append(
                 ParticipantRecord(rid, label, symptoms, age, gender, channel, other, score)
             )

@@ -115,7 +115,7 @@ class SynthConfig:
             raise ConfigError("enrolment", f"must be one of {', '.join(ENROLMENT_MODES)}")
 
 
-@dataclass
+@dataclass(slots=True)
 class SynthRecord:
     record: ParticipantRecord
     latent_signal: float

@@ -1,11 +1,15 @@
+import copy
 import gc
+import pickle
 from contextlib import nullcontext
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
 from confound_audit.cohort import (
     CSV_COLUMNS,
+    ParticipantRecord,
     SplitSpec,
     SymptomProfile,
     derive_any_symptom,
@@ -27,7 +31,9 @@ from confound_audit.errors import (
 )
 from confound_audit.forest import hybrid_features
 from confound_audit.matching import MatchSpec, match_exact
+from confound_audit.pipeline import RunConfig, run_pipeline
 from confound_audit.resample import PopulationSpec, resample_general_population
+from confound_audit.synth import SynthConfig, SynthRecord, generate_population
 
 from conftest import make_cohort, make_record
 
@@ -78,9 +84,12 @@ def test_unknown_gender_maps_to_other(tmp_csv):
 
 
 def test_extra_columns_become_covariates(tmp_csv):
-    text = HEADER + ",ethnicity\n" + row("a") + ",groupA\n"
+    text = HEADER + ",ethnicity\n" + row("a") + ",groupA\n" + row("b") + ",groupB\n" + row("c") + ",\n"
     cohort = load_cohort(tmp_csv("p.csv", text))
     assert cohort.records[0].other_covariates["ethnicity"] == "groupA"
+    assert [r.other_covariates for r in cohort] == [{"ethnicity": "groupA"}, {"ethnicity": "groupB"}, {"ethnicity": ""}]
+    # each row holds its own dict
+    assert len({id(r.other_covariates) for r in cohort}) == 3
 
 
 def test_extra_columns_of_any_name_round_trip(tmp_csv, tmp_path):
@@ -446,3 +455,51 @@ def test_vector_cohort_builds_one_blank_record_per_row():
 def test_vector_cohort_refuses_features_that_do_not_give_one_row_per_label(features, labels):
     with pytest.raises(ValueError):
         vector_cohort(features, labels, "v")
+
+
+# -- lean records -------------------------------------------------------------
+
+# the one covariate dict of every record without extra columns
+SHARED_COVARIATES = ParticipantRecord("x", 0, SymptomProfile(), 30, "female", "TT").other_covariates
+
+
+def _lean_records():
+    profile = SymptomProfile(cough=True, reported_any=True, missing=frozenset({"smoker"}))
+    record = ParticipantRecord("a", 1, profile, 30, "female", "TT", {"site": "x"}, 0.5)
+    return [profile, record, SynthRecord(record, 1.0)]
+
+
+@pytest.mark.parametrize("obj", _lean_records(), ids=["SymptomProfile", "ParticipantRecord", "SynthRecord"])
+def test_record_types_are_slotted(obj):
+    assert not hasattr(obj, "__dict__")
+    assert pickle.loads(pickle.dumps(obj)) == obj
+    assert copy.deepcopy(obj) == obj
+    assert replace(obj) == obj
+
+
+def test_frozen_records_stay_frozen_through_copies():
+    profile, record, _ = _lean_records()
+    for obj, name in [(profile, "cough"), (record, "label")]:
+        for twin in (obj, pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj), replace(obj)):
+            with pytest.raises(FrozenInstanceError):
+                setattr(twin, name, None)
+    assert replace(record, label=0).label == 0 and record.label == 1
+
+
+def test_records_without_extra_columns_share_one_empty_covariate_dict(tmp_csv):
+    generated = [sr.record for sr in generate_population(SynthConfig(n_population=50, seed=3))]
+    vectors = vector_cohort(np.zeros((3, 2)), [0, 1, 0], "v").records
+    loaded = load_cohort(tmp_csv("p.csv", "\n".join([HEADER, row("a"), row("b")]) + "\n")).records
+    covariates = [r.other_covariates for r in (*generated, *vectors, *loaded)]
+    assert all(c is SHARED_COVARIATES for c in covariates)
+    assert type(SHARED_COVARIATES) is dict and SHARED_COVARIATES == {}
+
+
+def test_shared_covariate_dict_stays_empty(tmp_csv, tmp_path):
+    run_pipeline(RunConfig(seed=1, n_trees=3, synth={"n_population": 2000}, metrics={"min_per_class": 3}))
+    assert SHARED_COVARIATES == {}
+    for text in ("\n".join([HEADER, row("a"), row("b")]), "\n".join([HEADER + ",site", row("a") + ",x"])):
+        out = str(tmp_path / "again.csv")
+        write_cohort(load_cohort(tmp_csv("p.csv", text + "\n")), out)
+        load_cohort(out)
+        assert SHARED_COVARIATES == {}
