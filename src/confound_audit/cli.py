@@ -103,7 +103,7 @@ def cmd_synth(args) -> tuple[str, dict]:
     if args.truth:
         enrolled = set(cohort.ids())
         write_csv(args.truth, ["id", "label", "any_symptom", "latent_signal", "enrolled"], (
-            [sr.record.id, sr.record.label, int(sr.record.symptoms.any_symptom), sr.latent_signal,
+            [sr.record.id, sr.record.label, int(sr.record.symptoms.any_symptom), float(sr.record.label),
              int(sr.record.id in enrolled)]
             for sr in population
         ))

@@ -3,9 +3,10 @@
 Every figure function returns an (svg, csv) pair. The CSV carries the exact
 plotted series at full precision; numbers rendered inside the SVG are rounded
 to four significant figures. SVG output is deterministic and embeds no
-external assets, so goldens diff cleanly. ``write_figure`` writes one
-(svg, csv) pair, and ``write_json`` every JSON report and manifest the
-toolkit emits; both go through ``write_text``.
+external assets, so goldens diff cleanly. ``_line`` and ``_text`` write
+every line and text element of a figure, and ``_text`` escapes its string.
+``write_figure`` writes one (svg, csv) pair, and ``write_json`` every JSON
+report and manifest the toolkit emits; both go through ``write_text``.
 """
 
 from __future__ import annotations
@@ -34,6 +35,23 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return [lo + i * step for i in range(n)]
 
 
+_DASH = ' stroke-dasharray="6 4"'
+
+
+def _line(x1, y1, x2, y2, stroke: str, width=None, dashed: bool = False) -> str:
+    """One line element; ``width=None`` leaves out ``stroke-width``."""
+    width = "" if width is None else f' stroke-width="{width}"'
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}"{width}{_DASH if dashed else ""}/>'
+
+
+def _text(x, y, s: str, size, anchor: str = "middle", transform: str = "") -> str:
+    """One text element holding ``_esc(s)``; an empty ``anchor`` or
+    ``transform`` leaves out that attribute."""
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    transform = f' transform="{transform}"' if transform else ""
+    return f'<text x="{x}" y="{y}" font-size="{size}"{anchor}{transform}>{_esc(s)}</text>'
+
+
 class _Canvas:
     """Minimal line/scatter chart builder in data coordinates."""
 
@@ -42,46 +60,28 @@ class _Canvas:
         xlim, ylim = ((lo, hi if hi > lo else lo + 1.0) for lo, hi in (xlim, ylim))
         self.xlim = xlim
         self.ylim = ylim
-        self.parts: list[str] = []
-        self.parts.append(
+        self.parts: list[str] = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-            f'viewBox="0 0 {_W} {_H}" font-family="Helvetica, Arial, sans-serif">'
-        )
-        self.parts.append(f'<rect width="{_W}" height="{_H}" fill="white"/>')
+            f'viewBox="0 0 {_W} {_H}" font-family="Helvetica, Arial, sans-serif">',
+            f'<rect width="{_W}" height="{_H}" fill="white"/>',
+        ]
         if title:
-            self.parts.append(
-                f'<text x="{_W / 2}" y="22" font-size="15" text-anchor="middle">{_esc(title)}</text>'
-            )
+            self.parts.append(_text(_W / 2, 22, title, 15))
         # axes
         x0, y0 = self.px(xlim[0], ylim[0])
         x1, y1 = self.px(xlim[1], ylim[1])
-        self.parts.append(
-            f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black" stroke-width="1"/>'
-        )
-        self.parts.append(
-            f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black" stroke-width="1"/>'
-        )
+        self.parts += [_line(x0, y0, x1, y0, "black", 1), _line(x0, y0, x0, y1, "black", 1)]
         for tx in _ticks(*xlim):
             px, py = self.px(tx, ylim[0])
-            self.parts.append(f'<line x1="{px}" y1="{py}" x2="{px}" y2="{py + 4}" stroke="black"/>')
-            self.parts.append(
-                f'<text x="{px}" y="{py + 17}" font-size="11" text-anchor="middle">{_fmt(tx)}</text>'
-            )
+            self.parts += [_line(px, py, px, py + 4, "black"), _text(px, py + 17, _fmt(tx), 11)]
         for ty in _ticks(*ylim):
             px, py = self.px(xlim[0], ty)
-            self.parts.append(f'<line x1="{px - 4}" y1="{py}" x2="{px}" y2="{py}" stroke="black"/>')
-            self.parts.append(
-                f'<text x="{px - 7}" y="{py + 4}" font-size="11" text-anchor="end">{_fmt(ty)}</text>'
-            )
+            self.parts += [_line(px - 4, py, px, py, "black"), _text(px - 7, py + 4, _fmt(ty), 11, "end")]
         if xlabel:
-            self.parts.append(
-                f'<text x="{(_ML + _W - _MR) / 2}" y="{_H - 10}" font-size="13" text-anchor="middle">{_esc(xlabel)}</text>'
-            )
+            self.parts.append(_text((_ML + _W - _MR) / 2, _H - 10, xlabel, 13))
         if ylabel:
             cy = (_MT + _H - _MB) / 2
-            self.parts.append(
-                f'<text x="16" y="{cy}" font-size="13" text-anchor="middle" transform="rotate(-90 16 {cy})">{_esc(ylabel)}</text>'
-            )
+            self.parts.append(_text(16, cy, ylabel, 13, transform=f"rotate(-90 16 {cy})"))
 
     def px(self, x: float, y: float) -> tuple[float, float]:
         fx = (x - self.xlim[0]) / (self.xlim[1] - self.xlim[0])
@@ -93,26 +93,15 @@ class _Canvas:
 
     def polyline(self, xs, ys, color: str, dashed: bool = False, width: float = 1.8):
         pts = " ".join(f"{px},{py}" for px, py in (self.px(x, y) for x, y in zip(xs, ys)))
-        dash = ' stroke-dasharray="6 4"' if dashed else ""
         self.parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="{width}"{dash}/>'
+            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="{width}"{_DASH if dashed else ""}/>'
         )
 
     def hline(self, y: float, color: str = "#555555", dashed: bool = False):
-        x0, py = self.px(self.xlim[0], y)
-        x1, _ = self.px(self.xlim[1], y)
-        dash = ' stroke-dasharray="6 4"' if dashed else ""
-        self.parts.append(
-            f'<line x1="{x0}" y1="{py}" x2="{x1}" y2="{py}" stroke="{color}" stroke-width="1"{dash}/>'
-        )
+        self.parts.append(_line(*self.px(self.xlim[0], y), *self.px(self.xlim[1], y), color, 1, dashed))
 
     def vline(self, x: float, color: str = "#555555", dashed: bool = False):
-        px, y0 = self.px(x, self.ylim[0])
-        _, y1 = self.px(x, self.ylim[1])
-        dash = ' stroke-dasharray="6 4"' if dashed else ""
-        self.parts.append(
-            f'<line x1="{px}" y1="{y0}" x2="{px}" y2="{y1}" stroke="{color}" stroke-width="1"{dash}/>'
-        )
+        self.parts.append(_line(*self.px(x, self.ylim[0]), *self.px(x, self.ylim[1]), color, 1, dashed))
 
     def point(self, x: float, y: float, color: str, filled: bool = True, r: float = 3.5):
         px, py = self.px(x, y)
@@ -122,29 +111,19 @@ class _Canvas:
         )
 
     def errbar(self, x: float, lo: float, hi: float, color: str):
-        px, plo = self.px(x, lo)
-        _, phi = self.px(x, hi)
-        self.parts.append(f'<line x1="{px}" y1="{plo}" x2="{px}" y2="{phi}" stroke="{color}" stroke-width="1.4"/>')
-        for py in (plo, phi):
-            self.parts.append(f'<line x1="{px - 3}" y1="{py}" x2="{px + 3}" y2="{py}" stroke="{color}" stroke-width="1.4"/>')
+        (px, plo), (_, phi) = self.px(x, lo), self.px(x, hi)
+        self.parts.append(_line(px, plo, px, phi, color, 1.4))
+        self.parts += [_line(px - 3, py, px + 3, py, color, 1.4) for py in (plo, phi)]
 
     def legend(self, entries: list[tuple[str, str]]):
         x = _ML + 12
         y = _MT + 8
         for label, color in entries:
-            self.parts.append(
-                f'<line x1="{x}" y1="{y + 4}" x2="{x + 22}" y2="{y + 4}" stroke="{color}" stroke-width="2.5"/>'
-            )
-            self.parts.append(
-                f'<text x="{x + 28}" y="{y + 8}" font-size="11">{_esc(label)}</text>'
-            )
+            self.parts += [_line(x, y + 4, x + 22, y + 4, color, 2.5), _text(x + 28, y + 8, label, 11, anchor="")]
             y += 16
 
     def text(self, x: float, y: float, s: str, size: int = 11, anchor: str = "middle"):
-        px, py = self.px(x, y)
-        self.parts.append(
-            f'<text x="{px}" y="{py}" font-size="{size}" text-anchor="{anchor}">{_esc(s)}</text>'
-        )
+        self.parts.append(_text(*self.px(x, y), s, size, anchor))
 
     def render(self) -> str:
         return "\n".join(self.parts + ["</svg>"]) + "\n"

@@ -4,9 +4,10 @@ The generator draws a latent population in which infection status causes
 acute symptoms, and symptoms (jointly with status) drive enrolment. Because
 enrolment is a collider between status and symptoms, conditioning on it (i.e.
 keeping only enrolled individuals) induces a non-causal status-to-symptom
-dependence that downstream tooling can measure and correct. Every record also
-carries a hidden ground-truth signal coordinate so probe and classifier
-behaviour can be checked against a known answer.
+dependence that downstream tooling can measure and correct. The true signal
+is the label itself, scaled onto the first feature coordinate, so probe and
+classifier behaviour can be checked against a known answer; ``synth --truth``
+writes it as the ``latent_signal`` column, ``w(y)`` below.
 
 Feature model: ``x = alpha * w(y) * e1 + beta * g(covariates) + N(0, sigma^2 I)``
 where ``w(1)=1, w(0)=0`` and ``g`` embeds the audible covariates (see
@@ -118,7 +119,6 @@ class SynthConfig:
 @dataclass(slots=True)
 class SynthRecord:
     record: ParticipantRecord
-    latent_signal: float
 
 
 def covariate_loadings(cfg: SynthConfig) -> np.ndarray:
@@ -157,10 +157,9 @@ def generate_population(cfg: SynthConfig) -> list[SynthRecord]:
     codes[:, 9] = (age - 49.0) / 31.0
 
     loadings = covariate_loadings(cfg)
-    w = y.astype(float)
     features = rng.normal(0.0, cfg.noise_sd, size=(n, d))
     features += cfg.confounder_strength * codes @ loadings
-    features[:, 0] += cfg.signal_strength * w
+    features[:, 0] += cfg.signal_strength * y.astype(float)
 
     # symptom flags in SYMPTOM_FIELDS order, one shared profile per distinct row
     flag_rows = np.column_stack([acute, copd, other_resp, smoker])
@@ -171,15 +170,10 @@ def generate_population(cfg: SynthConfig) -> list[SynthRecord]:
     genders = ["male" if m else "female" for m in male.tolist()]
     with gc_paused():
         return [
-            SynthRecord(
-                record=ParticipantRecord(
-                    f"syn-{i:07d}", label, profile, age_i, gender, "synthetic", features=features[i]
-                ),
-                latent_signal=w_i,
-            )
-            for i, label, profile, age_i, gender, w_i in zip(
-                range(n), y.tolist(), profiles, age.tolist(), genders, w.tolist()
-            )
+            SynthRecord(record=ParticipantRecord(
+                f"syn-{i:07d}", label, profile, age_i, gender, "synthetic", features=features[i]
+            ))
+            for i, label, profile, age_i, gender in zip(range(n), y.tolist(), profiles, age.tolist(), genders)
         ]
 
 

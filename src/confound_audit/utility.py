@@ -21,6 +21,7 @@ The standard three-parameter utility family:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,9 @@ class UtilityParams:
 
     def __post_init__(self):
         for name in ("r_t", "epsilon", "delta"):
-            if not getattr(self, name) >= 0.0:
-                raise OutOfRange(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not (value >= 0.0 and math.isfinite(value)):
+                raise OutOfRange(f"{name} must be >= 0 and finite, got {value}")
 
 
 def utility_matrix(params: UtilityParams) -> UtilityMatrix:

@@ -300,7 +300,7 @@ def generate_population_loop(cfg) -> list[SynthRecord]:
             channel="synthetic",
             features=features[i],
         )
-        out.append(SynthRecord(record=rec, latent_signal=float(w[i])))
+        out.append(SynthRecord(record=rec))
     return out
 
 

@@ -466,7 +466,7 @@ SHARED_COVARIATES = ParticipantRecord("x", 0, SymptomProfile(), 30, "female", "T
 def _lean_records():
     profile = SymptomProfile(cough=True, reported_any=True, missing=frozenset({"smoker"}))
     record = ParticipantRecord("a", 1, profile, 30, "female", "TT", {"site": "x"}, 0.5)
-    return [profile, record, SynthRecord(record, 1.0)]
+    return [profile, record, SynthRecord(record)]
 
 
 @pytest.mark.parametrize("obj", _lean_records(), ids=["SymptomProfile", "ParticipantRecord", "SynthRecord"])

@@ -11,7 +11,7 @@ from confound_audit import __version__
 from confound_audit.cli import main
 from confound_audit.cohort import CSV_COLUMNS
 from confound_audit.errors import ConfigError, ShapeMismatch
-from confound_audit.metrics import ScoredLabels, auc_ci, calibration_bins, roc_curve
+from confound_audit.metrics import ScoredLabels, auc_ci, calibration_bins, roc_curve, table_2x2_stats
 from confound_audit.pipeline import RunConfig, run_pipeline
 from confound_audit.report import emit_figure
 
@@ -42,6 +42,18 @@ def test_roc_comparison_legend_and_csv_roundtrip():
         got = [(float(r["sensitivity"]), float(r["specificity"])) for r in series]
         want = list(zip(c["roc"].sensitivities, c["roc"].specificities))
         assert got == want  # parse-back reproduces the plotted series exactly
+
+
+def test_figure_text_is_escaped_and_csv_keeps_raw_names():
+    name = "a<b & c>d"
+    curve = {**_curves(k=1)[0], "name": name}
+    svg, csv_text = emit_figure("roc_comparison", [curve], title="x&y")
+    assert "a&lt;b &amp; c&gt;d AUC=" in svg and ">x&amp;y</text>" in svg
+    assert name not in svg and "x&y" not in svg
+    assert {r["curve"] for r in csv.DictReader(io.StringIO(csv_text))} == {name}
+    counts = [[40, 7], [13, 25]]
+    svg, _ = emit_figure("two_by_two", counts, table_2x2_stats(counts), title="p<q")
+    assert ">p&lt;q</text>" in svg and "p<q" not in svg
 
 
 def test_empty_strata_shape_mismatch():
@@ -236,6 +248,7 @@ def test_cli_synth_probe_flow(tmp_path):
     truth_rows = list(csv.DictReader(open(truth)))
     assert len(truth_rows) == 2500
     assert {r["enrolled"] for r in truth_rows} == {"0", "1"}
+    assert all(r["latent_signal"] == repr(float(r["label"])) for r in truth_rows)
     enrolled = [r["id"] for r in truth_rows if r["enrolled"] == "1"]
     assert enrolled == [r["id"] for r in csv.DictReader(open(parts))]
 
@@ -523,6 +536,13 @@ _MODEL = {"n_trees": 1, "seed": 0, "m_try": 1, "oob_accuracy": None, "trees": [_
     # --seed draws only the synthetic calibration task: refused with --calib, before any file is read
     (["probe", "weak", "--matched", "{missing}", "--calib", "{missing}", "--seed", "1", "--out", "{out}"], 2,
      "drop --seed"),
+    # an infinite utility is refused like a negative one
+    (["utility", "--roc", "{roc}", "--rt", "inf", "--eps", "0.2", "--out", "{out}"], 2,
+     "'utility': r_t must be >= 0 and finite, got inf"),
+    (["utility", "--roc", "{roc}", "--rt", "1.5", "--eps", "inf", "--out", "{out}"], 2,
+     "'utility': epsilon must be >= 0 and finite, got inf"),
+    (["utility", "--roc", "{roc}", "--rt", "1.5", "--eps", "0.2", "--delta", "inf", "--out", "{out}"], 2,
+     "'utility': delta must be >= 0 and finite, got inf"),
 ])
 def test_cli_errors_exit_with_one_line(tmp_path, capsys, argv, code, message):
     names = ("pool", "short", "word", "noscore", "nan", "above", "repeat", "nanfeat", "blankflag", "badroc", "badjson",

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,10 @@ def test_utility_matrix_mapping():
 def test_utility_params_validation():
     with pytest.raises(OutOfRange):
         UtilityParams(r_t=-1.0, epsilon=0.0)
+    # an infinite utility gives max-EU curves of nan and inf
+    for name in ("r_t", "epsilon", "delta"):
+        with pytest.raises(OutOfRange, match=f"^{name} must be >= 0"):
+            UtilityParams(**{"r_t": 1.5, "epsilon": 0.2, name: math.inf})
 
 
 def test_eu_perfect_test():
