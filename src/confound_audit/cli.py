@@ -25,11 +25,12 @@ from .cohort import (
     Cohort,
     load_cohort,
     load_features,
+    read_sidecar,
     validate_cohort,
     write_cohort,
     write_features,
 )
-from .errors import BadValue, ConfigError, ConfoundAuditError, MissingColumn, OutOfRange, TooFewRecords
+from .errors import BadValue, ConfigError, ConfoundAuditError, MissingColumn, MissingScore, OutOfRange, TooFewRecords
 from .forest import (
     DEFAULT_SYMPTOM_PREDICTORS,
     hybrid_features,
@@ -52,39 +53,28 @@ def _load(path: str, features: str | None = None, scores: str | None = None) -> 
     """The cohort at ``path``, with the vectors of a ``features`` file joined
     by ``load_features`` and the scores of an ``id,score`` file by
     ``hybrid_features``, and the counts of the rows each join could not place,
-    for ``--manifest-out``."""
+    for ``--manifest-out``. Both files are read by ``read_sidecar``; a score
+    outside [0, 1] is refused with its file row."""
     cohort = load_cohort(path)
     counts = {}
     if features:
         cohort = load_features(cohort, features)
         counts = {k: cohort.manifest[k] for k in ("unmatched_feature_rows", "records_without_features")}
     if scores:
-        cohort = hybrid_features(cohort, _read_score_map(scores))
-        counts["unmatched_score_rows"] = cohort.manifest["unmatched_score_rows"]
+        header, row_of, block = read_sidecar(scores)
+        if header[1:] != ["score"]:
+            raise MissingColumn("score") if "score" not in header else ConfoundAuditError(
+                f"a scores file has the header 'id,score', not {','.join(header)!r}")
+        values = block[:, 0]
+        out = np.flatnonzero((values < 0.0) | (values > 1.0))
+        if out.size:
+            raise BadValue(int(out[0]) + 1, "score", float(values[out[0]]))
+        bare = next((r.id for r in cohort.records if r.id not in row_of), None)
+        if bare is not None:
+            raise MissingScore(bare)
+        cohort = hybrid_features(cohort, values[[row_of[r.id] for r in cohort.records]])
+        counts["unmatched_score_rows"] = len(row_of) - len(cohort)
     return cohort, counts
-
-
-def _read_score_map(path: str) -> dict[str, float]:
-    """Read an ``id,score`` CSV; scores must be numbers in [0, 1], ids
-    unique and not blank (read stripped, as ``load_cohort`` reads them)."""
-    out: dict[str, float] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for column in ("id", "score"):
-            if column not in (reader.fieldnames or []):
-                raise MissingColumn(column)
-        for i, row in enumerate(reader, start=1):
-            rid, raw = (row["id"] or "").strip(), row["score"]
-            if not rid or rid in out:
-                raise BadValue(i, "id", row["id"])
-            try:
-                score = float(raw)
-            except (TypeError, ValueError):
-                raise BadValue(i, "score", raw) from None
-            if not (0.0 <= score <= 1.0):
-                raise BadValue(i, "score", raw)
-            out[rid] = score
-    return out
 
 
 # -- subcommand handlers ------------------------------------------------------------
@@ -121,9 +111,10 @@ def _match_spec(args) -> MatchSpec:
 
 
 def cmd_match(args) -> tuple[str, dict]:
+    spec = _match_spec(args)
     cohort = _load(getattr(args, "in"))[0]
     disjoint = _load(args.disjoint_from)[0] if args.disjoint_from else None
-    matched, report = match_exact(cohort, _match_spec(args), disjoint_from=disjoint)
+    matched, report = match_exact(cohort, spec, disjoint_from=disjoint)
     write_cohort(matched, args.out)
     if args.report:
         write_json(args.report, report.to_dict())
@@ -158,6 +149,8 @@ def cmd_eval(args) -> tuple[str, dict]:
     unknown = next((name for name in wanted if name not in _EVAL_METRICS), None)
     if unknown is not None:
         raise ConfigError("metrics", f"unknown metric {unknown!r}; choose from {', '.join(_EVAL_METRICS)}")
+    if not np.isfinite(args.threshold):
+        raise ConfigError("threshold", f"must be finite, got {args.threshold}")
     cohort, rejections = validate_cohort(_load(getattr(args, "in"))[0])
     if not len(cohort):
         raise TooFewRecords(f"no record left to evaluate ({rejections.total_removed} rejected by validation)")
@@ -284,6 +277,8 @@ def cmd_probe_nn(args) -> tuple[str, dict]:
 def cmd_baseline_train(args) -> tuple[str, dict]:
     if args.n_trees < 1:
         raise ConfigError("n-trees", "must be >= 1")
+    if args.predictors == "":
+        raise ConfigError("predictors", "must name at least one predictor")
     train, counts = _load(getattr(args, "in"), args.features)
     train, rejections = validate_cohort(train)
     predictors = tuple(args.predictors.split(",")) if args.predictors else DEFAULT_SYMPTOM_PREDICTORS

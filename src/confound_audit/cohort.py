@@ -20,12 +20,12 @@ as categorical covariates, whatever their names, and written back in sorted
 order after those. A blank symptom cell is a missing flag (see
 :attr:`SymptomProfile.missing`), and is written back blank.
 
-The bulk record builders (:func:`load_cohort`, :func:`load_features` and
-``synth.generate_population``) pause the cyclic garbage collector while they
-build, with :func:`gc_paused`. Their records hold no reference cycles, so a
-collection during a build could free nothing, yet it would walk every new
-record. The caveat: cyclic garbage that other threads make meanwhile waits
-until the build ends.
+The bulk record builders (:func:`load_cohort`, :func:`read_sidecar`,
+:func:`load_features` and ``synth.generate_population``) pause the cyclic
+garbage collector while they build, with :func:`gc_paused`. Their records
+hold no reference cycles, so a collection during a build could free nothing,
+yet it would walk every new record. The caveat: cyclic garbage that other
+threads make meanwhile waits until the build ends.
 """
 
 from __future__ import annotations
@@ -374,33 +374,34 @@ def load_cohort(path: str) -> Cohort:
     return Cohort(records=tuple(records), manifest=manifest)
 
 
-# feature rows parsed per numpy call; the cells wait in one flat list
+# sidecar rows parsed per numpy call; the cells wait in one flat list
 _PARSE_ROWS = 4096
 
 
-def _parse_rows(cells: list[str], first_row: int, n_rows: int, dim: int) -> np.ndarray:
-    """Parse ``n_rows`` rows of numeric strings; a malformed one raises ``BadValue``."""
+def _parse_rows(cells: list[str], first_row: int, n_rows: int, header: list[str]) -> np.ndarray:
+    """Parse ``n_rows`` rows of numeric strings; a malformed cell raises ``BadValue`` naming its column."""
+    dim = len(header) - 1
     try:
         return np.array(cells, dtype=float).reshape(n_rows, dim)
     except ValueError:
-        for k in range(n_rows):
-            row = cells[k * dim : (k + 1) * dim]
+        for k, cell in enumerate(cells):
             try:
-                [float(v) for v in row]
+                float(cell)
             except ValueError:
-                raise BadValue(first_row + k, "features", row) from None
+                raise BadValue(first_row + k // dim, header[1 + k % dim], cell) from None
         raise
 
 
-def load_features(cohort: Cohort, path: str) -> Cohort:
-    """Attach feature vectors from a sidecar ``id,f0,f1,...`` CSV.
+def read_sidecar(path: str) -> tuple[list[str], dict[str, int], np.ndarray]:
+    """Read an id-keyed CSV of numbers, such as ``id,f0,f1,...`` features or
+    ``id,score`` scores: its header, the 0-based row of each id, and a
+    ``(rows, len(header) - 1)`` float array of the values.
 
     Ids are read stripped, as :func:`load_cohort` reads them, and blank
     lines are skipped and not counted. A header without ``id`` first, or
-    with no column after it, raises ``MissingColumn``. A malformed, NaN or
-    infinite value, or a blank or repeated id, raises ``BadValue`` with the
-    1-based data row and the column. The manifest counts the feature rows that
-    match no record and the records left without a vector.
+    with no column after it, raises ``MissingColumn``. A row of another
+    width than the header, a malformed, NaN or infinite value, or a blank or
+    repeated id raises ``BadValue`` with the 1-based data row and the column.
     """
     with open(path, newline="", encoding="utf-8") as fh, gc_paused():
         reader = csv.reader(fh)
@@ -419,22 +420,31 @@ def load_features(cohort: Cohort, path: str) -> Cohort:
                 continue
             i += 1
             if len(row) - 1 != dim:
-                raise BadValue(i, "features", f"expected {dim} values")
+                raise BadValue(i, header[-1], f"{len(row) - 1} values, expected {dim}")
             rid = row[0].strip()
             if not rid or rid in row_of:
                 raise BadValue(i, "id", row[0])
             row_of[rid] = i - 1
             cells += row[1:]
             if i % _PARSE_ROWS == 0:
-                blocks.append(_parse_rows(cells, i - _PARSE_ROWS + 1, _PARSE_ROWS, dim))
+                blocks.append(_parse_rows(cells, i - _PARSE_ROWS + 1, _PARSE_ROWS, header))
                 cells = []
         tail = i % _PARSE_ROWS
-        blocks.append(_parse_rows(cells, i - tail + 1, tail, dim))
-        block = np.concatenate(blocks)
-        bad = np.argwhere(~np.isfinite(block))
-        if bad.size:
-            i, j = bad[0]
-            raise BadValue(int(i) + 1, header[j + 1], float(block[i, j]))
+        blocks.append(_parse_rows(cells, i - tail + 1, tail, header))
+    block = np.concatenate(blocks)
+    bad = np.argwhere(~np.isfinite(block))
+    if bad.size:
+        i, j = bad[0]
+        raise BadValue(int(i) + 1, header[j + 1], float(block[i, j]))
+    return header, row_of, block
+
+
+def load_features(cohort: Cohort, path: str) -> Cohort:
+    """Attach feature vectors from a sidecar ``id,f0,f1,...`` CSV read by
+    :func:`read_sidecar`; the manifest counts the feature rows that match no
+    record and the records left without a vector."""
+    _, row_of, block = read_sidecar(path)
+    with gc_paused():
         matched = sum(r.id in row_of for r in cohort.records)
         return cohort.derive(
             (r.with_features(block[row_of[r.id]]) if r.id in row_of else r for r in cohort.records), "load_features",

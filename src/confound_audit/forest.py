@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .cohort import SYMPTOM_FIELDS, Cohort
-from .errors import BadValue, EncodingMismatch, MissingScore, OneClassOnly
+from .errors import BadValue, EncodingMismatch, OneClassOnly
 from .rngs import substream
 
 DEFAULT_SYMPTOM_PREDICTORS = SYMPTOM_FIELDS[:8] + ("age", "gender", "smoker")
@@ -518,29 +518,20 @@ def predict_proba(model: TreeEnsemble, cohort: Cohort) -> np.ndarray:
 
 def hybrid_features(cohort: Cohort, audio_scores) -> Cohort:
     """Attach an audio score to every record so that ``audio_score`` can be
-    used as an additional numeric predictor; every record must be covered.
-    This is the one place scores are attached to a cohort (the pipeline and
-    ``probe --scores`` use it too). The pipeline and the demos score a whole
-    test cohort once and then match or resample it: selection keeps each
-    record's score. A score that ``load_cohort`` would refuse (NaN, or
-    outside [0, 1]) raises ``BadValue`` with the record's 1-based position.
-    The manifest counts the scores, keyed by id, that match no record."""
-    if isinstance(audio_scores, dict):
-        lookup = audio_scores
-    else:
-        arr = np.asarray(audio_scores, dtype=float)
-        if arr.size != len(cohort):
-            raise ValueError("audio score sequence does not align with the cohort")
-        lookup = {r.id: float(v) for r, v in zip(cohort.records, arr)}
-    records = []
-    for position, r in enumerate(cohort.records, start=1):
-        if r.id not in lookup or lookup[r.id] is None:
-            raise MissingScore(r.id)
-        score = float(lookup[r.id])
-        if not 0.0 <= score <= 1.0:
-            raise BadValue(position, "score", score)
-        records.append(r.with_score(score))
-    return cohort.derive(records, "hybrid_features", unmatched_score_rows=len(lookup) - len(records))
+    used as an additional numeric predictor: ``audio_scores`` holds one score
+    per record, in record order. This is the one place scores are attached
+    to a cohort (the pipeline and ``probe --scores`` use it too). The
+    pipeline and the demos score a whole test cohort once and then match or
+    resample it: selection keeps each record's score. A score that
+    ``load_cohort`` would refuse (NaN, or outside [0, 1]) raises ``BadValue``
+    with the record's 1-based position."""
+    scores = np.asarray(audio_scores, dtype=float)
+    if scores.shape != (len(cohort),):
+        raise ValueError(f"need one audio score per record, got shape {scores.shape} for {len(cohort)} records")
+    bad = np.flatnonzero(~((scores >= 0.0) & (scores <= 1.0)))
+    if bad.size:
+        raise BadValue(int(bad[0]) + 1, "score", float(scores[bad[0]]))
+    return cohort.derive((r.with_score(v) for r, v in zip(cohort.records, scores.tolist())), "hybrid_features")
 
 
 # -- JSON serialization ---------------------------------------------------------------

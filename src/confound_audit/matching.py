@@ -18,7 +18,7 @@ from functools import lru_cache
 from operator import attrgetter
 
 from .cohort import ACUTE_SYMPTOM_FIELDS, SYMPTOM_FIELDS, Cohort, ParticipantRecord, SymptomProfile
-from .errors import EmptyResult, MissingCovariate, OverlappingInputs
+from .errors import ConfigError, EmptyResult, MissingCovariate, OverlappingInputs
 from .rngs import draw_sorted
 
 AGE_BIN_WIDTH = 10
@@ -62,26 +62,29 @@ def age_bin(age_years: int) -> str:
 
 @dataclass(frozen=True)
 class MatchSpec:
+    """Each covariate is one of ``SYMPTOM_FIELDS`` or ``any_symptom``; an
+    empty list or another name raises ``ConfigError``."""
+
     covariates: tuple[str, ...] = TEST_SET
     include_channel: bool = True
     seed: int = 0
 
     def __post_init__(self):
         if not self.covariates:
-            raise ValueError("covariates must be nonempty")
+            raise ConfigError("covariates", "must be nonempty")
+        unknown = next((n for n in self.covariates if n not in SYMPTOM_FIELDS and n != "any_symptom"), None)
+        if unknown is not None:
+            raise ConfigError("covariates", f"unknown covariate {unknown!r}; choose from "
+                              f"{', '.join(SYMPTOM_FIELDS)}, any_symptom")
         object.__setattr__(self, "covariates", tuple(self.covariates))
 
 
 def stratum_keyer(spec: MatchSpec):
-    """``record -> stratum key`` for ``spec``, with the covariate names
-    checked once. A covariate is one of ``SYMPTOM_FIELDS`` or ``any_symptom``.
-    Every record maps to exactly one stratum; a record without an age, or
-    with a blank flag behind a matched covariate (for ``any_symptom``, any
-    acute flag), raises ``MissingCovariate``."""
+    """``record -> stratum key`` for ``spec``. Every record maps to exactly
+    one stratum; a record without an age, or with a blank flag behind a
+    matched covariate (for ``any_symptom``, any acute flag), raises
+    ``MissingCovariate``."""
     names = spec.covariates
-    # an unknown name fails on the first record that has an age, as a
-    # per-record check would
-    unknown = next((n for n in names if n not in SYMPTOM_FIELDS and n != "any_symptom"), None)
     get = attrgetter(*names)
     read_flags = get if len(names) > 1 else lambda symptoms: (get(symptoms),)
     needed = [ACUTE_SYMPTOM_FIELDS if n == "any_symptom" else (n,) for n in names]
@@ -94,8 +97,6 @@ def stratum_keyer(spec: MatchSpec):
     def key(record: ParticipantRecord) -> tuple:
         if record.age_years is None:
             raise MissingCovariate("age_years")
-        if unknown is not None:
-            raise MissingCovariate(unknown)
         symptoms = record.symptoms
         part = parts.get(id(symptoms))
         if part is None:

@@ -429,25 +429,26 @@ def test_hybrid_constant_audio_within_noise():
 
 
 def test_hybrid_features_requires_all_scores():
+    # one score per record, in record order: no other shape is read
     cohort = make_cohort([make_record("a", 1), make_record("b", 0)])
-    with pytest.raises(MissingScore) as err:
-        hybrid_features(cohort, {"a": 0.5})
-    assert err.value.record_id == "b"
+    for scores in ([0.5], [0.5, 0.25, 0.75], [[0.5, 0.25]]):
+        with pytest.raises(ValueError, match="one audio score per record"):
+            hybrid_features(cohort, scores)
 
 
 def test_hybrid_features_attaches_scores():
     cohort = make_cohort([make_record("a", 1), make_record("b", 0)])
-    out = hybrid_features(cohort, {"a": 0.25, "b": 0.75})
+    out = hybrid_features(cohort, [0.25, 0.75])
     assert [r.score for r in out.records] == [0.25, 0.75]
 
 
 @pytest.mark.parametrize("bad", [np.nan, 1.5, -0.25, np.inf, -np.inf])
-@pytest.mark.parametrize("as_dict", [False, True])
-def test_hybrid_features_refuses_scores_load_cohort_refuses(bad, as_dict):
+@pytest.mark.parametrize("as_array", [False, True])
+def test_hybrid_features_refuses_scores_load_cohort_refuses(bad, as_array):
     cohort = make_cohort([make_record("a", 1), make_record("b", 0), make_record("c", 1)])
     scores = [0.2, bad, bad]
     with pytest.raises(BadValue) as err:
-        hybrid_features(cohort, dict(zip(cohort.ids(), scores)) if as_dict else scores)
+        hybrid_features(cohort, np.array(scores) if as_array else scores)
     assert (err.value.row, err.value.column) == (2, "score")
     assert np.array_equal(err.value.value, bad, equal_nan=True)
 

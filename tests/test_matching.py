@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from confound_audit.errors import EmptyResult, MissingCovariate, OverlappingInputs
+from confound_audit.errors import ConfigError, EmptyResult, MissingCovariate, OverlappingInputs
 from confound_audit.matching import TEST_SET, TRAIN_SET, MatchSpec, age_bin, match_exact, stratum_keyer
 from confound_audit.metrics import table_2x2_stats
 
@@ -37,7 +37,7 @@ def test_stratum_key_missing_age():
 
 
 def test_covariates_must_be_nonempty():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         MatchSpec(covariates=())
 
 

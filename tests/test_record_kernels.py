@@ -12,6 +12,7 @@ import os
 import tempfile
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +26,7 @@ from confound_audit.cohort import (
     symptom_profile,
     write_cohort,
 )
-from confound_audit.errors import BadValue, DuplicateId, MissingColumn
+from confound_audit.errors import BadValue, ConfigError, DuplicateId, MissingColumn
 from confound_audit.matching import MatchSpec, stratum_keyer
 from confound_audit.synth import SynthConfig, enrol, generate_population
 
@@ -99,7 +100,7 @@ def test_enrol_matches_per_person_draws(cfg, mode):
     assert _outcome(lambda: enrol(pop, cfg).ids()) == _outcome(lambda: enrol_loop(pop, cfg))
 
 
-# profile attributes that are not flags must raise like an unknown name
+# profile attributes that are not flags must be refused like an unknown name
 COVARIATES = SYMPTOM_FIELDS + ("any_symptom", "reported_any", "missing", "flag", "bogus")
 
 
@@ -127,6 +128,10 @@ def records(draw):
     st.booleans(),
 )
 def test_stratum_keys_match_per_record_check(recs, covariates, include_channel):
+    if any(name not in SYMPTOM_FIELDS and name != "any_symptom" for name in covariates):
+        with pytest.raises(ConfigError):
+            MatchSpec(covariates=tuple(covariates), include_channel=include_channel)
+        return
     spec = MatchSpec(covariates=tuple(covariates), include_channel=include_channel)
     key_of = stratum_keyer(spec)
     for r in recs:

@@ -469,7 +469,7 @@ _MODEL = {"n_trees": 1, "seed": 0, "m_try": 1, "oob_accuracy": None, "trees": [_
      "record r3 has a blank 'cough' flag"),
     (["baseline", "predict", "--model", "{badmodel}", "--in", "{pool}", "--out", "{out}"], 1,
      "tree 0: node 0 has 'right' child 7"),
-    (["match", "--in", "{pool}", "--covariates", "flag", "--out", "{out}"], 1, "covariate 'flag'"),
+    (["match", "--in", "{pool}", "--covariates", "flag", "--out", "{out}"], 2, "covariate 'flag'"),
     (["baseline", "predict", "--model", "{nolevels}", "--in", "{pool}", "--out", "{out}"], 1,
      "source 'gender' has no levels"),
     # the cohort arrays name the first record lacking a label or a score
@@ -532,7 +532,7 @@ _MODEL = {"n_trees": 1, "seed": 0, "m_try": 1, "oob_accuracy": None, "trees": [_
     (["probe", "weak", "--matched", "{missing}", "--calib-features", "{missing}", "--out", "{out}"], 2,
      "need --calib"),
     # an empty list is a name outside the flags, not the preset
-    (["match", "--in", "{pool}", "--covariates", "", "--out", "{out}"], 1, "covariate ''"),
+    (["match", "--in", "{pool}", "--covariates", "", "--out", "{out}"], 2, "covariate ''"),
     # --seed draws only the synthetic calibration task: refused with --calib, before any file is read
     (["probe", "weak", "--matched", "{missing}", "--calib", "{missing}", "--seed", "1", "--out", "{out}"], 2,
      "drop --seed"),
@@ -543,12 +543,23 @@ _MODEL = {"n_trees": 1, "seed": 0, "m_try": 1, "oob_accuracy": None, "trees": [_
      "'utility': epsilon must be >= 0 and finite, got inf"),
     (["utility", "--roc", "{roc}", "--rt", "1.5", "--eps", "0.2", "--delta", "inf", "--out", "{out}"], 2,
      "'utility': delta must be >= 0 and finite, got inf"),
+    # refused before the cohort is read: an unknown covariate, a non-finite cut, an empty predictor list
+    (["match", "--in", "{missing}", "--covariates", "coughh", "--out", "{out}"], 2, "unknown covariate 'coughh'"),
+    (["eval", "--in", "{missing}", "--threshold", "nan", "--out", "{out}"], 2, "'threshold': must be finite"),
+    (["baseline", "train", "--in", "{missing}", "--predictors", "", "--model", "{out}"], 2, "'predictors'"),
+    # a scores file is read as a features file is: one width for every row, and the header id,score
+    (["probe", "nn", "--matched", "{pool}", "--scores", "{wide}", "--out", "{out}"], 1,
+     "'score' on data row 4: '2 values, expected 1'"),
+    (["probe", "nn", "--matched", "{pool}", "--scores", "{widehead}", "--out", "{out}"], 1,
+     "a scores file has the header 'id,score', not 'id,score,note'"),
+    # a score out of range is named by its row in the file, not by its record's place in the cohort
+    (["probe", "nn", "--matched", "{pool}", "--scores", "{aboverev}", "--out", "{out}"], 1, "'score' on data row 57"),
 ])
 def test_cli_errors_exit_with_one_line(tmp_path, capsys, argv, code, message):
     names = ("pool", "short", "word", "noscore", "nan", "above", "repeat", "nanfeat", "blankflag", "badroc", "badjson",
              "model", "badmodel", "nolevels", "feat", "unscored", "blanklabel", "fewneg", "header", "missing", "feat3", "featid", "ntrees", "synthnum", "synthcfg", "notjson",
              "fdr2", "prevalence2", "rtneg", "pimax2", "synthprev", "roc", "fracmodel", "nanmodel", "blankid",
-             "featblankid", "out")
+             "featblankid", "wide", "widehead", "aboverev", "out")
     paths = {name: str(tmp_path / name) for name in names}
     _write_pool(paths["pool"], n=60)
     with open(paths["pool"], encoding="utf-8") as fh:
@@ -570,6 +581,9 @@ def test_cli_errors_exit_with_one_line(tmp_path, capsys, argv, code, message):
         "above": "id,score\n" + "".join(scores[:3]) + "r3,1.5\n" + "".join(scores[4:]),
         "repeat": "id,score\n" + "".join(scores) + "r0,0.25\n",
         "blankid": "id,score\n" + "".join(scores[:3]) + ",0.5\n" + "".join(scores[3:]),
+        "wide": "id,score\n" + "".join(scores[:3]) + "r3,0.5,junk\n" + "".join(scores[4:]),
+        "widehead": "id,score,note\n" + "".join(f"r{i},0.5,1\n" for i in range(60)),
+        "aboverev": "id,score\n" + "".join(f"r{i},{1.5 if i == 3 else 0.5}\n" for i in reversed(range(60))),
         "featblankid": "id,f0,f1\n" + "".join(f"{' ' if i == 3 else f'r{i}'},0.5,0.25\n" for i in range(60)),
         "nanfeat": "id,f0,f1\n" + "".join(f"r{i},0.5,{'nan' if i == 1 else 0.25}\n" for i in range(60)),
         "blankflag": recolumn("cough", lambda i, v: "" if i == 3 else v),
