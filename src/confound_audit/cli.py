@@ -53,18 +53,16 @@ def _load(path: str, features: str | None = None, scores: str | None = None) -> 
     """The cohort at ``path``, with the vectors of a ``features`` file joined
     by ``load_features`` and the scores of an ``id,score`` file by
     ``hybrid_features``, and the counts of the rows each join could not place,
-    for ``--manifest-out``. Both files are read by ``read_sidecar``; a score
-    outside [0, 1] is refused with its file row."""
+    for ``--manifest-out``. Both files are read by ``read_sidecar``, which
+    checks the scores header before any row; a score outside [0, 1] is
+    refused with its file row."""
     cohort = load_cohort(path)
     counts = {}
     if features:
         cohort = load_features(cohort, features)
         counts = {k: cohort.manifest[k] for k in ("unmatched_feature_rows", "records_without_features")}
     if scores:
-        header, row_of, block = read_sidecar(scores)
-        if header[1:] != ["score"]:
-            raise MissingColumn("score") if "score" not in header else ConfoundAuditError(
-                f"a scores file has the header 'id,score', not {','.join(header)!r}")
+        _, row_of, block = read_sidecar(scores, "score")
         values = block[:, 0]
         out = np.flatnonzero((values < 0.0) | (values > 1.0))
         if out.size:
@@ -277,8 +275,8 @@ def cmd_probe_nn(args) -> tuple[str, dict]:
 def cmd_baseline_train(args) -> tuple[str, dict]:
     if args.n_trees < 1:
         raise ConfigError("n-trees", "must be >= 1")
-    if args.predictors == "":
-        raise ConfigError("predictors", "must name at least one predictor")
+    if args.predictors is not None and not all(args.predictors.split(",")):
+        raise ConfigError("predictors", f"every name must be non-empty, got {args.predictors!r}")
     train, counts = _load(getattr(args, "in"), args.features)
     train, rejections = validate_cohort(train)
     predictors = tuple(args.predictors.split(",")) if args.predictors else DEFAULT_SYMPTOM_PREDICTORS

@@ -41,7 +41,16 @@ from operator import attrgetter, itemgetter
 
 import numpy as np
 
-from .errors import BadValue, DuplicateId, MissingColumn, MissingFeatures, MissingLabel, MissingScore, TooFewRecords
+from .errors import (
+    BadValue,
+    ConfoundAuditError,
+    DuplicateId,
+    MissingColumn,
+    MissingFeatures,
+    MissingLabel,
+    MissingScore,
+    TooFewRecords,
+)
 
 SYMPTOM_FIELDS = (
     "cough",
@@ -392,14 +401,17 @@ def _parse_rows(cells: list[str], first_row: int, n_rows: int, header: list[str]
         raise
 
 
-def read_sidecar(path: str) -> tuple[list[str], dict[str, int], np.ndarray]:
+def read_sidecar(path: str, value: str | None = None) -> tuple[list[str], dict[str, int], np.ndarray]:
     """Read an id-keyed CSV of numbers, such as ``id,f0,f1,...`` features or
     ``id,score`` scores: its header, the 0-based row of each id, and a
     ``(rows, len(header) - 1)`` float array of the values.
 
     Ids are read stripped, as :func:`load_cohort` reads them, and blank
     lines are skipped and not counted. A header without ``id`` first, or
-    with no column after it, raises ``MissingColumn``. A row of another
+    with no column after it, raises ``MissingColumn``. With ``value``, the
+    header must be ``id,<value>`` exactly, and is checked before any row is
+    read: one without that column raises ``MissingColumn`` naming it, one
+    with other columns ``ConfoundAuditError``. A row of another
     width than the header, a malformed, NaN or infinite value, or a blank or
     repeated id raises ``BadValue`` with the 1-based data row and the column.
     """
@@ -408,6 +420,10 @@ def read_sidecar(path: str) -> tuple[list[str], dict[str, int], np.ndarray]:
         header = next(reader, None)
         if not header or header[0] != "id":
             raise MissingColumn("id")
+        if value is not None and header[1:] != [value]:
+            if value not in header[1:]:
+                raise MissingColumn(value)
+            raise ConfoundAuditError(f"a {value}s file has the header {'id,' + value!r}, not {','.join(header)!r}")
         if len(header) < 2:
             raise MissingColumn("f0")
         dim = len(header) - 1

@@ -145,7 +145,9 @@ def _train_weak_prefixes(features: np.ndarray, labels: np.ndarray, ks, l2: float
     Each model gets the bits a separate fit on its prefix gets, because every
     sum keeps that fit's order:
     - mean, scale and the standardized copy are computed from the prefix view;
-    - margins stay one matvec per model;
+    - margins stay one matvec per model; a one-column model's matvec is a
+      product, which differs at most in the sign of a zero margin, and
+      ``margin < 1`` cannot see that;
     - the bias gradient is (violating positives - violating negatives) / n,
       and ``viol @ y`` sums those +-1 terms exactly in any order;
     - a one-column model sums its gathered violators (pairwise, as numpy sums
@@ -154,6 +156,18 @@ def _train_weak_prefixes(features: np.ndarray, labels: np.ndarray, ks, l2: float
       ``y * z`` columns, masked by each column's model. A masked-out row adds
       nothing; at most the sign of a zero sum changes, which no update of a
       weight can see.
+
+    A model whose violator set is the one of the step before keeps its hinge
+    and bias sums: a sum over the same rows, in the same order, of the same
+    values has the same bits. Only the stacked columns from the first to the
+    last wide model whose set moved are reduced again, and a one-column model
+    is summed again only when its own set moved. A cohort whose sets settle
+    reuses most sums; one whose sets all move each step reduces all columns.
+
+    Weights and biases share one vector, updated by one expression whose
+    per-entry penalty is ``l2`` for a weight and 0 for a bias. For a bias that
+    gives ``0 * b - s / n`` in place of ``-s / n``: equal except in the sign
+    of a zero, and a bias, which starts at +0, never becomes -0.
     """
     x = np.asarray(features, dtype=float)
     y01 = np.asarray(labels, dtype=int)
@@ -173,38 +187,55 @@ def _train_weak_prefixes(features: np.ndarray, labels: np.ndarray, ks, l2: float
         stats.append((mean, scale))
         zs.append((xk - mean) / scale)
 
-    widths = np.asarray(ks, dtype=int)
+    # parameter layout: the wide models' weights in model order, then the
+    # one-column models' weights, then the m biases
+    order = sorted(range(m), key=lambda j: ks[j] == 1)
+    widths = [ks[j] for j in order]
     ends = np.cumsum(widths)
-    spans = [slice(e - k, e) for k, e in zip(ks, ends)]
-    yz = y[:, None] * np.concatenate(zs, axis=1)  # multiplying by +-1 is exact
-    wide_cols = np.flatnonzero(np.repeat(widths != 1, widths))
-    wide_model = np.repeat(np.arange(m), widths)[wide_cols]
-    wide_yz = np.ascontiguousarray(yz[:, wide_cols])  # C order: reduced row by row
+    n_w = int(ends[-1])
+    n_wide = sum(k for k in widths if k != 1)
+    spans = [slice(0, 0)] * m
+    for j, k, e in zip(order, widths, ends):
+        spans[j] = slice(e - k, e)
+    yz = y[:, None] * np.concatenate([zs[j] for j in order], axis=1)  # multiplying by +-1 is exact
+    wide_model = np.repeat(order, widths)[:n_wide]
+    wide_yz = np.ascontiguousarray(yz[:, :n_wide])  # C order: reduced row by row
     single = [(j, spans[j].start, yz[:, spans[j].start].copy()) for j in range(m) if ks[j] == 1]
 
-    w = np.zeros(ends[-1])
-    b = np.zeros(m)
+    penalty = np.zeros(n_w + m)
+    penalty[:n_w] = l2
+    wb = np.zeros(n_w + m)  # updated in place, so the views below stay live
+    sums = np.zeros(n_w + m)  # hinge sums, then bias sums, over the sets in ``last``
     margin = np.empty((m, n))
+    margin_ops = [(np.multiply, z[:, 0], wb[span], row) if z.shape[1] == 1 else (np.matmul, z, wb[span], row)
+                  for z, span, row in zip(zs, spans, margin)]
+    bias, bias_sums = wb[n_w:, None], sums[n_w:]
     viol = np.empty((m, n), dtype=bool)
-    mask = np.empty((wide_cols.size, n), dtype=bool)
-    hinge_sum = np.empty(ends[-1])
+    last = np.zeros((m, n), dtype=bool)  # no violators: every sum is 0
+    moved = np.empty((m, n), dtype=bool)
+    mask = np.empty((n_wide, n), dtype=bool)
     for t in range(1, n_iter + 1):
         eta = 1.0 / (l2 * t)
-        for z, span, row in zip(zs, spans, margin):
-            np.matmul(z, w[span], out=row)
-        margin += b[:, None]
+        for op, z, w, row in margin_ops:
+            op(z, w, out=row)
+        margin += bias
         margin *= y
         np.less(margin, 1.0, out=viol)
-        np.take(viol, wide_model, axis=0, out=mask)
-        hinge_sum[wide_cols] = np.add.reduce(wide_yz, axis=0, where=mask.T)
-        for j, col, yz_col in single:
-            hinge_sum[col] = yz_col[viol[j]].sum()
-        grad_w = l2 * w - hinge_sum / n
-        grad_b = -(viol @ y) / n
-        w = w - eta * grad_w
-        b = b - eta * grad_b
+        moved_models = np.not_equal(viol, last, out=moved).any(axis=1)
+        if moved_models.any():
+            np.matmul(viol, y, out=bias_sums)
+            at = np.flatnonzero(moved_models[wide_model])
+            if at.size:
+                cols = slice(at[0], at[-1] + 1)
+                np.take(viol, wide_model[cols], axis=0, out=mask[cols])
+                np.add.reduce(wide_yz[:, cols], axis=0, where=mask[cols].T, out=sums[cols])
+            for j, col, yz_col in single:
+                if moved_models[j]:
+                    sums[col] = yz_col[viol[j]].sum()
+        viol, last = last, viol
+        wb -= eta * (penalty * wb - sums / n)
     return [
-        WeakModel(feature_mean=mean, feature_scale=scale, weights=w[span].copy(), bias=float(b[j]))
+        WeakModel(feature_mean=mean, feature_scale=scale, weights=wb[span].copy(), bias=float(wb[n_w + j]))
         for j, ((mean, scale), span) in enumerate(zip(stats, spans))
     ]
 

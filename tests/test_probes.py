@@ -217,6 +217,45 @@ def test_lockstep_weak_kernel_matches_loop_at_margin_ties():
         _assert_kernel_matches_loop(*_margin_tie_case(seed))
 
 
+def _probe_regimes():
+    """The three inputs of the probe at full size (1500 records a class, 16
+    features, 10 negative-class components, 200 steps), one per regime of
+    the kernel's sum reuse:
+    - planted: an unmeasured trait shifts features along one direction; most
+      violator sets stay put from one step to the next;
+    - signal: the class signal lies on an axis along which negatives do not
+      vary, so no component sees it and every row violates at every step;
+    - calibration: the easy task projected on the planted cohort's
+      components; most sets move at every step.
+    """
+    rng = np.random.default_rng(11)
+    n, dim = 1500, 16
+    y = np.repeat([1, 0], n)
+    direction = rng.normal(size=dim)
+    direction /= np.linalg.norm(direction)
+    trait = rng.random(2 * n) < np.where(y == 1, 0.8, 0.2)
+    planted = rng.normal(size=(2 * n, dim)) + 3.0 * trait[:, None] * direction
+    signal = np.zeros((2 * n, dim))
+    signal[:, 1:] = rng.normal(size=(2 * n, dim - 1))
+    signal[:n, 0] = 2.0 + rng.normal(size=n)
+    calibration = make_calibration_cohort(dim, n_per_class=300, seed=11)
+    signal_pca = pca_fit(signal[y == 0], n_components=10)
+    planted_pca = pca_fit(planted[y == 0], n_components=10)
+    return {
+        "planted": (pca_project(planted_pca, planted), y),
+        "signal": (pca_project(signal_pca, signal), y),
+        "calibration": (pca_project(planted_pca, calibration.feature_matrix()), calibration.labels()),
+    }
+
+
+@pytest.mark.parametrize("regime", ["planted", "signal", "calibration"])
+def test_lockstep_weak_kernel_matches_loop_at_probe_size(regime):
+    z, y = _probe_regimes()[regime]
+    models = _train_weak_prefixes(z, y, range(1, z.shape[1] + 1))
+    for k, model in enumerate(models, start=1):
+        assert _same_bits(model, train_weak_linear_loop(z[:, :k], y)), k
+
+
 # -- probe fixtures --------------------------------------------------------------------
 
 

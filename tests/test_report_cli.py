@@ -554,12 +554,20 @@ _MODEL = {"n_trees": 1, "seed": 0, "m_try": 1, "oob_accuracy": None, "trees": [_
      "a scores file has the header 'id,score', not 'id,score,note'"),
     # a score out of range is named by its row in the file, not by its record's place in the cohort
     (["probe", "nn", "--matched", "{pool}", "--scores", "{aboverev}", "--out", "{out}"], 1, "'score' on data row 57"),
+    # a scores header is checked before its rows: no score column is named as such, whatever the rows hold
+    (["probe", "nn", "--matched", "{pool}", "--scores", "{idonly}", "--out", "{out}"], 1,
+     "required column missing: 'score'"),
+    (["probe", "nn", "--matched", "{pool}", "--scores", "{probword}", "--out", "{out}"], 1,
+     "required column missing: 'score'"),
+    # an empty predictor name needs no data to refuse
+    (["baseline", "train", "--in", "{missing}", "--predictors", "cough,", "--model", "{out}"], 2,
+     "'predictors': every name must be non-empty"),
 ])
 def test_cli_errors_exit_with_one_line(tmp_path, capsys, argv, code, message):
     names = ("pool", "short", "word", "noscore", "nan", "above", "repeat", "nanfeat", "blankflag", "badroc", "badjson",
              "model", "badmodel", "nolevels", "feat", "unscored", "blanklabel", "fewneg", "header", "missing", "feat3", "featid", "ntrees", "synthnum", "synthcfg", "notjson",
              "fdr2", "prevalence2", "rtneg", "pimax2", "synthprev", "roc", "fracmodel", "nanmodel", "blankid",
-             "featblankid", "wide", "widehead", "aboverev", "out")
+             "featblankid", "wide", "widehead", "aboverev", "idonly", "probword", "out")
     paths = {name: str(tmp_path / name) for name in names}
     _write_pool(paths["pool"], n=60)
     with open(paths["pool"], encoding="utf-8") as fh:
@@ -584,6 +592,8 @@ def test_cli_errors_exit_with_one_line(tmp_path, capsys, argv, code, message):
         "wide": "id,score\n" + "".join(scores[:3]) + "r3,0.5,junk\n" + "".join(scores[4:]),
         "widehead": "id,score,note\n" + "".join(f"r{i},0.5,1\n" for i in range(60)),
         "aboverev": "id,score\n" + "".join(f"r{i},{1.5 if i == 3 else 0.5}\n" for i in reversed(range(60))),
+        "idonly": "id\n" + "".join(f"r{i}\n" for i in range(60)),
+        "probword": "id,prob\n" + "".join(f"r{i},{'abc' if i == 0 else 0.5}\n" for i in range(60)),
         "featblankid": "id,f0,f1\n" + "".join(f"{' ' if i == 3 else f'r{i}'},0.5,0.25\n" for i in range(60)),
         "nanfeat": "id,f0,f1\n" + "".join(f"r{i},0.5,{'nan' if i == 1 else 0.25}\n" for i in range(60)),
         "blankflag": recolumn("cough", lambda i, v: "" if i == 3 else v),
