@@ -4,8 +4,8 @@ ROC machinery uses the Mann-Whitney pairwise definition of AUC throughout:
 ties between a positive and a negative score count one half. Confidence
 intervals come in two flavours, the Hanley-McNeil normal approximation and
 the DeLong structural-components estimator; the latter also powers the paired
-two-classifier test. Every rank statistic is built from midranks
-(``scipy.stats.rankdata``), so AUCs, DeLong placements and U statistics are
+two-classifier test. Every rank statistic is built from midranks taken from
+one sort of its scores, so AUCs, DeLong placements and U statistics are
 exact half-integer counts divided once, in O(N log N). Small-sample
 Mann-Whitney p-values are exact: size-m subsets of the pooled midranks are
 counted by their rank sum.
@@ -16,10 +16,10 @@ All functions are pure and deterministic; nothing here consumes an RNG.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm, rankdata
+from scipy.special import ndtr, ndtri
 
 from .errors import (
     ConfigError,
@@ -39,10 +39,13 @@ EXACT_MWU_LIMIT = 20
 
 @dataclass(frozen=True)
 class ScoredLabels:
-    """Aligned score/label arrays with both-class bookkeeping."""
+    """Aligned score/label arrays with both-class bookkeeping: ``pos`` and
+    ``neg`` hold each class's scores in input order."""
 
     scores: np.ndarray
     labels: np.ndarray
+    pos: np.ndarray = field(init=False, repr=False, compare=False)
+    neg: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         scores = np.asarray(self.scores, dtype=float)
@@ -53,16 +56,11 @@ class ScoredLabels:
             raise ValueError("labels must be binary")
         if np.isnan(scores).any():
             raise ValueError("scores must not be NaN")
+        is_pos = labels == 1
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "labels", labels)
-
-    @property
-    def pos(self) -> np.ndarray:
-        return self.scores[self.labels == 1]
-
-    @property
-    def neg(self) -> np.ndarray:
-        return self.scores[self.labels == 0]
+        object.__setattr__(self, "pos", scores[is_pos])
+        object.__setattr__(self, "neg", scores[~is_pos])
 
     def require_both_classes(self) -> None:
         if self.pos.size == 0 or self.neg.size == 0:
@@ -99,14 +97,31 @@ def roc_curve(data: ScoredLabels) -> RocCurve:
     )
 
 
+def _sorted_midranks(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The midranks of ascending ``z`` in its own order (1-based; a run of
+    equal values shares its average rank), and the length of each run."""
+    bounds = np.append(np.flatnonzero(np.r_[True, z[1:] != z[:-1]]), z.size)
+    lengths = np.diff(bounds)
+    return np.repeat(0.5 * (bounds[:-1] + bounds[1:] + 1), lengths), lengths
+
+
+def _midranks(x: np.ndarray) -> np.ndarray:
+    """The midranks of ``x`` in input order, from one sort. The order inside
+    a run of equal values does not change its midrank, so the sort need not
+    be stable."""
+    order = np.argsort(x)
+    ranks = np.empty(x.size)
+    ranks[order] = _sorted_midranks(x[order])[0]
+    return ranks
+
+
 def auc(data: ScoredLabels) -> float:
     """Mann-Whitney AUC: mean over all (pos, neg) pairs of 1[p>n] + 0.5*1[p=n],
     from the positives' midrank sum."""
     data.require_both_classes()
     m = data.pos.size
     n = data.neg.size
-    ranks = rankdata(data.scores)
-    rank_sum = float(np.sum(ranks[data.labels == 1]))
+    rank_sum = float(np.sum(_midranks(data.scores)[np.flatnonzero(data.labels == 1)]))
     return (rank_sum - m * (m + 1) / 2.0) / (m * n)
 
 
@@ -119,13 +134,22 @@ def _psi_components(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray,
     Placements come from midranks (Sun & Xu 2014): a score's pooled midrank
     minus its midrank within its own class is the number of other-class
     scores below it plus half the number tied with it, an exact half-integer
-    count, in O(N log N).
+    count. One sort serves all three rankings, since the pooled order
+    filtered to one class is that class's scores in ascending order.
     """
     is_pos = labels == 1
-    pooled = rankdata(scores)
-    neg_below_pos = pooled[is_pos] - rankdata(scores[is_pos])
-    pos_below_neg = pooled[~is_pos] - rankdata(scores[~is_pos])
-    return neg_below_pos, neg_below_pos.size - pos_below_neg
+    order = np.argsort(scores)
+    z, pos_sorted = scores[order], is_pos[order]
+    # classes are gathered by integer index: on masks this irregular, numpy's
+    # boolean indexing is several times slower than np.flatnonzero and a take
+    within = np.empty(z.size)
+    for cls in (pos_sorted, ~pos_sorted):
+        idx = np.flatnonzero(cls)
+        within[idx] = _sorted_midranks(z[idx])[0]
+    placed = np.empty(z.size)
+    placed[order] = _sorted_midranks(z)[0] - within
+    neg_below_pos = placed[np.flatnonzero(is_pos)]
+    return neg_below_pos, neg_below_pos.size - placed[np.flatnonzero(~is_pos)]
 
 
 @dataclass(frozen=True)
@@ -147,7 +171,7 @@ class ConfidenceInterval:
 
 
 def _normal_interval(est: float, se: float, method: str, detail=None) -> ConfidenceInterval:
-    z = norm.ppf(0.975)
+    z = ndtri(0.975)
     lo, hi = est - z * se, est + z * se
     clipped = lo < 0.0 or hi > 1.0
     return ConfidenceInterval(
@@ -210,14 +234,16 @@ def delong_test(a: ScoredLabels, b: ScoredLabels) -> dict:
         z_inf = math.inf if auc_a > auc_b else -math.inf
         return {"z": z_inf, "p": 0.0, "auc_a": auc_a, "auc_b": auc_b}
     z = (auc_a - auc_b) / math.sqrt(var)
-    return {"z": float(z), "p": float(2.0 * norm.sf(abs(z))), "auc_a": auc_a, "auc_b": auc_b}
+    return {"z": float(z), "p": float(2.0 * ndtr(-abs(z))), "auc_a": auc_a, "auc_b": auc_b}
 
 
 def pr_auc(data: ScoredLabels) -> float:
     """Average precision (step interpolation): sum over distinct thresholds of
     (recall increment) * (precision at that threshold)."""
     data.require_both_classes()
-    order = np.argsort(-data.scores, kind="stable")
+    # only the counts at the end of each tie block are read, and those do not
+    # depend on the order inside the block: the sort need not be stable
+    order = np.argsort(-data.scores)
     scores = data.scores[order]
     labels = data.labels[order]
     n_pos = int(labels.sum())
@@ -317,7 +343,9 @@ def mwu_test(pos_scores, neg_scores, mode: str = "normal") -> dict:
         raise ValueError("scores must not be NaN")
     m, n = pos.size, neg.size
     pooled = np.concatenate([pos, neg])
-    ranks = rankdata(pooled)
+    order = np.argsort(pooled)
+    ranks = np.empty(m + n)
+    ranks[order], tie_counts = _sorted_midranks(pooled[order])
     base = m * (m + 1) / 2.0
     u_obs = float(np.sum(ranks[:m]) - base)
 
@@ -337,13 +365,12 @@ def mwu_test(pos_scores, neg_scores, mode: str = "normal") -> dict:
 
     if mode == "normal":
         total = m + n
-        _, tie_counts = np.unique(pooled, return_counts=True)
         tie_term = float(np.sum(tie_counts.astype(float) ** 3 - tie_counts))
         var = m * n / 12.0 * ((total + 1) - tie_term / (total * (total - 1)))
         if var <= 0.0:
             return {"u": u_obs, "p": 1.0}
         z = max(0.0, abs(u_obs - m * n / 2.0) - 0.5) / math.sqrt(var)
-        return {"u": u_obs, "p": float(min(1.0, 2.0 * norm.sf(z)))}
+        return {"u": u_obs, "p": float(min(1.0, 2.0 * ndtr(-z)))}
 
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -355,7 +382,7 @@ def bh_fdr(p_values, q: float) -> list[bool]:
     p = np.asarray(p_values, dtype=float)
     if p.size == 0:
         return []
-    if np.any((p < 0) | (p > 1)):
+    if np.any(~((p >= 0) & (p <= 1))):
         raise ValueError("p-values must lie in [0, 1]")
     m = p.size
     order = np.argsort(p, kind="stable")
@@ -438,7 +465,7 @@ def calibration_bins(scores, labels) -> tuple[list[CalibrationBin], float]:
     error ECE = sum_b (count_b / N) * |mean_score_b - frac_positive_b|."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=int)
-    if np.any((scores < 0) | (scores > 1)):
+    if np.any(~((scores >= 0) & (scores <= 1))):
         raise ValueError("scores must lie in [0, 1]")
     idx = np.minimum((scores * 10).astype(int), 9)
     bins: list[CalibrationBin] = []

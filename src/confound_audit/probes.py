@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .cohort import Cohort, vector_cohort
 from .errors import ConfigError, EncodingMismatch, NoNegatives, OneClassOnly, RankDeficientWarning, TooFewSamples
@@ -445,7 +445,7 @@ def make_calibration_cohort(feature_dim: int, n_per_class: int = 300, seed: int 
     rng = substream(seed, "calibration")
     direction = rng.normal(size=feature_dim)
     direction /= np.linalg.norm(direction)
-    separation = 2.0 * norm.ppf(0.99)
+    separation = 2.0 * ndtri(0.99)
     x = np.concatenate([
         (separation / 2.0) * direction * sign + rng.normal(size=(n_per_class, feature_dim)) for sign in (-1.0, 1.0)
     ])

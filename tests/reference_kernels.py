@@ -2,11 +2,12 @@
 nearest-neighbour and per-record kernels.
 
 These are the direct O(m*n), per-element and enumerating forms of
-``metrics`` and ``utility`` internals (with the trapezoid area under a ROC
-curve, and the outcome-probability enumeration of expected utility that
-acceptance criterion 2 checks the closed form against), the
-argsort-per-node-per-feature CART of ``forest``, the one-model-at-a-time
-weak linear fit and curation of ``probes`` (and the
+``metrics`` and ``utility`` internals (with the stable-sort average
+precision, the ``np.unique`` tie term of the normal Mann-Whitney test, the
+trapezoid area under a ROC curve, and the outcome-probability enumeration
+of expected utility that acceptance criterion 2 checks the closed form
+against), the argsort-per-node-per-feature CART of ``forest``, the
+one-model-at-a-time weak linear fit and curation of ``probes`` (and the
 PCA reconstruction that checks its projection), the per-positive
 nearest-negative search of ``probes.nn_substitute``, and the per-record
 loops of ``synth``, ``matching`` and ``cohort`` (one profile object per
@@ -20,11 +21,13 @@ NaN: ``midranks_loop`` never terminates on it.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+from scipy.stats import norm
 
 from confound_audit.cohort import (
     ACUTE_SYMPTOM_FIELDS,
@@ -104,6 +107,38 @@ def mwu_exact_enumerated(pos: np.ndarray, neg: np.ndarray) -> dict:
         if abs(u - m * n / 2.0) >= dev_obs - 1e-12:
             hits += 1
     return {"u": u_obs, "p": hits / total}
+
+
+def pr_auc_stable_sort(data: ScoredLabels) -> float:
+    """``metrics.pr_auc`` with the scores in stable descending order, so each
+    tie block keeps its input order."""
+    order = np.argsort(-data.scores, kind="stable")
+    scores = data.scores[order]
+    labels = data.labels[order]
+    n_pos = int(labels.sum())
+    tp = np.cumsum(labels)
+    k = np.arange(1, scores.size + 1)
+    boundary = np.nonzero(np.append(scores[1:] != scores[:-1], True))[0]
+    precision = tp[boundary] / k[boundary]
+    recall = tp[boundary] / n_pos
+    prev_recall = np.concatenate([[0.0], recall[:-1]])
+    return float(np.sum((recall - prev_recall) * precision))
+
+
+def mwu_normal_unique_ties(pos: np.ndarray, neg: np.ndarray) -> dict:
+    """``metrics.mwu_test(mode="normal")`` with loop midranks, tie counts from
+    ``np.unique`` and the tail from ``scipy.stats.norm``."""
+    m, n = pos.size, neg.size
+    pooled = np.concatenate([pos, neg])
+    u_obs = float(np.sum(midranks_loop(pooled)[:m]) - m * (m + 1) / 2.0)
+    total = m + n
+    _, tie_counts = np.unique(pooled, return_counts=True)
+    tie_term = float(np.sum(tie_counts.astype(float) ** 3 - tie_counts))
+    var = m * n / 12.0 * ((total + 1) - tie_term / (total * (total - 1)))
+    if var <= 0.0:
+        return {"u": u_obs, "p": 1.0}
+    z = max(0.0, abs(u_obs - m * n / 2.0) - 0.5) / math.sqrt(var)
+    return {"u": u_obs, "p": float(min(1.0, 2.0 * norm.sf(z)))}
 
 
 def roc_area(roc) -> float:

@@ -417,6 +417,11 @@ def test_bh_monotone_in_q():
         assert all(l or not s for s, l in zip(small, large))
 
 
+def test_bh_rejects_nan_p_value():
+    with pytest.raises(ValueError, match="p-values must lie"):
+        bh_fdr([0.01, math.nan, 0.02], 0.05)
+
+
 def test_bh_checks_q_before_empty_input():
     assert bh_fdr([], 0.05) == []
     for q in (0.0, 1.5, float("nan")):
@@ -496,6 +501,12 @@ def test_calibration_worst_case():
     bins, ece = calibration_bins(np.ones(5), np.zeros(5, dtype=int))
     assert len(bins) == 1
     assert ece == 1.0
+
+
+def test_calibration_rejects_nan_score():
+    # a NaN score falls in no bin, yet would count in the ECE denominator
+    with pytest.raises(ValueError, match="scores must lie"):
+        calibration_bins([0.1, math.nan, 0.9, 0.95], [0, 1, 1, 1])
 
 
 def test_calibration_matches_bruteforce():

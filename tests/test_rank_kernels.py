@@ -10,13 +10,21 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import rankdata
+from scipy.special import ndtr, ndtri
+from scipy.stats import norm, rankdata
 
 from confound_audit import metrics
-from confound_audit.metrics import ScoredLabels, auc, auc_ci, delong_test, mwu_test, roc_curve
+from confound_audit.metrics import ScoredLabels, auc, auc_ci, delong_test, mwu_test, pr_auc, roc_curve
 from confound_audit.utility import UtilityParams, default_pi_grid, max_eu_curve, utility_matrix
 
-from reference_kernels import max_eu_points, midranks_loop, mwu_exact_enumerated, psi_components_pairwise
+from reference_kernels import (
+    max_eu_points,
+    midranks_loop,
+    mwu_exact_enumerated,
+    mwu_normal_unique_ties,
+    pr_auc_stable_sort,
+    psi_components_pairwise,
+)
 
 CLASS_SIZE = st.one_of(st.integers(1, 2), st.integers(1, 40))
 
@@ -46,6 +54,34 @@ def _fields(points):
 @given(st.integers(1, 60).flatmap(tied_scores))
 def test_rankdata_equals_midrank_loop(x):
     assert np.array_equal(rankdata(x), midranks_loop(x))
+
+
+SIGNED_ZEROS = st.lists(st.sampled_from([0.0, -0.0, 1.0]), min_size=1, max_size=8).map(np.array)
+
+
+@given(st.one_of(CLASS_SIZE.flatmap(tied_scores), SIGNED_ZEROS))
+def test_midranks_equal_rankdata_and_loop(x):
+    # 0.0 and -0.0 compare equal, so they share one run
+    got = metrics._midranks(x)
+    assert got.tobytes() == rankdata(x).tobytes() == midranks_loop(x).tobytes()
+
+
+@given(scored_labels())
+def test_pr_auc_equals_stable_sort(data):
+    assert pr_auc(data) == pr_auc_stable_sort(data)
+
+
+@given(scored_labels())
+def test_mwu_normal_equals_unique_tie_counts(data):
+    got = mwu_test(data.pos, data.neg, mode="normal")
+    assert got == mwu_normal_unique_ties(data.pos, data.neg)
+
+
+def test_normal_functions_equal_scipy_stats():
+    for q in (0.975, 0.99):
+        assert ndtri(q) == norm.ppf(q)
+    for z in (0.0, -0.0, 0.5, 1.96, -3.0, 8.5, 38.0, 40.0, np.inf, -np.inf):
+        assert ndtr(-abs(z)) == norm.sf(abs(z))
 
 
 @given(scored_labels())

@@ -3,10 +3,13 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import confound_audit
 from confound_audit import __version__
 from confound_audit.cli import main
 from confound_audit.cohort import CSV_COLUMNS
@@ -284,6 +287,15 @@ def test_cli_synth_probe_flow(tmp_path):
         "--scores", str(scores), "--distance", "euclidean", "--out", str(nn_out),
     ]) == 0
     assert json.load(open(nn_out))["post_auc"] is not None
+
+
+def test_package_imports_without_scipy_stats():
+    # every CLI call pays for its imports, and scipy.stats alone roughly
+    # doubles them; the metrics use scipy.special's normal functions instead
+    src = os.path.dirname(os.path.dirname(confound_audit.__file__))
+    code = 'import sys, confound_audit, confound_audit.cli; sys.exit("scipy.stats" in sys.modules)'
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_cli_utility(tmp_path):
