@@ -4,11 +4,13 @@ ROC machinery uses the Mann-Whitney pairwise definition of AUC throughout:
 ties between a positive and a negative score count one half. Confidence
 intervals come in two flavours, the Hanley-McNeil normal approximation and
 the DeLong structural-components estimator; the latter also powers the paired
-two-classifier test. Every rank statistic is built from midranks taken from
-one sort of its scores, so AUCs, DeLong placements and U statistics are
-exact half-integer counts divided once, in O(N log N). Small-sample
-Mann-Whitney p-values are exact: size-m subsets of the pooled midranks are
-counted by their rank sum.
+two-classifier test. Every rank statistic reads per-run class counts from
+one sort of its scores: the positives and negatives in each run of equal
+scores. AUCs, DeLong placements and U statistics are cumulative sums over
+those runs, exact half-integer counts divided once, in O(N log N), and
+average precision reads the same counts from the top run down.
+Small-sample Mann-Whitney p-values are exact: size-m subsets of the pooled
+midranks are counted by their rank sum.
 
 All functions are pure and deterministic; nothing here consumes an RNG.
 """
@@ -37,6 +39,15 @@ from .matching import stratum_keyer, stratum_order
 EXACT_MWU_LIMIT = 20
 
 
+def _binary(labels) -> np.ndarray:
+    """``labels`` as 0/1 ints; any other value, a fraction too, is refused
+    before the cast could truncate it."""
+    labels = np.asarray(labels)
+    if not np.all((labels == 0) | (labels == 1)):
+        raise ValueError("labels must be binary")
+    return labels.astype(int)
+
+
 @dataclass(frozen=True)
 class ScoredLabels:
     """Aligned score/label arrays with both-class bookkeeping: ``pos`` and
@@ -49,13 +60,12 @@ class ScoredLabels:
 
     def __post_init__(self):
         scores = np.asarray(self.scores, dtype=float)
-        labels = np.asarray(self.labels, dtype=int)
+        labels = np.asarray(self.labels)
         if scores.shape != labels.shape or scores.ndim != 1 or scores.size < 1:
             raise ValueError("scores and labels must be equal-length 1-D sequences")
-        if not np.all((labels == 0) | (labels == 1)):
-            raise ValueError("labels must be binary")
-        if np.isnan(scores).any():
-            raise ValueError("scores must not be NaN")
+        labels = _binary(labels)
+        if not np.isfinite(scores).all():
+            raise ValueError("scores must be finite, not NaN or infinite")
         is_pos = labels == 1
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "labels", labels)
@@ -97,32 +107,37 @@ def roc_curve(data: ScoredLabels) -> RocCurve:
     )
 
 
-def _sorted_midranks(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The midranks of ascending ``z`` in its own order (1-based; a run of
-    equal values shares its average rank), and the length of each run."""
-    bounds = np.append(np.flatnonzero(np.r_[True, z[1:] != z[:-1]]), z.size)
-    lengths = np.diff(bounds)
-    return np.repeat(0.5 * (bounds[:-1] + bounds[1:] + 1), lengths), lengths
+def _tie_runs(scores: np.ndarray, is_pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One argsort of ``scores`` cut into runs of equal values: each score's
+    run index (runs ascending; 0.0 and -0.0 compare equal, so they share a
+    run) and the positive and negative count of each run. The order inside a
+    run does not change its counts, so the sort need not be stable."""
+    order = np.argsort(scores)
+    z = scores[order]
+    starts = np.flatnonzero(np.r_[True, z[1:] != z[:-1]])
+    lengths = np.diff(np.append(starts, z.size))
+    # np.repeat over the run lengths is several times faster than a cumsum
+    # of the run-start mask
+    run = np.empty(z.size, dtype=np.intp)
+    run[order] = np.repeat(np.arange(starts.size), lengths)
+    # positives are gathered by integer index: on masks this irregular, numpy's
+    # boolean indexing is several times slower than np.flatnonzero and a take
+    pos = np.bincount(run[np.flatnonzero(is_pos)], minlength=starts.size)
+    return run, pos, lengths - pos
 
 
-def _midranks(x: np.ndarray) -> np.ndarray:
-    """The midranks of ``x`` in input order, from one sort. The order inside
-    a run of equal values does not change its midrank, so the sort need not
-    be stable."""
-    order = np.argsort(x)
-    ranks = np.empty(x.size)
-    ranks[order] = _sorted_midranks(x[order])[0]
-    return ranks
+def _under(counts: np.ndarray) -> np.ndarray:
+    """Per run, the records of ``counts`` in lower runs plus half of those in
+    the run itself: an exact half-integer count."""
+    return np.cumsum(counts) - 0.5 * counts
 
 
 def auc(data: ScoredLabels) -> float:
     """Mann-Whitney AUC: mean over all (pos, neg) pairs of 1[p>n] + 0.5*1[p=n],
-    from the positives' midrank sum."""
+    from the negatives below each run of positives."""
     data.require_both_classes()
-    m = data.pos.size
-    n = data.neg.size
-    rank_sum = float(np.sum(_midranks(data.scores)[np.flatnonzero(data.labels == 1)]))
-    return (rank_sum - m * (m + 1) / 2.0) / (m * n)
+    _, pos, neg = _tie_runs(data.scores, data.labels == 1)
+    return float(np.sum(pos * _under(neg))) / (data.pos.size * data.neg.size)
 
 
 def _psi_components(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -131,25 +146,14 @@ def _psi_components(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray,
     1/2, 0 for >, =, <. Divided by n and by m they are the DeLong placements;
     either total over m * n is the AUC, to the bit :func:`auc` gives.
 
-    Placements come from midranks (Sun & Xu 2014): a score's pooled midrank
-    minus its midrank within its own class is the number of other-class
-    scores below it plus half the number tied with it, an exact half-integer
-    count. One sort serves all three rankings, since the pooled order
-    filtered to one class is that class's scores in ascending order.
+    Placements come from one sort (Sun & Xu 2014): a positive's sum is the
+    negatives in lower runs plus half of those in its own run, and a
+    negative's is the positives in higher runs plus half of those in its own.
     """
     is_pos = labels == 1
-    order = np.argsort(scores)
-    z, pos_sorted = scores[order], is_pos[order]
-    # classes are gathered by integer index: on masks this irregular, numpy's
-    # boolean indexing is several times slower than np.flatnonzero and a take
-    within = np.empty(z.size)
-    for cls in (pos_sorted, ~pos_sorted):
-        idx = np.flatnonzero(cls)
-        within[idx] = _sorted_midranks(z[idx])[0]
-    placed = np.empty(z.size)
-    placed[order] = _sorted_midranks(z)[0] - within
-    neg_below_pos = placed[np.flatnonzero(is_pos)]
-    return neg_below_pos, neg_below_pos.size - placed[np.flatnonzero(~is_pos)]
+    run, pos, neg = _tie_runs(scores, is_pos)
+    pos_above = _under(pos[::-1])[::-1]
+    return _under(neg)[run[np.flatnonzero(is_pos)]], pos_above[run[np.flatnonzero(~is_pos)]]
 
 
 @dataclass(frozen=True)
@@ -241,18 +245,13 @@ def pr_auc(data: ScoredLabels) -> float:
     """Average precision (step interpolation): sum over distinct thresholds of
     (recall increment) * (precision at that threshold)."""
     data.require_both_classes()
-    # only the counts at the end of each tie block are read, and those do not
-    # depend on the order inside the block: the sort need not be stable
-    order = np.argsort(-data.scores)
-    scores = data.scores[order]
-    labels = data.labels[order]
-    n_pos = int(labels.sum())
-    tp = np.cumsum(labels)
-    k = np.arange(1, scores.size + 1)
-    # last index of each distinct-score block
-    boundary = np.nonzero(np.append(scores[1:] != scores[:-1], True))[0]
-    precision = tp[boundary] / k[boundary]
-    recall = tp[boundary] / n_pos
+    # runs from the highest score down: the records, and the positives, at
+    # or above each distinct threshold
+    _, pos, neg = _tie_runs(data.scores, data.labels == 1)
+    tp = np.cumsum(pos[::-1])
+    k = np.cumsum((pos + neg)[::-1])
+    precision = tp / k
+    recall = tp / data.pos.size
     prev_recall = np.concatenate([[0.0], recall[:-1]])
     return float(np.sum((recall - prev_recall) * precision))
 
@@ -260,7 +259,7 @@ def pr_auc(data: ScoredLabels) -> float:
 def uar(predictions, labels) -> float:
     """Unweighted average recall: (sensitivity + specificity) / 2."""
     predictions = np.asarray(predictions, dtype=int)
-    labels = np.asarray(labels, dtype=int)
+    labels = _binary(labels)
     if predictions.shape != labels.shape:
         raise ValueError("predictions and labels must align")
     if not ((labels == 1).any() and (labels == 0).any()):
@@ -283,8 +282,8 @@ def any_symptom_table(cohort) -> list[list[int]]:
     """The record counts of ``cohort`` by any symptom ``z`` and label ``y``,
     as ``t[z][y]``: the table ``table_2x2_stats`` reads."""
     t = [[0, 0], [0, 0]]
-    for r in cohort.records:
-        t[int(r.symptoms.any_symptom)][int(r.label)] += 1
+    for r, y in zip(cohort.records, cohort.labels().tolist()):
+        t[int(r.symptoms.any_symptom)][y] += 1
     return t
 
 
@@ -342,23 +341,21 @@ def mwu_test(pos_scores, neg_scores, mode: str = "normal") -> dict:
     if np.isnan(pos).any() or np.isnan(neg).any():
         raise ValueError("scores must not be NaN")
     m, n = pos.size, neg.size
-    pooled = np.concatenate([pos, neg])
-    order = np.argsort(pooled)
-    ranks = np.empty(m + n)
-    ranks[order], tie_counts = _sorted_midranks(pooled[order])
-    base = m * (m + 1) / 2.0
-    u_obs = float(np.sum(ranks[:m]) - base)
+    run, pos_runs, neg_runs = _tie_runs(np.concatenate([pos, neg]), np.arange(m + n) < m)
+    tie_counts = pos_runs + neg_runs
+    u_obs = float(np.sum(pos_runs * _under(neg_runs)))
 
     if mode == "exact":
         if m + n > EXACT_MWU_LIMIT:
             raise TooLargeForExact(f"exact mode limited to {EXACT_MWU_LIMIT} total samples")
-        doubled = (2.0 * ranks).astype(int)
+        # each record's doubled midrank, an integer
+        doubled = (2 * np.cumsum(tie_counts) - tie_counts + 1)[run]
         # counts[k, s]: subsets of k pooled records whose doubled ranks sum to s
         counts = np.zeros((m + 1, int(doubled.sum()) + 1), dtype=np.int64)
         counts[0, 0] = 1
         for r in doubled:
             counts[1:, r:] = counts[1:, r:] + counts[:-1, :-r]
-        u = np.arange(counts.shape[1]) / 2.0 - base
+        u = np.arange(counts.shape[1]) / 2.0 - m * (m + 1) / 2.0
         far = np.abs(u - m * n / 2.0) >= abs(u_obs - m * n / 2.0) - 1e-12
         hits = int(counts[m, far].sum())
         return {"u": u_obs, "p": hits / math.comb(m + n, m)}
@@ -464,7 +461,7 @@ def calibration_bins(scores, labels) -> tuple[list[CalibrationBin], float]:
     """Ten equal-width reliability bins on [0, 1] plus the expected calibration
     error ECE = sum_b (count_b / N) * |mean_score_b - frac_positive_b|."""
     scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels, dtype=int)
+    labels = _binary(labels)
     if np.any(~((scores >= 0) & (scores <= 1))):
         raise ValueError("scores must lie in [0, 1]")
     idx = np.minimum((scores * 10).astype(int), 9)

@@ -2,11 +2,12 @@
 nearest-neighbour and per-record kernels.
 
 These are the direct O(m*n), per-element and enumerating forms of
-``metrics`` and ``utility`` internals (with the stable-sort average
-precision, the ``np.unique`` tie term of the normal Mann-Whitney test, the
-trapezoid area under a ROC curve, and the outcome-probability enumeration
-of expected utility that acceptance criterion 2 checks the closed form
-against), the argsort-per-node-per-feature CART of ``forest``, the
+``metrics`` and ``utility`` internals (with the per-value tie runs and ROC
+counts, the stable-sort average precision, the ``np.unique`` tie term of
+the normal Mann-Whitney test, the trapezoid area under a ROC curve, and the
+outcome-probability enumeration of expected utility that acceptance
+criterion 2 checks the closed form against), the
+argsort-per-node-per-feature CART of ``forest``, the
 one-model-at-a-time weak linear fit and curation of ``probes`` (and the
 PCA reconstruction that checks its projection), the per-positive
 nearest-negative search of ``probes.nn_substitute``, and the per-record
@@ -74,6 +75,39 @@ def midranks_loop(x: np.ndarray) -> np.ndarray:
     out = np.empty(n)
     out[order] = ranks
     return out
+
+
+def distinct_ascending(x: np.ndarray) -> list[float]:
+    """The distinct values of ``x``, ascending; 0.0 and -0.0 compare equal,
+    so they count as one."""
+    values: list[float] = []
+    for v in sorted(x.tolist()):
+        if not values or v != values[-1]:
+            values.append(v)
+    return values
+
+
+def tie_runs_loop(x: np.ndarray, is_pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each score's run among the distinct values of ``x``, and each run's
+    positive and negative count."""
+    values = distinct_ascending(x)
+    run = np.array([next(r for r, v in enumerate(values) if v == s) for s in x.tolist()], dtype=int)
+    pos = np.zeros(len(values), dtype=int)
+    neg = np.zeros(len(values), dtype=int)
+    for r, p in zip(run, is_pos):
+        (pos if p else neg)[r] += 1
+    return run, pos, neg
+
+
+def roc_curve_loop(data: ScoredLabels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``metrics.roc_curve`` as (thresholds, sensitivities, specificities):
+    for each distinct threshold t, ascending, the share of positives >= t
+    and of negatives < t, then the corner at ``inf``."""
+    values = distinct_ascending(data.scores)
+    m, n = data.pos.size, data.neg.size
+    sens = [sum(p >= t for p in data.pos.tolist()) / m for t in values]
+    spec = [sum(q < t for q in data.neg.tolist()) / n for t in values]
+    return np.array(values + [math.inf]), np.array(sens + [0.0]), np.array(spec + [1.0])
 
 
 def psi_components_pairwise(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

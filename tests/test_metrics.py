@@ -10,6 +10,7 @@ from confound_audit.errors import (
     DegenerateTable,
     EmptyGroup,
     LabelMismatch,
+    MissingLabel,
     MissingScore,
     NoEligibleStrata,
     NotAProbabilityRow,
@@ -20,6 +21,7 @@ from confound_audit.errors import (
 from confound_audit.matching import MatchSpec
 from confound_audit.metrics import (
     ScoredLabels,
+    any_symptom_table,
     auc,
     auc_ci,
     bh_fdr,
@@ -286,6 +288,20 @@ def test_uar_one_class():
         uar(np.array([1, 0]), np.array([1, 1]))
 
 
+def test_fractional_labels_rejected():
+    # a cast to int would truncate 0.5 and 0.7 to 0: AUC 1.0, UAR 1.0, and a
+    # bin whose positive fraction reads 0.0
+    with pytest.raises(ValueError, match="labels must be binary"):
+        ScoredLabels([0.9, 0.2, 0.4], [1.0, 0.5, 0.0])
+    with pytest.raises(ValueError, match="labels must be binary"):
+        uar([1, 0, 0], [1, 0.5, 0])
+    with pytest.raises(ValueError, match="labels must be binary"):
+        calibration_bins([0.9, 0.2], [1, 0.7])
+    # whole-valued floats and booleans are 0/1 labels
+    assert ScoredLabels([0.9, 0.2], [1.0, 0.0]).labels.tolist() == [1, 0]
+    assert uar([1, 0], [True, False]) == 1.0
+
+
 # -- 2x2 tables ---------------------------------------------------------------------------
 
 
@@ -372,6 +388,24 @@ def test_nan_scores_rejected():
     for mode in ("normal", "exact"):
         with pytest.raises(ValueError, match="NaN"):
             mwu_test([0.7, math.nan], [0.2], mode=mode)
+
+
+def test_infinite_scores_rejected():
+    # an infinite score would put a second operating point at threshold inf,
+    # breaking the increasing-threshold order of a RocCurve
+    for bad in (math.inf, -math.inf):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            ScoredLabels(np.array([0.1, 0.3, bad]), np.array([1, 0, 1]))
+
+
+def test_any_symptom_table_names_unlabelled_record():
+    cohort = make_cohort([make_record(0, label=1, cough=True), make_record(1, label=None),
+                          make_record(2, label=0)])
+    with pytest.raises(MissingLabel, match="'1'"):
+        any_symptom_table(cohort)
+    labelled = make_cohort([make_record(0, label=1, cough=True), make_record(2, label=0),
+                            make_record(3, label=1)])
+    assert any_symptom_table(labelled) == [[1, 1], [0, 1]]
 
 
 def test_mwu_normal_close_to_exact():

@@ -24,6 +24,8 @@ from reference_kernels import (
     mwu_normal_unique_ties,
     pr_auc_stable_sort,
     psi_components_pairwise,
+    roc_curve_loop,
+    tie_runs_loop,
 )
 
 CLASS_SIZE = st.one_of(st.integers(1, 2), st.integers(1, 40))
@@ -59,11 +61,32 @@ def test_rankdata_equals_midrank_loop(x):
 SIGNED_ZEROS = st.lists(st.sampled_from([0.0, -0.0, 1.0]), min_size=1, max_size=8).map(np.array)
 
 
-@given(st.one_of(CLASS_SIZE.flatmap(tied_scores), SIGNED_ZEROS))
-def test_midranks_equal_rankdata_and_loop(x):
+@st.composite
+def signed_zero_cohorts(draw):
+    """Both classes over scores from 0.0, -0.0 and 1.0."""
+    x = draw(SIGNED_ZEROS.filter(lambda a: a.size >= 2))
+    m = draw(st.integers(1, x.size - 1))
+    return ScoredLabels(x, np.array(draw(st.permutations([1] * m + [0] * (x.size - m)))))
+
+
+@given(st.one_of(CLASS_SIZE.flatmap(tied_scores), SIGNED_ZEROS), st.data())
+def test_tie_runs_equal_unique_and_loop(x, draw):
+    is_pos = np.array(draw.draw(st.lists(st.booleans(), min_size=x.size, max_size=x.size)), dtype=bool)
+    run, pos, neg = metrics._tie_runs(x, is_pos)
+    want = tie_runs_loop(x, is_pos)
+    assert all(np.array_equal(a, b) for a, b in zip((run, pos, neg), want))
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    assert np.array_equal(run, inverse) and np.array_equal(pos + neg, counts)
     # 0.0 and -0.0 compare equal, so they share one run
-    got = metrics._midranks(x)
-    assert got.tobytes() == rankdata(x).tobytes() == midranks_loop(x).tobytes()
+    zeros = run[x == 0.0]
+    assert zeros.size == 0 or (zeros == zeros[0]).all()
+
+
+@given(st.one_of(scored_labels(), signed_zero_cohorts()))
+def test_roc_curve_equals_loop(data):
+    roc = roc_curve(data)
+    got = (roc.thresholds, roc.sensitivities, roc.specificities)
+    assert all(np.array_equal(a, b) for a, b in zip(got, roc_curve_loop(data)))
 
 
 @given(scored_labels())
