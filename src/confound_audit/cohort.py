@@ -20,12 +20,18 @@ as categorical covariates, whatever their names, and written back in sorted
 order after those. A blank symptom cell is a missing flag (see
 :attr:`SymptomProfile.missing`), and is written back blank.
 
+:class:`ParticipantRecord` is a frozen, slotted dataclass whose hand-written
+``__init__`` stores each field with its slot's own setter, about half the
+cost of the generated init's ``object.__setattr__`` per field; every builder
+of records uses it.
+
 The bulk record builders (:func:`load_cohort`, :func:`read_sidecar`,
-:func:`load_features` and ``synth.generate_population``) pause the cyclic
-garbage collector while they build, with :func:`gc_paused`. Their records
-hold no reference cycles, so a collection during a build could free nothing,
-yet it would walk every new record. The caveat: cyclic garbage that other
-threads make meanwhile waits until the build ends.
+:func:`load_features` and ``synth.generate_population``) and
+:func:`write_features` pause the cyclic garbage collector while they build
+or write, with :func:`gc_paused`. Their records and lines hold no reference
+cycles, so a collection meanwhile could free nothing, yet it would walk
+every new object. The caveat: cyclic garbage that other threads make
+meanwhile waits until the call ends.
 """
 
 from __future__ import annotations
@@ -33,9 +39,11 @@ from __future__ import annotations
 import csv
 import datetime as _dt
 import gc
+import io
 import math
+import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import compress
 from operator import attrgetter, itemgetter
 
@@ -160,6 +168,20 @@ class ParticipantRecord:
     score: float | None = None
     features: np.ndarray | None = None
 
+    # The generated init of a frozen dataclass stores each field with
+    # object.__setattr__; calling each slot's own setter costs about half.
+    def __init__(self, id, label, symptoms, age_years, gender, channel,
+                 other_covariates=_NO_COVARIATES, score=None, features=None):
+        _set_id(self, id)
+        _set_label(self, label)
+        _set_symptoms(self, symptoms)
+        _set_age_years(self, age_years)
+        _set_gender(self, gender)
+        _set_channel(self, channel)
+        _set_other_covariates(self, other_covariates)
+        _set_score(self, score)
+        _set_features(self, features)
+
     def with_score(self, score: float) -> "ParticipantRecord":
         return ParticipantRecord(
             self.id, self.label, self.symptoms, self.age_years, self.gender, self.channel,
@@ -171,6 +193,12 @@ class ParticipantRecord:
             self.id, self.label, self.symptoms, self.age_years, self.gender, self.channel,
             self.other_covariates, self.score, np.asarray(features, dtype=float),
         )
+
+
+# the member-descriptor setter of each slot, in field order
+(_set_id, _set_label, _set_symptoms, _set_age_years, _set_gender, _set_channel,
+ _set_other_covariates, _set_score, _set_features) = (
+    getattr(ParticipantRecord, f.name).__set__ for f in fields(ParticipantRecord))
 
 
 @dataclass(frozen=True)
@@ -305,7 +333,9 @@ def load_cohort(path: str) -> Cohort:
     columns yield missing values (to be handled by :func:`validate_cohort`);
     a blank symptom flag is listed in ``SymptomProfile.missing``.
     Malformed non-empty cells raise ``BadValue`` with the 1-based data row
-    number. Blank lines are skipped and not counted.
+    number, as does an id that holds a line break: the ``csv`` module of
+    Python 3.10-3.12 writes a carriage return unquoted, so such an id would
+    not survive a round trip. Blank lines are skipped and not counted.
     """
     with open(path, newline="", encoding="utf-8") as fh, gc_paused():
         reader = csv.reader(fh)
@@ -333,7 +363,7 @@ def load_cohort(path: str) -> Cohort:
             if len(row) < width:
                 row += [""] * (width - len(row))
             rid = row[j_id].strip()
-            if not rid:
+            if not rid or "\n" in rid or "\r" in rid:
                 raise BadValue(i, "id", row[j_id])
             if rid in seen:
                 raise DuplicateId(rid)
@@ -413,7 +443,8 @@ def read_sidecar(path: str, value: str | None = None) -> tuple[list[str], dict[s
     read: one without that column raises ``MissingColumn`` naming it, one
     with other columns ``ConfoundAuditError``. A row of another
     width than the header, a malformed, NaN or infinite value, or a blank or
-    repeated id raises ``BadValue`` with the 1-based data row and the column.
+    repeated id or one with a line break raises ``BadValue`` with the 1-based
+    data row and the column.
     """
     with open(path, newline="", encoding="utf-8") as fh, gc_paused():
         reader = csv.reader(fh)
@@ -438,7 +469,7 @@ def read_sidecar(path: str, value: str | None = None) -> tuple[list[str], dict[s
             if len(row) - 1 != dim:
                 raise BadValue(i, header[-1], f"{len(row) - 1} values, expected {dim}")
             rid = row[0].strip()
-            if not rid or rid in row_of:
+            if not rid or rid in row_of or "\n" in rid or "\r" in rid:
                 raise BadValue(i, "id", row[0])
             row_of[rid] = i - 1
             cells += row[1:]
@@ -502,15 +533,36 @@ def write_cohort(cohort: Cohort, path: str) -> None:
             writer.writerow(row)
 
 
+# ids that the csv module's minimal quoting writes as they are
+_PLAIN_ID = re.compile(r"[A-Za-z0-9_.-]+").fullmatch
+
+
+def _id_cell(rid: str, alone: bool) -> str:
+    """The cell that ``csv.writer`` makes of ``rid``, alone on its row or
+    first of several (an empty cell alone is quoted)."""
+    if _PLAIN_ID(rid):
+        return rid
+    tail = [] if alone else [""]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([rid, *tail])
+    return buf.getvalue()[: -1 - len(tail)]
+
+
 def write_features(cohort: Cohort, path: str) -> None:
+    """Write the ``id,f0,f1,...`` sidecar of the records with a vector: each
+    value as the ``repr`` of its float64, each line the bytes ``csv.writer``
+    writes for it."""
     records = [r for r in cohort.records if r.features is not None]
     dim = records[0].features.shape[0] if records else 0
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id"] + [f"f{j}" for j in range(dim)])
-        writer.writerows(
-            [r.id, *map(repr, np.asarray(r.features, dtype=float).tolist())] for r in records
-        )
+    values = np.array([r.features for r in records], dtype=float).reshape(len(records), dim)
+    with open(path, "w", newline="", encoding="utf-8") as fh, gc_paused():
+        fh.write(",".join(["id"] + [f"f{j}" for j in range(dim)]) + "\n")
+        for start in range(0, len(records), _PARSE_ROWS):
+            rows = values[start:start + _PARSE_ROWS].tolist()
+            fh.write("".join(
+                ",".join([_id_cell(r.id, dim == 0), *map(repr, row)]) + "\n"
+                for r, row in zip(records[start:start + _PARSE_ROWS], rows)
+            ))
 
 
 # -- validation ---------------------------------------------------------------

@@ -39,12 +39,12 @@ from .matching import stratum_keyer, stratum_order
 EXACT_MWU_LIMIT = 20
 
 
-def _binary(labels) -> np.ndarray:
+def _binary(labels, name: str = "labels") -> np.ndarray:
     """``labels`` as 0/1 ints; any other value, a fraction too, is refused
-    before the cast could truncate it."""
+    before the cast could truncate it, naming the argument ``name``."""
     labels = np.asarray(labels)
     if not np.all((labels == 0) | (labels == 1)):
-        raise ValueError("labels must be binary")
+        raise ValueError(f"{name} must be binary")
     return labels.astype(int)
 
 
@@ -258,7 +258,7 @@ def pr_auc(data: ScoredLabels) -> float:
 
 def uar(predictions, labels) -> float:
     """Unweighted average recall: (sensitivity + specificity) / 2."""
-    predictions = np.asarray(predictions, dtype=int)
+    predictions = _binary(predictions, "predictions")
     labels = _binary(labels)
     if predictions.shape != labels.shape:
         raise ValueError("predictions and labels must align")
@@ -462,6 +462,8 @@ def calibration_bins(scores, labels) -> tuple[list[CalibrationBin], float]:
     error ECE = sum_b (count_b / N) * |mean_score_b - frac_positive_b|."""
     scores = np.asarray(scores, dtype=float)
     labels = _binary(labels)
+    if scores.shape != labels.shape:
+        raise ValueError("scores and labels must align")
     if np.any(~((scores >= 0) & (scores <= 1))):
         raise ValueError("scores must lie in [0, 1]")
     idx = np.minimum((scores * 10).astype(int), 9)

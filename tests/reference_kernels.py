@@ -13,10 +13,12 @@ PCA reconstruction that checks its projection), the per-positive
 nearest-negative search of ``probes.nn_substitute``, and the per-record
 loops of ``synth``, ``matching`` and ``cohort`` (one profile object per
 person, one RNG draw per person, a covariate check per record,
-``csv.DictReader``). The fast kernels must return exactly the same values;
-``test_rank_kernels.py``, ``test_forest.py``, ``test_probes.py`` and
-``test_record_kernels.py`` compare the two. None of the rank kernels accept
-NaN: ``midranks_loop`` never terminates on it.
+``csv.DictReader``, one ``csv.writer`` row per feature vector, and a record
+type with the generated frozen-dataclass ``__init__``). The fast kernels
+must return exactly the same values; ``test_rank_kernels.py``,
+``test_forest.py``, ``test_probes.py`` and ``test_record_kernels.py``
+compare the two. None of the rank kernels accept NaN: ``midranks_loop``
+never terminates on it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, make_dataclass
 from itertools import combinations
 
 import numpy as np
@@ -459,7 +461,7 @@ def load_cohort_dictreader(path: str) -> Cohort:
         seen: set[str] = set()
         for i, row in enumerate(reader, start=1):
             rid = (row["id"] or "").strip()
-            if not rid:
+            if not rid or "\n" in rid or "\r" in rid:
                 raise BadValue(i, "id", row["id"])
             if rid in seen:
                 raise DuplicateId(rid)
@@ -521,6 +523,29 @@ def load_cohort_dictreader(path: str) -> Cohort:
             )
     manifest = make_manifest(path, rows=len(records), step="load")
     return Cohort(records=tuple(records), manifest=manifest)
+
+
+def write_features_csv_writer(cohort: Cohort, path: str) -> None:
+    """``cohort.write_features`` as one ``csv.writer`` row per record with a
+    vector, each value cast to float on its own."""
+    records = [r for r in cohort.records if r.features is not None]
+    dim = records[0].features.shape[0] if records else 0
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id"] + [f"f{j}" for j in range(dim)])
+        writer.writerows(
+            [r.id, *map(repr, np.asarray(r.features, dtype=float).tolist())] for r in records
+        )
+
+
+# ``ParticipantRecord``'s fields with the init a frozen dataclass generates,
+# which stores each field with ``object.__setattr__``
+GeneratedInitRecord = make_dataclass(
+    "GeneratedInitRecord",
+    [(f.name, f.type, field(default=f.default, default_factory=f.default_factory)) for f in fields(ParticipantRecord)],
+    frozen=True,
+    slots=True,
+)
 
 
 def pca_reconstruct(model: PcaModel, projected: np.ndarray) -> np.ndarray:

@@ -1,8 +1,9 @@
 import copy
 import gc
+import inspect
 import pickle
 from contextlib import nullcontext
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import MISSING, FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from confound_audit.cohort import (
     derive_any_symptom,
     load_cohort,
     load_features,
+    read_sidecar,
     split_cohort,
     validate_cohort,
     vector_cohort,
@@ -75,6 +77,15 @@ def test_load_duplicate_id(tmp_csv):
     text = "\n".join([HEADER, row("a"), row("a")]) + "\n"
     with pytest.raises(DuplicateId):
         load_cohort(tmp_csv("p.csv", text))
+
+
+@pytest.mark.parametrize("rid", ['"a\rb"', '"a\nb"', '"a\r\nb"'])
+def test_load_cohort_refuses_an_id_with_a_line_break(tmp_csv, rid):
+    # written back, such an id would not survive: csv on Python 3.10-3.12
+    # leaves a carriage return unquoted
+    with pytest.raises(BadValue) as err:
+        load_cohort(tmp_csv("p.csv", "\n".join([HEADER, row("a"), row(rid)]) + "\n"))
+    assert (err.value.row, err.value.column, err.value.value) == (2, "id", rid[1:-1])
 
 
 def test_unknown_gender_maps_to_other(tmp_csv):
@@ -202,6 +213,13 @@ def test_load_features_rejects_a_blank_id(tmp_path, blank):
     with pytest.raises(BadValue) as err:
         _features_fixture(tmp_path, f"id,f0\na,0.5\n{blank},0.25\n")()
     assert (err.value.row, err.value.column) == (2, "id")
+
+
+@pytest.mark.parametrize("rid", ['"a\rb"', '"a\nb"'])
+def test_read_sidecar_refuses_an_id_with_a_line_break(tmp_csv, rid):
+    with pytest.raises(BadValue) as err:
+        read_sidecar(tmp_csv("f.csv", f"id,f0\na,0.5\n{rid},0.25\n"))
+    assert (err.value.row, err.value.column, err.value.value) == (2, "id", rid[1:-1])
 
 
 def test_load_features_counts_unmatched_rows_and_bare_records(tmp_path):
@@ -475,6 +493,27 @@ def test_record_types_are_slotted(obj):
     assert pickle.loads(pickle.dumps(obj)) == obj
     assert copy.deepcopy(obj) == obj
     assert replace(obj) == obj
+
+
+def test_record_init_follows_the_field_list():
+    # ParticipantRecord writes its own __init__: it must take every field,
+    # in order, with the declared defaults, and set every slot
+    params = list(inspect.signature(ParticipantRecord.__init__).parameters.values())[1:]
+    declared = fields(ParticipantRecord)
+    assert [p.name for p in params] == [f.name for f in declared]
+    for p, f in zip(params, declared):
+        assert p.kind is p.POSITIONAL_OR_KEYWORD
+        if f.default_factory is not MISSING:
+            assert p.default is f.default_factory() is SHARED_COVARIATES
+        else:
+            assert p.default is (p.empty if f.default is MISSING else f.default)
+    required = [p.name for p in params if p.default is p.empty]
+    record = ParticipantRecord(*required)
+    assert [getattr(record, f.name) for f in declared] == required + [p.default for p in params[len(required):]]
+    with pytest.raises(TypeError):
+        ParticipantRecord(*required[:-1])
+    with pytest.raises(TypeError):
+        ParticipantRecord(*required, bogus=1)
 
 
 def test_frozen_records_stay_frozen_through_copies():

@@ -302,6 +302,24 @@ def test_fractional_labels_rejected():
     assert uar([1, 0], [True, False]) == 1.0
 
 
+def test_non_binary_predictions_rejected():
+    # a cast to int would count the 2 as a missed positive: UAR 0.75
+    with pytest.raises(ValueError, match="predictions must be binary"):
+        uar([2, 0, 1, 0], [1, 0, 1, 0])
+    with pytest.raises(ValueError, match="predictions must be binary"):
+        uar([0.5, 0, 1, 0], [1, 0, 1, 0])
+    assert uar([1.0, 0.0, True, False], [1, 0, 1, 0]) == 1.0
+
+
+def test_misaligned_inputs_rejected():
+    with pytest.raises(ValueError, match="predictions and labels must align"):
+        uar([1, 0, 1], [1, 0])
+    with pytest.raises(ValueError, match="scores and labels must align"):
+        calibration_bins([0.9, 0.2, 0.5], [1, 0])
+    with pytest.raises(ValueError, match="scores and labels must align"):
+        calibration_bins([0.9], [1, 0])
+
+
 # -- 2x2 tables ---------------------------------------------------------------------------
 
 

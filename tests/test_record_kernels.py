@@ -8,10 +8,12 @@ exception type with the same row, column or name.
 
 import csv
 import io
+import math
 import os
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,17 +22,27 @@ from confound_audit.cohort import (
     CSV_COLUMNS,
     GENDERS,
     SYMPTOM_FIELDS,
+    Cohort,
     ParticipantRecord,
     SymptomProfile,
     load_cohort,
+    make_manifest,
     symptom_profile,
     write_cohort,
+    write_features,
 )
 from confound_audit.errors import BadValue, ConfigError, DuplicateId, MissingColumn
 from confound_audit.matching import MatchSpec, stratum_keyer
 from confound_audit.synth import SynthConfig, enrol, generate_population
 
-from reference_kernels import enrol_loop, generate_population_loop, load_cohort_dictreader, stratum_key_loop
+from reference_kernels import (
+    GeneratedInitRecord,
+    enrol_loop,
+    generate_population_loop,
+    load_cohort_dictreader,
+    stratum_key_loop,
+    write_features_csv_writer,
+)
 
 PROBABILITY = st.floats(0.0, 1.0)
 
@@ -228,3 +240,66 @@ def test_loaded_profiles_are_shared(tmp_csv):
     cohort = load_cohort(tmp_csv("p.csv", "\n".join([header] + rows) + "\n"))
     assert cohort.records[0].symptoms is cohort.records[2].symptoms
     assert cohort.records[0].symptoms is symptom_profile((True,) + (False,) * 8)
+
+
+# ids the csv module quotes, or on some Pythons leaves bare, beside plain ones
+IDS = st.text(st.sampled_from(list('ab9_.-,"\r\n \té€😀')), max_size=4)
+# every float64 kind: signed zeros, NaN, infinities, subnormals
+FLOAT64 = st.floats(width=64) | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2e-308])
+VECTORS = {
+    np.float64: FLOAT64,
+    np.float32: st.floats(width=32) | st.sampled_from([-0.0, 1e-45, math.nan, -math.inf]),
+    np.int64: st.integers(-(2**63), 2**63 - 1),
+}
+
+
+@st.composite
+def feature_cohorts(draw):
+    dim = draw(st.integers(0, 9))
+    records = []
+    for rid in draw(st.lists(IDS, max_size=6, unique=True)):
+        features = None
+        if draw(st.integers(0, 5)):
+            dtype = draw(st.sampled_from(list(VECTORS)))
+            features = np.array(draw(st.lists(VECTORS[dtype], min_size=dim, max_size=dim)), dtype=dtype)
+        records.append(ParticipantRecord(rid, 1, symptom_profile((False,) * 9), 30, "male", "TT", features=features))
+    return Cohort(records=tuple(records), manifest=make_manifest("features"))
+
+
+@settings(max_examples=400, deadline=None)
+@given(feature_cohorts())
+def test_write_features_matches_one_csv_row_per_record(cohort):
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = os.path.join(tmp, "got.csv"), os.path.join(tmp, "want.csv")
+        write_features(cohort, got)
+        write_features_csv_writer(cohort, want)
+        with open(got, "rb") as a, open(want, "rb") as b:
+            assert a.read() == b.read()
+
+
+def test_write_features_matches_across_write_blocks(tmp_path):
+    features = np.random.default_rng(5).standard_normal((9000, 3))
+    records = [ParticipantRecord(f"r {i}" if i % 7 else f"r{i}", 0, symptom_profile((True,) * 9), 40, "female",
+                                 "REACT", features=row) for i, row in enumerate(features)]
+    cohort = Cohort(records=tuple(records), manifest=make_manifest("features"))
+    write_features(cohort, str(tmp_path / "got.csv"))
+    write_features_csv_writer(cohort, str(tmp_path / "want.csv"))
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    records(),
+    st.sampled_from([None, {}, {"site": "x"}]),
+    st.none() | st.floats(0.0, 1.0),
+    st.none() | st.just(np.arange(3.0)),
+    st.integers(0, 3),
+)
+def test_records_match_the_generated_init(record, covariates, score, features, n_positional):
+    values = [getattr(record, f.name) for f in fields(ParticipantRecord)[:6]] + [covariates, score, features]
+    names = [f.name for f in fields(ParticipantRecord)]
+    args = values[: 6 + n_positional]
+    kwargs = {n: v for n, v in zip(names[len(args):], values[len(args):]) if v is not None}
+    got, want = ParticipantRecord(*args, **kwargs), GeneratedInitRecord(*args, **kwargs)
+    for name in names:
+        assert getattr(got, name) is getattr(want, name)
