@@ -500,6 +500,20 @@ def load_features(cohort: Cohort, path: str) -> Cohort:
 
 
 _FLAGS = attrgetter(*SYMPTOM_FIELDS)
+_ID = attrgetter("id")
+
+
+def _refuse_unreadable_ids(records) -> None:
+    """Raise ``BadValue`` on the 1-based data row of the first id that the
+    loaders would not read back as written: an empty one, one with leading or
+    trailing whitespace (read stripped), or one with a line break."""
+    ids = list(map(_ID, records))
+    text = "".join(ids)
+    if all(ids) and "\n" not in text and "\r" not in text and list(map(str.strip, ids)) == ids:
+        return
+    for row, rid in enumerate(ids, 1):
+        if not rid or rid != rid.strip() or "\n" in rid or "\r" in rid:
+            raise BadValue(row, "id", rid)
 
 
 def write_cohort(cohort: Cohort, path: str) -> None:
@@ -507,8 +521,10 @@ def write_cohort(cohort: Cohort, path: str) -> None:
 
     A flag in ``SymptomProfile.missing`` is written as a blank cell. The
     ``any_symptom`` column is written only when some record has
-    ``reported_any``.
+    ``reported_any``. An id that :func:`load_cohort` would not read back
+    raises ``BadValue`` before the file is opened.
     """
+    _refuse_unreadable_ids(cohort.records)
     extra_cols = sorted({k for r in cohort.records for k in r.other_covariates})
     reported = any(r.symptoms.reported_any is not None for r in cohort.records)
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -551,8 +567,10 @@ def _id_cell(rid: str, alone: bool) -> str:
 def write_features(cohort: Cohort, path: str) -> None:
     """Write the ``id,f0,f1,...`` sidecar of the records with a vector: each
     value as the ``repr`` of its float64, each line the bytes ``csv.writer``
-    writes for it."""
+    writes for it. An id that :func:`read_sidecar` would not read back raises
+    ``BadValue`` before the file is opened."""
     records = [r for r in cohort.records if r.features is not None]
+    _refuse_unreadable_ids(records)
     dim = records[0].features.shape[0] if records else 0
     values = np.array([r.features for r in records], dtype=float).reshape(len(records), dim)
     with open(path, "w", newline="", encoding="utf-8") as fh, gc_paused():

@@ -69,8 +69,8 @@ class ScoredLabels:
         is_pos = labels == 1
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "pos", scores[is_pos])
-        object.__setattr__(self, "neg", scores[~is_pos])
+        object.__setattr__(self, "pos", scores[np.flatnonzero(is_pos)])
+        object.__setattr__(self, "neg", scores[np.flatnonzero(~is_pos)])
 
     def require_both_classes(self) -> None:
         if self.pos.size == 0 or self.neg.size == 0:

@@ -231,7 +231,7 @@ def _train_weak_prefixes(features: np.ndarray, labels: np.ndarray, ks, l2: float
                 np.add.reduce(wide_yz[:, cols], axis=0, where=mask[cols].T, out=sums[cols])
             for j, col, yz_col in single:
                 if moved_models[j]:
-                    sums[col] = yz_col[viol[j]].sum()
+                    sums[col] = yz_col[np.flatnonzero(viol[j])].sum()
         viol, last = last, viol
         wb -= eta * (penalty * wb - sums / n)
     return [
@@ -361,9 +361,10 @@ def weak_robust_curate(matched: Cohort, calibration: Cohort, cfg: WeakProbeConfi
             newly_removed = tuple(ids[i] for i in np.flatnonzero(removed))
             curated &= ~removed
 
-        kept = y[curated]
+        kept_at = np.flatnonzero(curated)
+        kept = y[kept_at]
         if (kept == 1).any() and (kept == 0).any():
-            cur_auc = auc(ScoredLabels(scores[curated], kept))
+            cur_auc = auc(ScoredLabels(scores[kept_at], kept))
         else:
             cur_auc = None
 
@@ -386,6 +387,10 @@ def weak_robust_curate(matched: Cohort, calibration: Cohort, cfg: WeakProbeConfi
     )
 
 
+# the most distances that one block of nearest-neighbour search holds
+_NN_DISTANCES = 2**18
+
+
 def nn_substitute(matched: Cohort, cfg: WeakProbeConfig) -> ProbeResult:
     """Give each positive record the score of its nearest negative
     neighbour, then re-evaluate.
@@ -404,11 +409,12 @@ def nn_substitute(matched: Cohort, cfg: WeakProbeConfig) -> ProbeResult:
     neg_idx = np.nonzero(y == 0)[0]
     metric = "cityblock" if cfg.distance == "manhattan" else "euclidean"
     nearest = np.empty(pos_idx.size, dtype=int)
-    chunk = max(1, int(2_000_000 / max(1, neg_idx.size)))
+    x_neg = x[neg_idx]
+    # each row's distances and argmin do not depend on its block
+    chunk = max(1, _NN_DISTANCES // neg_idx.size)
     for start in range(0, pos_idx.size, chunk):
         block = pos_idx[start : start + chunk]
-        d = cdist(x[block], x[neg_idx], metric=metric)
-        nearest[start : start + chunk] = np.argmin(d, axis=1)
+        nearest[start : start + chunk] = np.argmin(cdist(x[block], x_neg, metric=metric), axis=1)
 
     pre_scores = matched.scores()
     post_scores = pre_scores.copy()

@@ -4,7 +4,8 @@ nearest-neighbour and per-record kernels.
 These are the direct O(m*n), per-element and enumerating forms of
 ``metrics`` and ``utility`` internals (with the per-value tie runs and ROC
 counts, the stable-sort average precision, the ``np.unique`` tie term of
-the normal Mann-Whitney test, the trapezoid area under a ROC curve, and the
+the normal Mann-Whitney test, the trapezoid area under a ROC curve, the
+max-EU pick that scores every operating point at every prevalence, and the
 outcome-probability enumeration of expected utility that acceptance
 criterion 2 checks the closed form against), the
 argsort-per-node-per-feature CART of ``forest``, the
@@ -193,6 +194,20 @@ def max_eu_points(roc, u, pi_grid) -> list[tuple]:
     for pi in np.asarray(pi_grid, dtype=float):
         eu = pi * ((u.u11 - u.u01) * sens + u.u01) + (1.0 - pi) * ((u.u00 - u.u10) * spec + u.u10)
         best = max(range(eu.size), key=lambda i: (eu[i], spec[i]))
+        out.append((float(pi), float(eu[best]), float(roc.thresholds[best]), float(sens[best]), float(spec[best])))
+    return out
+
+
+def max_eu_per_pi(roc, u, pi_grid) -> list[tuple]:
+    """``max_eu_points`` at numpy speed: every operating point scored at every
+    pi, the pick by ``argmax`` over the specificities of the EU maxima."""
+    sens = roc.sensitivities
+    spec = roc.specificities
+    out = []
+    for pi in np.asarray(pi_grid, dtype=float):
+        eu = pi * ((u.u11 - u.u01) * sens + u.u01) + (1.0 - pi) * ((u.u00 - u.u10) * spec + u.u10)
+        # argmax returns the first index among equal maxima
+        best = int(np.argmax(np.where(eu == eu.max(), spec, -np.inf)))
         out.append((float(pi), float(eu[best]), float(roc.thresholds[best]), float(sens[best]), float(spec[best])))
     return out
 
@@ -527,8 +542,13 @@ def load_cohort_dictreader(path: str) -> Cohort:
 
 def write_features_csv_writer(cohort: Cohort, path: str) -> None:
     """``cohort.write_features`` as one ``csv.writer`` row per record with a
-    vector, each value cast to float on its own."""
+    vector, each value cast to float on its own. An id that would not read
+    back as written (blank, padded, or with a line break) is refused on its
+    data row before the file is opened."""
     records = [r for r in cohort.records if r.features is not None]
+    for row, r in enumerate(records, 1):
+        if r.id.strip() != r.id or not r.id or "\n" in r.id or "\r" in r.id:
+            raise BadValue(row, "id", r.id)
     dim = records[0].features.shape[0] if records else 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -21,6 +21,7 @@ from confound_audit.cohort import (
     validate_cohort,
     vector_cohort,
     write_cohort,
+    write_features,
 )
 from confound_audit.errors import (
     BadValue,
@@ -119,6 +120,20 @@ def test_extra_columns_of_any_name_round_trip(tmp_csv, tmp_path):
     out = tmp_path / "again.csv"
     write_cohort(cohort, str(out))
     assert out.read_text() == text
+
+
+@pytest.mark.parametrize("bad", ["", " a", "a\t", "x\ry", "a\nb"])
+@pytest.mark.parametrize("writer", [write_cohort, write_features])
+def test_writers_refuse_ids_that_would_not_read_back(tmp_path, writer, bad):
+    # the loaders read ids stripped and refuse line breaks, so " a" would
+    # load as "a", and "x\ry" is written bare and breaks its row
+    records = [make_record("a", features=[1.0]), make_record(bad, features=[2.0])]
+    out = tmp_path / "out.csv"
+    out.write_text("before\n")
+    with pytest.raises(BadValue) as err:
+        writer(make_cohort(records), str(out))
+    assert (err.value.row, err.value.column, err.value.value) == (2, "id", bad)
+    assert out.read_text() == "before\n"
 
 
 def test_write_load_round_trip_bytes(tmp_path):

@@ -457,7 +457,7 @@ def test_nn_manhattan_vs_euclidean_can_differ():
 def test_nn_substitute_matches_brute_force(seed, dim, spread, large, distance):
     # small integer coordinates tie many distances, and sums of their squares
     # are exact, so any order of summation gives the same distances; 1500
-    # positives against 2000 negatives take two cdist chunks
+    # positives against 2000 negatives take 12 blocks of 131 rows
     rng = np.random.default_rng(seed)
     n_pos, n_neg = (1500, 2000) if large else (int(rng.integers(1, 40)), int(rng.integers(1, 40)))
     y = np.array([1] * n_pos + [0] * n_neg)

@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 from scipy.stats import norm, rankdata
 
-from confound_audit import metrics
+from confound_audit import metrics, utility
 from confound_audit.metrics import ScoredLabels, auc, auc_ci, delong_test, mwu_test, pr_auc, roc_curve
 from confound_audit.utility import UtilityParams, default_pi_grid, max_eu_curve, utility_matrix
 
 from reference_kernels import (
+    max_eu_per_pi,
     max_eu_points,
     midranks_loop,
     mwu_exact_enumerated,
@@ -193,3 +194,79 @@ def test_max_eu_corners_and_repeated_points(params, grid):
         roc = metrics.RocCurve(np.array(t), np.array(se), np.array(sp))
         want = max_eu_points(roc, utility_matrix(params), grid)
         assert _fields(max_eu_curve(roc, params, grid)) == want
+
+
+@st.composite
+def block_curves(draw):
+    """Curves of 1 to 6 blocks of the max-EU kernel, give or take a point,
+    over coarse rates, in ROC order or shuffled. Coarse rates tie in EU
+    across blocks, and every block edge has the same (sens, spec) point on
+    both sides."""
+    block = utility._BLOCK
+    n = draw(st.integers(1, 6)) * block + draw(st.sampled_from([-1, 0, 1]))
+    levels = draw(st.sampled_from([1, 2, 4, 8, 64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sens = np.sort(rng.integers(0, levels + 1, n))[::-1] / levels
+    spec = np.sort(rng.integers(0, levels + 1, n)) / levels
+    if draw(st.booleans()):
+        order = rng.permutation(n)
+        sens, spec = sens[order], spec[order]
+    edges = np.arange(block, n, block)
+    sens[edges], spec[edges] = sens[edges - 1], spec[edges - 1]
+    return metrics.RocCurve(np.arange(n, dtype=float), sens, spec)
+
+
+# a true positive worth less than its isolation cost: the sensitivity gain
+# (r_t - epsilon + delta) is negative
+NEGATIVE_GAIN = st.builds(
+    UtilityParams,
+    r_t=st.integers(0, 5).map(lambda k: k / 10),
+    epsilon=st.integers(6, 20).map(lambda k: k / 10),
+    delta=st.sampled_from([0.0, 0.05]),
+)
+EDGE_GRID = st.lists(st.sampled_from([0.0, 1.0, 0.05, 0.5]) | st.floats(0.0, 1.0), min_size=1, max_size=12)
+
+
+def _reprs(points):
+    return repr(_fields(points))
+
+
+@settings(max_examples=200)
+@given(block_curves(), st.one_of(PARAMS, NEGATIVE_GAIN, st.just(UtilityParams(0.0, 0.0, 0.0))),
+       st.one_of(PI_GRID, EDGE_GRID))
+def test_max_eu_skips_blocks_exactly(roc, params, grid):
+    # compared by repr, so that a signed zero counts
+    want = max_eu_points(roc, utility_matrix(params), grid)
+    assert _reprs(max_eu_curve(roc, params, grid)) == repr(want)
+
+
+def test_max_eu_long_curve_fine_grid():
+    rng = np.random.default_rng(11)
+    n = 10**5
+    sens = np.round(np.sort(rng.random(n))[::-1], 4)
+    spec = np.round(np.sort(rng.random(n)), 4)
+    roc = metrics.RocCurve(np.arange(n, dtype=float), sens, spec)
+    grid = np.linspace(0.0, 1.0, 1001)
+    for params in (UtilityParams(1.5, 0.2, 0.0), UtilityParams(0.3, 0.9, 0.05)):
+        want = max_eu_per_pi(roc, utility_matrix(params), grid)
+        assert _reprs(max_eu_curve(roc, params, grid)) == repr(want)
+
+
+def test_max_eu_all_tied_curve_longer_than_budget():
+    # every point ties at every pi, so no block is skipped and each pi scores
+    # more points than the budget on its own
+    rng = np.random.default_rng(12)
+    n = utility._BUDGET + utility._BLOCK + 1
+    spec = rng.integers(0, 3, n) / 2
+    spec[: 2 * utility._BLOCK + 5] = 0.5  # the pick lies past the first blocks
+    roc = metrics.RocCurve(np.arange(n, dtype=float), rng.integers(0, 3, n) / 2, spec)
+    grid = [0.0, 0.5, 1.0, 0.5]
+    zero = UtilityParams(0.0, 0.0, 0.0)
+    want = max_eu_per_pi(roc, utility_matrix(zero), grid)
+    assert _reprs(max_eu_curve(roc, zero, grid)) == repr(want)
+    assert {p[4] for p in want} == {1.0}
+    same = metrics.RocCurve(np.arange(n, dtype=float), np.full(n, 0.5), np.full(n, 0.5))
+    params = UtilityParams(1.5, 0.2, 0.0)
+    points = max_eu_curve(same, params, grid)
+    assert _reprs(points) == repr(max_eu_per_pi(same, utility_matrix(params), grid))
+    assert {p.threshold for p in points} == {0.0}

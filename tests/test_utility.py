@@ -33,6 +33,9 @@ def test_utility_params_validation():
     for name in ("r_t", "epsilon", "delta"):
         with pytest.raises(OutOfRange, match=f"^{name} must be >= 0"):
             UtilityParams(**{"r_t": 1.5, "epsilon": 0.2, name: math.inf})
+    # each finite, but the weight of sensitivity in EU overflows
+    with pytest.raises(OutOfRange, match="^r_t - epsilon \\+ delta must be finite"):
+        UtilityParams(r_t=1e308, epsilon=0.0, delta=1e308)
 
 
 def test_eu_perfect_test():
@@ -184,3 +187,16 @@ def test_default_grid_shape():
     grid = default_pi_grid()
     assert grid.size == 101
     assert grid[0] == 0.0 and grid[-1] == 0.1
+
+
+@pytest.mark.parametrize("grid", [0.05, [[0.0, 0.1]]])
+def test_max_eu_rejects_grid_not_one_dimensional(grid):
+    with pytest.raises(OutOfRange, match="^pi_grid must be"):
+        max_eu_curve(_toy_curve(), UtilityParams(1.5, 0.2, 0.0), grid)
+
+
+def test_max_eu_grid_values():
+    params = UtilityParams(1.5, 0.2, 0.0)
+    assert max_eu_curve(_toy_curve(), params, []) == []
+    with pytest.raises(OutOfRange, match="^pi must lie in"):
+        max_eu_curve(_toy_curve(), params, [0.05, math.nan])
