@@ -325,6 +325,33 @@ def _parse_profile(cells: tuple[str, ...], columns: tuple[str, ...], row: int) -
     return symptom_profile(tuple(v is True for v in flags), reported_any, missing)
 
 
+def _unreadable_id(rid: str) -> bool:
+    """Whether ``rid`` would not read back as written: it is blank, unstripped,
+    or holds a line break, which Python 3.10-3.12's ``csv`` writes unquoted."""
+    return not rid or rid != rid.strip() or "\n" in rid or "\r" in rid
+
+
+def _data_rows(reader, header: list[str], j_id: int = 0):
+    """Yield ``(1-based row, cells padded to the header, stripped id)`` per
+    non-blank line. ``ConfoundAuditError`` refuses a header naming a column
+    twice; ``BadValue`` a row with surplus cells or a bad or repeated id."""
+    if len(set(header)) < len(header):
+        name = next(h for k, h in enumerate(header) if h in header[:k])
+        raise ConfoundAuditError(f"the header names the column {name!r} twice")
+    width = len(header)
+    seen: set[str] = set()
+    for i, row in enumerate(filter(None, reader), 1):
+        if len(row) != width:
+            if len(row) > width:
+                raise BadValue(i, header[-1], f"{len(row) - 1} values, expected {width - 1}")
+            row += [""] * (width - len(row))
+        rid = row[j_id].strip()
+        if rid in seen or _unreadable_id(rid):
+            raise BadValue(i, "id", row[j_id])
+        seen.add(rid)
+        yield i, row, rid
+
+
 def load_cohort(path: str) -> Cohort:
     """Read a participants CSV into a cohort.
 
@@ -332,10 +359,8 @@ def load_cohort(path: str) -> Cohort:
     column becomes an ``other_covariates`` entry. Empty cells in optional
     columns yield missing values (to be handled by :func:`validate_cohort`);
     a blank symptom flag is listed in ``SymptomProfile.missing``.
-    Malformed non-empty cells raise ``BadValue`` with the 1-based data row
-    number, as does an id that holds a line break: the ``csv`` module of
-    Python 3.10-3.12 writes a carriage return unquoted, so such an id would
-    not survive a round trip. Blank lines are skipped and not counted.
+    Rows are read by the rules of :func:`_data_rows`, and a malformed
+    non-empty cell raises ``BadValue`` with the 1-based data row number.
     """
     with open(path, newline="", encoding="utf-8") as fh, gc_paused():
         reader = csv.reader(fh)
@@ -349,26 +374,11 @@ def load_cohort(path: str) -> Cohort:
         flag_columns = SYMPTOM_FIELDS + ((REPORTED_ANY_COLUMN,) if REPORTED_ANY_COLUMN in col else ())
         flag_cells = itemgetter(*(col[c] for c in flag_columns))
         extra = {h: col[h] for h in header if h not in CSV_COLUMNS and h != REPORTED_ANY_COLUMN}
-        width = len(header)
 
         # parsed symptom cells, keyed by their raw text
         profiles: dict[tuple[str, ...], SymptomProfile] = {}
         records: list[ParticipantRecord] = []
-        seen: set[str] = set()
-        i = 0
-        for row in reader:
-            if not row:
-                continue
-            i += 1
-            if len(row) < width:
-                row += [""] * (width - len(row))
-            rid = row[j_id].strip()
-            if not rid or "\n" in rid or "\r" in rid:
-                raise BadValue(i, "id", row[j_id])
-            if rid in seen:
-                raise DuplicateId(rid)
-            seen.add(rid)
-
+        for i, row, rid in _data_rows(reader, header, j_id):
             raw_label = row[j_label].strip()
             if raw_label not in _LABELS:
                 raise BadValue(i, "label", raw_label)
@@ -436,15 +446,13 @@ def read_sidecar(path: str, value: str | None = None) -> tuple[list[str], dict[s
     ``id,score`` scores: its header, the 0-based row of each id, and a
     ``(rows, len(header) - 1)`` float array of the values.
 
-    Ids are read stripped, as :func:`load_cohort` reads them, and blank
-    lines are skipped and not counted. A header without ``id`` first, or
-    with no column after it, raises ``MissingColumn``. With ``value``, the
-    header must be ``id,<value>`` exactly, and is checked before any row is
-    read: one without that column raises ``MissingColumn`` naming it, one
-    with other columns ``ConfoundAuditError``. A row of another
-    width than the header, a malformed, NaN or infinite value, or a blank or
-    repeated id or one with a line break raises ``BadValue`` with the 1-based
-    data row and the column.
+    Rows are read by the rules of :func:`_data_rows`, as :func:`load_cohort`
+    reads them. A header without ``id`` first, or with no column after it,
+    raises ``MissingColumn``. With ``value``, the header must be
+    ``id,<value>`` exactly, and is checked before any row is read: one
+    without that column raises ``MissingColumn`` naming it, one with other
+    columns ``ConfoundAuditError``. A blank, malformed, NaN or infinite value
+    raises ``BadValue`` with the 1-based data row and the column.
     """
     with open(path, newline="", encoding="utf-8") as fh, gc_paused():
         reader = csv.reader(fh)
@@ -457,20 +465,11 @@ def read_sidecar(path: str, value: str | None = None) -> tuple[list[str], dict[s
             raise ConfoundAuditError(f"a {value}s file has the header {'id,' + value!r}, not {','.join(header)!r}")
         if len(header) < 2:
             raise MissingColumn("f0")
-        dim = len(header) - 1
         row_of: dict[str, int] = {}
         blocks: list[np.ndarray] = []
         cells: list[str] = []
         i = 0
-        for row in reader:
-            if not row:
-                continue
-            i += 1
-            if len(row) - 1 != dim:
-                raise BadValue(i, header[-1], f"{len(row) - 1} values, expected {dim}")
-            rid = row[0].strip()
-            if not rid or rid in row_of or "\n" in rid or "\r" in rid:
-                raise BadValue(i, "id", row[0])
+        for i, row, rid in _data_rows(reader, header):
             row_of[rid] = i - 1
             cells += row[1:]
             if i % _PARSE_ROWS == 0:
@@ -505,14 +504,9 @@ _ID = attrgetter("id")
 
 def _refuse_unreadable_ids(records) -> None:
     """Raise ``BadValue`` on the 1-based data row of the first id that the
-    loaders would not read back as written: an empty one, one with leading or
-    trailing whitespace (read stripped), or one with a line break."""
-    ids = list(map(_ID, records))
-    text = "".join(ids)
-    if all(ids) and "\n" not in text and "\r" not in text and list(map(str.strip, ids)) == ids:
-        return
-    for row, rid in enumerate(ids, 1):
-        if not rid or rid != rid.strip() or "\n" in rid or "\r" in rid:
+    readers would not read back as written (see :func:`_unreadable_id`)."""
+    for row, rid in enumerate(map(_ID, records), 1):
+        if _unreadable_id(rid):
             raise BadValue(row, "id", rid)
 
 
@@ -641,14 +635,15 @@ def split_cohort(cohort: Cohort, spec: SplitSpec) -> tuple[Cohort, Cohort]:
     """Deterministic participant-disjoint random split.
 
     ``|train| = round(train_fraction * N)`` with round-half-up; the same seed
-    always reproduces the same split.
+    always reproduces the same split. A split leaving either half empty
+    raises ``TooFewRecords``.
     """
     if not (0.0 < spec.train_fraction < 1.0):
         raise ValueError("train_fraction must be in (0, 1)")
     n = len(cohort.records)
-    if n < 2:
-        raise TooFewRecords(f"need at least 2 records, have {n}")
     n_train = int(math.floor(spec.train_fraction * n + 0.5))
+    if not 0 < n_train < n:
+        raise TooFewRecords(f"a train fraction of {spec.train_fraction} splits {n} records {n_train}/{n - n_train}")
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed & 0xFFFFFFFFFFFFFFFF, 0x5B17]))
     order = rng.permutation(n)
     in_train = np.zeros(n, dtype=bool)

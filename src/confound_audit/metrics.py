@@ -175,17 +175,10 @@ class ConfidenceInterval:
 
 
 def _normal_interval(est: float, se: float, method: str, detail=None) -> ConfidenceInterval:
-    z = ndtri(0.975)
+    z = float(ndtri(0.975))
     lo, hi = est - z * se, est + z * se
     clipped = lo < 0.0 or hi > 1.0
-    return ConfidenceInterval(
-        estimate=est,
-        lower=max(0.0, lo),
-        upper=min(1.0, hi),
-        method=method,
-        clipped=clipped,
-        detail=detail,
-    )
+    return ConfidenceInterval(est, max(0.0, lo), min(1.0, hi), method=method, clipped=clipped, detail=detail)
 
 
 def auc_ci(data: ScoredLabels, method: str = "delong") -> ConfidenceInterval:
@@ -425,7 +418,8 @@ def stratified_auc(cohort, spec, min_per_class: int = 10, q: float = 0.05) -> li
     """Per-stratum AUC with DeLong CIs, Mann-Whitney p-values, and BH-FDR
     flags across the included strata. Strata with fewer than ``min_per_class``
     records in either class are excluded; output is sorted by stratum size
-    descending (ties by key)."""
+    descending (ties by key). Settings out of range raise ``ConfigError``."""
+    StrataConfig(min_per_class, q)
     key_of = stratum_keyer(spec)
     scores, labels = cohort.scores(), cohort.labels()
     members: dict[tuple, list[int]] = {}

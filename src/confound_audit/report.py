@@ -210,7 +210,7 @@ def stratified_forest(strata: list, reference: float = 0.62,
         canvas.point(i, s.auc, color, filled=bool(s.fdr_reject))
         rows.append([
             stratum_label(s.key), s.n_pos, s.n_neg, s.auc,
-            float(s.ci.lower), float(s.ci.upper), s.mwu_p, int(s.fdr_reject),
+            s.ci.lower, s.ci.upper, s.mwu_p, int(s.fdr_reject),
         ])
     canvas.legend([(f"reference {_fmt(reference)} (dashed)", "#333333")])
     return canvas.render(), csv_text(

@@ -47,7 +47,7 @@ from confound_audit.cohort import (
 )
 from confound_audit.errors import (
     BadValue,
-    DuplicateId,
+    ConfoundAuditError,
     EmptyEnrolment,
     MissingColumn,
     MissingCovariate,
@@ -462,24 +462,28 @@ def _parse_bool(raw: str, row: int, column: str) -> bool | None:
 
 def load_cohort_dictreader(path: str) -> Cohort:
     """``cohort.load_cohort`` through ``csv.DictReader``, one profile per
-    row; it has no ``any_symptom`` column (such a column is a covariate)."""
+    row, with the row and id rules spelt out; it has no ``any_symptom``
+    column (such a column is a covariate)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         for column in ("id", "label", "age_years", "gender", "channel") + SYMPTOM_FIELDS:
             if column not in header:
                 raise MissingColumn(column)
+        for k, name in enumerate(header):
+            if name in header[:k]:
+                raise ConfoundAuditError(f"the header names the column {name!r} twice")
         has_score = "score" in header
         extra_cols = [h for h in header if h not in CSV_COLUMNS]
 
         records: list[ParticipantRecord] = []
         seen: set[str] = set()
         for i, row in enumerate(reader, start=1):
+            if None in row:  # DictReader's key for the cells past the header
+                raise BadValue(i, header[-1], f"{len(header) + len(row[None]) - 1} values, expected {len(header) - 1}")
             rid = (row["id"] or "").strip()
-            if not rid or "\n" in rid or "\r" in rid:
+            if not rid or "\n" in rid or "\r" in rid or rid in seen:
                 raise BadValue(i, "id", row["id"])
-            if rid in seen:
-                raise DuplicateId(rid)
             seen.add(rid)
 
             raw_label = (row["label"] or "").strip()

@@ -25,6 +25,7 @@ from confound_audit.cohort import (
 )
 from confound_audit.errors import (
     BadValue,
+    ConfoundAuditError,
     DuplicateId,
     MissingColumn,
     MissingFeatures,
@@ -75,9 +76,39 @@ def test_load_bad_score_row5(tmp_csv):
 
 
 def test_load_duplicate_id(tmp_csv):
+    # a file names the row of a repeated id; a cohort built in memory, the id
     text = "\n".join([HEADER, row("a"), row("a")]) + "\n"
-    with pytest.raises(DuplicateId):
+    with pytest.raises(BadValue) as err:
         load_cohort(tmp_csv("p.csv", text))
+    assert (err.value.row, err.value.column) == (2, "id")
+    with pytest.raises(DuplicateId):
+        make_cohort([make_record("a"), make_record("a")])
+
+
+# one fault per case, written into a participants file and an id,score
+# sidecar alike: "{rest}" is the rest of a valid row, and the header line
+# extends the participants header or "id,score"
+READER_FAULTS = {
+    "blank-lines": (["{header}", "a{rest}", "", "", "b{rest}", "", "{rest}"], (3, "id")),
+    "surplus-cell": (["{header}", "a{rest}", "b{rest},x"], (2, "score")),
+    "blank-id": (["{header}", "a{rest}", " {rest}"], (2, "id")),
+    "carriage-return-id": (["{header}", "a{rest}", '"b\rc"{rest}'], (2, "id")),
+    "repeated-id": (["{header}", "a{rest}", " a{rest}"], (2, "id")),
+    "repeated-column": (["{header},score", "a{rest},0.5"], "the header names the column 'score' twice"),
+}
+
+
+@pytest.mark.parametrize("lines, want", READER_FAULTS.values(), ids=READER_FAULTS)
+def test_readers_refuse_the_same_row_and_column(tmp_csv, lines, want):
+    def refusal(read, name, header, rest):
+        text = "\n".join(lines).format(header=header, rest=rest) + "\n"
+        with pytest.raises(ConfoundAuditError) as err:
+            read(tmp_csv(name, text))
+        e = err.value
+        return (e.row, e.column) if isinstance(e, BadValue) else str(e)
+
+    assert refusal(load_cohort, "p.csv", HEADER, row("")) == want
+    assert refusal(read_sidecar, "s.csv", "id,score", ",0.5") == want
 
 
 @pytest.mark.parametrize("rid", ['"a\rb"', '"a\nb"', '"a\r\nb"'])
@@ -350,6 +381,13 @@ def test_split_too_few():
     cohort = make_cohort([make_record("only")])
     with pytest.raises(TooFewRecords):
         split_cohort(cohort, SplitSpec(train_fraction=0.5, seed=0))
+
+
+@pytest.mark.parametrize("n, fraction", [(2, 0.2), (3, 0.9)])
+def test_split_refuses_to_leave_a_half_empty(n, fraction):
+    cohort = make_cohort([make_record(f"r{i}") for i in range(n)])
+    with pytest.raises(TooFewRecords):
+        split_cohort(cohort, SplitSpec(train_fraction=fraction, seed=0))
 
 
 def test_derive_any_symptom():

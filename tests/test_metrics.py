@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from confound_audit.errors import (
+    ConfigError,
     DegenerateTable,
     EmptyGroup,
     LabelMismatch,
@@ -166,6 +167,17 @@ def test_ci_clipping_at_one():
     ci = auc_ci(d, method="hanley_mcneil")
     assert ci.estimate == 1.0
     assert ci.upper == 1.0
+
+
+@pytest.mark.parametrize("method, scores, labels", [
+    ("hanley_mcneil", [0.9, 0.8, 0.2, 0.1, 0.15, 0.85], [1, 1, 0, 0, 0, 1]),  # clipped at 1
+    ("hanley_mcneil", [0.5, 0.5, 0.5, 0.5], [1, 1, 0, 0]),  # clipped at 0 and 1
+    ("delong", [0.9, 0.3, 0.6, 0.4, 0.2, 0.7], [1, 1, 0, 0, 0, 1]),  # lower bound unclipped
+])
+def test_ci_bounds_are_python_floats(method, scores, labels):
+    # whichever side of its clip a bound lies on: report tables write floats by repr
+    ci = auc_ci(ScoredLabels(np.array(scores), np.array(labels)), method=method)
+    assert (type(ci.lower), type(ci.upper), type(ci.clipped)) == (float, float, bool)
 
 
 def test_delong_ci_close_to_bootstrap():
@@ -528,6 +540,14 @@ def test_stratified_sorted_by_size():
     )
     sizes = [s.n_pos + s.n_neg for s in results]
     assert sizes == sorted(sizes, reverse=True)
+
+
+@pytest.mark.parametrize("min_per_class, q", [(0, 0.05), (10, 0.0), (10, 1.5)])
+def test_stratified_refuses_settings_out_of_range(min_per_class, q):
+    # min_per_class=0 would admit a stratum of one class
+    records = [make_record("a", 1, score=0.5), make_record("b", 1, score=0.5)]
+    with pytest.raises(ConfigError):
+        stratified_auc(make_cohort(records), MatchSpec(covariates=("cough",)), min_per_class, q)
 
 
 def test_stratified_no_eligible():

@@ -31,7 +31,7 @@ from confound_audit.cohort import (
     write_cohort,
     write_features,
 )
-from confound_audit.errors import BadValue, ConfigError, DuplicateId, MissingColumn
+from confound_audit.errors import BadValue, ConfigError, ConfoundAuditError, MissingColumn
 from confound_audit.matching import MatchSpec, stratum_keyer
 from confound_audit.synth import SynthConfig, enrol, generate_population
 
@@ -225,7 +225,7 @@ def test_load_cohort_matches_dictreader(text):
         assert got[1].manifest["rows"] == want[1].manifest["rows"]
         assert [_fields(r) for r in reloaded.records] == [_fields(r) for r in got[1].records]
     else:
-        assert got[0] is want[0] and got[0] in (BadValue, DuplicateId, MissingColumn)
+        assert got[0] is want[0] and got[0] in (BadValue, MissingColumn, ConfoundAuditError)
         if got[0] is BadValue:
             assert got[2:4] == want[2:4]  # row and column
             # a data row of the file, and a column of its header

@@ -574,12 +574,17 @@ _MODEL = {"n_trees": 1, "seed": 0, "m_try": 1, "oob_accuracy": None, "trees": [_
     # an empty predictor name needs no data to refuse
     (["baseline", "train", "--in", "{missing}", "--predictors", "cough,", "--model", "{out}"], 2,
      "'predictors': every name must be non-empty"),
+    # a participants file is read by the same row rule: a surplus cell, a repeated column or id is refused
+    (["match", "--in", "{widepool}", "--out", "{out}"], 1, "'score' on data row 4: '15 values, expected 14'"),
+    (["match", "--in", "{twolabels}", "--out", "{out}"], 1, "the header names the column 'label' twice"),
+    (["match", "--in", "{repeatpool}", "--out", "{out}"], 1, "'id' on data row 61: 'r0'"),
 ])
 def test_cli_errors_exit_with_one_line(tmp_path, capsys, argv, code, message):
     names = ("pool", "short", "word", "noscore", "nan", "above", "repeat", "nanfeat", "blankflag", "badroc", "badjson",
              "model", "badmodel", "nolevels", "feat", "unscored", "blanklabel", "fewneg", "header", "missing", "feat3", "featid", "ntrees", "synthnum", "synthcfg", "notjson",
              "fdr2", "prevalence2", "rtneg", "pimax2", "synthprev", "roc", "fracmodel", "nanmodel", "blankid",
-             "featblankid", "wide", "widehead", "aboverev", "idonly", "probword", "out")
+             "featblankid", "wide", "widehead", "aboverev", "idonly", "probword", "widepool", "twolabels", "repeatpool",
+             "out")
     paths = {name: str(tmp_path / name) for name in names}
     _write_pool(paths["pool"], n=60)
     with open(paths["pool"], encoding="utf-8") as fh:
@@ -609,6 +614,9 @@ def test_cli_errors_exit_with_one_line(tmp_path, capsys, argv, code, message):
         "featblankid": "id,f0,f1\n" + "".join(f"{' ' if i == 3 else f'r{i}'},0.5,0.25\n" for i in range(60)),
         "nanfeat": "id,f0,f1\n" + "".join(f"r{i},0.5,{'nan' if i == 1 else 0.25}\n" for i in range(60)),
         "blankflag": recolumn("cough", lambda i, v: "" if i == 3 else v),
+        "widepool": "".join(pool_rows[:4]) + pool_rows[4].rstrip("\n") + ",junk\n" + "".join(pool_rows[5:]),
+        "twolabels": "".join(row.rstrip("\n") + (",label\n" if k == 0 else ",1\n") for k, row in enumerate(pool_rows)),
+        "repeatpool": "".join(pool_rows) + pool_rows[1],
         "badroc": "threshold,sensitivity,specificity\n0.2,1.0,0.0\nabc,0.7,0.8\n",
         "badjson": '{"roc_points": [{"threshold": Infinity, "sensitivity": "high", "specificity": 1.0}]}\n',
         "model": json.dumps(_MODEL),
