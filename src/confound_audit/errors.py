@@ -62,9 +62,10 @@ class MissingFeatures(MissingValue):
 # -- matching and resampling ---------------------------------------------
 
 class MissingCovariate(ConfoundAuditError):
-    def __init__(self, name: str):
+    def __init__(self, name: str, record_id: str):
         self.name = name
-        super().__init__(f"record lacks matching covariate {name!r}")
+        self.record_id = record_id
+        super().__init__(f"record {record_id!r} lacks matching covariate {name!r}")
 
 
 class EmptyResult(ConfoundAuditError):

@@ -18,7 +18,7 @@ from functools import lru_cache
 from operator import attrgetter
 
 from .cohort import ACUTE_SYMPTOM_FIELDS, SYMPTOM_FIELDS, Cohort, ParticipantRecord, SymptomProfile
-from .errors import ConfigError, EmptyResult, MissingCovariate, OverlappingInputs
+from .errors import ConfigError, EmptyResult, MissingCovariate, MissingLabel, OverlappingInputs
 from .rngs import draw_sorted
 
 AGE_BIN_WIDTH = 10
@@ -83,7 +83,7 @@ def stratum_keyer(spec: MatchSpec):
     """``record -> stratum key`` for ``spec``. Every record maps to exactly
     one stratum; a record without an age, or with a blank flag behind a
     matched covariate (for ``any_symptom``, any acute flag), raises
-    ``MissingCovariate``."""
+    ``MissingCovariate`` naming the covariate and the record."""
     names = spec.covariates
     get = attrgetter(*names)
     read_flags = get if len(names) > 1 else lambda symptoms: (get(symptoms),)
@@ -96,13 +96,13 @@ def stratum_keyer(spec: MatchSpec):
 
     def key(record: ParticipantRecord) -> tuple:
         if record.age_years is None:
-            raise MissingCovariate("age_years")
+            raise MissingCovariate("age_years", record.id)
         symptoms = record.symptoms
         part = parts.get(id(symptoms))
         if part is None:
             for name, flags in zip(names, needed):
                 if not symptoms.missing.isdisjoint(flags):
-                    raise MissingCovariate(name)
+                    raise MissingCovariate(name, record.id)
             part = parts[id(symptoms)] = (symptoms, tuple(map(int, map(bool, read_flags(symptoms)))))
         if include_channel:
             return (record.channel, age_bin(record.age_years), record.gender, *part[1])
@@ -120,6 +120,24 @@ def stratum_order(key: tuple) -> tuple[str, ...]:
 def stratum_label(key: tuple) -> str:
     """A stratum key as one table cell, its parts joined by ``|``."""
     return "|".join(stratum_order(key))
+
+
+def strata(records, spec: MatchSpec) -> dict[tuple, tuple[list[int], list[int]]]:
+    """Per stratum key of ``spec``, in ``stratum_order``, the positions of
+    its negatives and of its positives, each in record order. A blank label
+    raises ``MissingLabel``; a record ``stratum_keyer`` cannot key raises
+    its ``MissingCovariate``."""
+    key_of = stratum_keyer(spec)
+    groups: dict[tuple, tuple[list[int], list[int]]] = {}
+    for i, r in enumerate(records):
+        if r.label is None:
+            raise MissingLabel(r.id)
+        key = key_of(r)
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = ([], [])
+        group[r.label].append(i)
+    return {key: groups[key] for key in sorted(groups, key=stratum_order)}
 
 
 @dataclass(frozen=True)
@@ -172,32 +190,21 @@ def match_exact(
                 f"{len(overlap)} participant(s) appear in both inputs, e.g. {sorted(overlap)[:3]}"
             )
 
-    key_of = stratum_keyer(spec)
-    strata: dict[tuple, dict[int, list[str]]] = {}
-    for r in cohort.records:
-        if r.label is None:
-            raise MissingCovariate("label")
-        key = key_of(r)
-        members = strata.get(key)
-        if members is None:
-            members = strata[key] = {0: [], 1: []}
-        members[r.label].append(r.id)
-
+    records = cohort.records
     kept_ids: set[str] = set()
     balances: list[StratumBalance] = []
-    for key in sorted(strata, key=stratum_order):
-        pos, neg = strata[key][1], strata[key][0]
+    for key, (neg, pos) in strata(records, spec).items():
         m = min(len(pos), len(neg))
         balances.append(StratumBalance(key, len(pos), len(neg), m))
         # only a class of more than m > 0 members draws: one draw per stratum substream at most
         for members in (pos, neg):
-            kept_ids.update(draw_sorted(members, m, spec.seed, "match", key))
+            kept_ids.update(draw_sorted([records[i].id for i in members], m, spec.seed, "match", key))
 
     if not kept_ids:
         raise EmptyResult("every stratum lacked one of the classes")
 
     out = cohort.derive(
-        (r for r in cohort.records if r.id in kept_ids), "match_exact",
+        (r for r in records if r.id in kept_ids), "match_exact",
         seed=spec.seed, covariates=list(spec.covariates), include_channel=spec.include_channel,
     )
     return out, BalanceReport(strata=tuple(balances), n_kept=len(out), n_dropped=len(cohort) - len(out))

@@ -34,7 +34,7 @@ from .errors import (
     TooFewSamples,
     TooLargeForExact,
 )
-from .matching import stratum_keyer, stratum_order
+from .matching import strata, stratum_order
 
 EXACT_MWU_LIMIT = 20
 
@@ -420,18 +420,12 @@ def stratified_auc(cohort, spec, min_per_class: int = 10, q: float = 0.05) -> li
     records in either class are excluded; output is sorted by stratum size
     descending (ties by key). Settings out of range raise ``ConfigError``."""
     StrataConfig(min_per_class, q)
-    key_of = stratum_keyer(spec)
-    scores, labels = cohort.scores(), cohort.labels()
-    members: dict[tuple, list[int]] = {}
-    for i, r in enumerate(cohort.records):
-        members.setdefault(key_of(r), []).append(i)
-
+    scores = cohort.scores()
     eligible: list[tuple[tuple, ScoredLabels]] = []
-    for key in sorted(members, key=stratum_order):
-        idx = np.array(members[key])
-        data = ScoredLabels(scores[idx], labels[idx])
-        if min(data.pos.size, data.neg.size) >= min_per_class:
-            eligible.append((key, data))
+    for key, (neg, pos) in strata(cohort.records, spec).items():
+        if min(len(pos), len(neg)) >= min_per_class:
+            # positives, then negatives: each class's scores stay in record order
+            eligible.append((key, ScoredLabels(scores[pos + neg], np.repeat([1, 0], [len(pos), len(neg)]))))
     if not eligible:
         raise NoEligibleStrata(f"no stratum has {min_per_class} records of each class")
 

@@ -35,7 +35,15 @@ from scipy.spatial.distance import cdist
 from scipy.special import ndtri
 
 from .cohort import Cohort, vector_cohort
-from .errors import ConfigError, EncodingMismatch, NoNegatives, OneClassOnly, RankDeficientWarning, TooFewSamples
+from .errors import (
+    ConfigError,
+    EncodingMismatch,
+    NoNegatives,
+    OneClassOnly,
+    OutOfRange,
+    RankDeficientWarning,
+    TooFewSamples,
+)
 from .metrics import ScoredLabels, auc, uar
 from .rngs import substream
 
@@ -57,7 +65,8 @@ def pca_fit(features: np.ndarray, n_components: int) -> PcaModel:
 
     Components whose variance is numerically zero are not returned: if the
     data's rank cannot support ``n_components``, the model is truncated and a
-    ``RankDeficientWarning`` is emitted.
+    ``RankDeficientWarning`` is emitted. Finite features whose covariance
+    overflows raise ``OutOfRange``.
     """
     x = np.asarray(features, dtype=float)
     if x.ndim != 2:
@@ -70,9 +79,12 @@ def pca_fit(features: np.ndarray, n_components: int) -> PcaModel:
     if not (1 <= n_components <= d):
         raise ValueError("n_components must lie in [1, feature_dim]")
 
-    mean = x.mean(axis=0)
-    xc = x - mean
-    cov = xc.T @ xc / (n - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=0)
+        xc = x - mean
+        cov = xc.T @ xc / (n - 1)
+    if not np.all(np.isfinite(cov)):
+        raise OutOfRange("the features' covariance is not finite: their values are too large")
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals, kind="stable")[::-1]
     eigvals = np.maximum(eigvals[order], 0.0)
@@ -181,8 +193,11 @@ def _train_weak_prefixes(features: np.ndarray, labels: np.ndarray, ks, l2: float
     stats, zs = [], []
     for k in ks:
         xk = x[:, :k]
-        mean = xk.mean(axis=0)
-        scale = xk.std(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = xk.mean(axis=0)
+            scale = xk.std(axis=0)
+        if not np.all(np.isfinite(scale)):
+            raise OutOfRange(f"a column scale of the {k}-column model is not finite: the inputs are too large")
         scale[scale == 0.0] = 1.0
         stats.append((mean, scale))
         zs.append((xk - mean) / scale)
@@ -260,6 +275,9 @@ class WeakProbeConfig:
             raise ConfigError("calibration_uar_threshold", "must lie in (0.5, 1)")
         if self.distance not in ("euclidean", "manhattan"):
             raise ConfigError("distance", "must be euclidean or manhattan")
+        for name in ("nn_auc_threshold", "nn_min_distinct_fraction"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(name, "must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -396,7 +414,8 @@ def nn_substitute(matched: Cohort, cfg: WeakProbeConfig) -> ProbeResult:
     neighbour, then re-evaluate.
 
     Distances are computed in feature space with the configured metric; ties
-    resolve to the lowest record index. Negative records are untouched. The
+    resolve to the lowest record index, and a positive whose nearest distance
+    overflows raises ``OutOfRange``. Negative records are untouched. The
     attribution flag is raised when the post-substitution AUC exceeds the
     configured threshold and the chosen neighbours are many distinct records.
     """
@@ -414,7 +433,12 @@ def nn_substitute(matched: Cohort, cfg: WeakProbeConfig) -> ProbeResult:
     chunk = max(1, _NN_DISTANCES // neg_idx.size)
     for start in range(0, pos_idx.size, chunk):
         block = pos_idx[start : start + chunk]
-        nearest[start : start + chunk] = np.argmin(cdist(x[block], x_neg, metric=metric), axis=1)
+        d = cdist(x[block], x_neg, metric=metric)
+        best = np.argmin(d, axis=1)
+        far = np.flatnonzero(~np.isfinite(d[np.arange(block.size), best]))
+        if far.size:
+            raise OutOfRange(f"positive {matched.records[block[far[0]]].id!r} has no finite distance to a negative")
+        nearest[start : start + chunk] = best
 
     pre_scores = matched.scores()
     post_scores = pre_scores.copy()

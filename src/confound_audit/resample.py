@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .cohort import Cohort
 from .errors import ConfigError, InsufficientPool
-from .matching import MatchSpec, stratum_keyer, stratum_label, stratum_order
+from .matching import MatchSpec, strata, stratum_label, stratum_order
 from .rngs import draw_sorted
 
 
@@ -106,27 +106,6 @@ class ResampleReport:
         }
 
 
-def _pool_index(pool: Cohort) -> tuple[dict[tuple, list[str]], dict[str, int]]:
-    """Ids by (label, symptomatic, gender, age bin), and the count of
-    records skipped for a blank label or age, by reason. The cells are the
-    strata of matching on ``any_symptom`` without the channel, so a record
-    with a blank acute flag raises ``MissingCovariate("any_symptom")``."""
-    key_of = stratum_keyer(MatchSpec(("any_symptom",), include_channel=False))
-    index: dict[tuple, list[str]] = {}
-    skipped = {"no_label": 0, "no_age": 0}
-    for r in pool.records:
-        if r.label is None:
-            skipped["no_label"] += 1
-            continue
-        if r.age_years is None:
-            skipped["no_age"] += 1
-            continue
-        b, gender, sym = key_of(r)
-        # the symptomatic status stays a bool: each cell's substream hashes str(cell)
-        index.setdefault((r.label, bool(sym), gender, b), []).append(r.id)
-    return index, skipped
-
-
 def resample_general_population(
     pool: Cohort, spec: PopulationSpec, strict: bool = True
 ) -> tuple[Cohort, ResampleReport]:
@@ -136,7 +115,14 @@ def resample_general_population(
     ``InsufficientPool``; otherwise the cell takes what is available and is
     flagged in the report.
     """
-    index, skipped = _pool_index(pool)
+    labelled = [r for r in pool.records if r.label is not None]
+    usable = [r for r in labelled if r.age_years is not None]
+    skipped = {"no_label": len(pool) - len(labelled), "no_age": len(labelled) - len(usable)}
+    # ids by (label, symptomatic, gender, age bin), from the strata of matching on any_symptom without the
+    # channel; the symptomatic status stays a bool, as each cell's substream hashes str(cell)
+    index = {(cls, bool(sym), gender, b): [usable[i].id for i in members[cls]]
+             for (b, gender, sym), members in strata(usable, MatchSpec(("any_symptom",), include_channel=False)).items()
+             for cls in (0, 1)}
 
     # bins present for either class, in a stable order
     pool_bins = sorted({k[3] for k in index})

@@ -13,9 +13,10 @@ one-model-at-a-time weak linear fit and curation of ``probes`` (and the
 PCA reconstruction that checks its projection), the per-positive
 nearest-negative search of ``probes.nn_substitute``, and the per-record
 loops of ``synth``, ``matching`` and ``cohort`` (one profile object per
-person, one RNG draw per person, a covariate check per record,
-``csv.DictReader``, one ``csv.writer`` row per feature vector, and a record
-type with the generated frozen-dataclass ``__init__``). The fast kernels
+person, one RNG draw per person, a covariate check per record, a group-by
+over per-record stratum keys, ``csv.DictReader``, one ``csv.writer`` row
+per feature vector, and a record type with the generated frozen-dataclass
+``__init__``). The fast kernels
 must return exactly the same values; ``test_rank_kernels.py``,
 ``test_forest.py``, ``test_probes.py`` and ``test_record_kernels.py``
 compare the two. None of the rank kernels accept NaN: ``midranks_loop``
@@ -51,6 +52,7 @@ from confound_audit.errors import (
     EmptyEnrolment,
     MissingColumn,
     MissingCovariate,
+    MissingLabel,
     OneClassOnly,
     RankDeficientWarning,
 )
@@ -433,10 +435,10 @@ def symptom_flag(symptoms: SymptomProfile, name: str) -> bool:
 
 def stratum_key_loop(record: ParticipantRecord, spec: MatchSpec) -> tuple:
     """``matching.stratum_keyer(spec)(record)`` with every covariate name (one of
-    ``SYMPTOM_FIELDS`` or ``any_symptom``) checked on every record; it does
-    not look at blank flags."""
+    ``SYMPTOM_FIELDS`` or ``any_symptom``) and the blank flags behind it (for
+    ``any_symptom``, the acute flags) checked on every record."""
     if record.age_years is None:
-        raise MissingCovariate("age_years")
+        raise MissingCovariate("age_years", record.id)
     parts: list = []
     if spec.include_channel:
         parts.append(record.channel)
@@ -444,9 +446,24 @@ def stratum_key_loop(record: ParticipantRecord, spec: MatchSpec) -> tuple:
     parts.append(record.gender)
     for name in spec.covariates:
         if name != "any_symptom" and name not in SYMPTOM_FIELDS:
-            raise MissingCovariate(name)
+            raise MissingCovariate(name, record.id)
+        read = ACUTE_SYMPTOM_FIELDS if name == "any_symptom" else (name,)
+        if any(flag in record.symptoms.missing for flag in read):
+            raise MissingCovariate(name, record.id)
         parts.append(int(symptom_flag(record.symptoms, name)))
     return tuple(parts)
+
+
+def strata_loop(records, spec: MatchSpec) -> dict[tuple, tuple[list[int], list[int]]]:
+    """``matching.strata``: a group-by over ``stratum_key_loop``, each
+    record's label checked before its key, then the keys sorted by their
+    parts as strings."""
+    groups: dict[tuple, tuple[list[int], list[int]]] = {}
+    for i, record in enumerate(records):
+        if record.label is None:
+            raise MissingLabel(record.id)
+        groups.setdefault(stratum_key_loop(record, spec), ([], []))[record.label].append(i)
+    return {key: groups[key] for key in sorted(groups, key=lambda key: [str(part) for part in key])}
 
 
 def _parse_bool(raw: str, row: int, column: str) -> bool | None:

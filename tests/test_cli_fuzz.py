@@ -139,7 +139,8 @@ def test_cli_never_raises(base, picks, edits, width, command):
 RUN = {"seed": 1, "n_trees": 3, "synth": {"n_population": 1500, "feature_dim": 4}, "metrics": {"min_per_class": 3}}
 SYNTH = {"n_population": 1500, "feature_dim": 4}
 # wrong types (bools and non-objects included), out-of-range and in-range values
-BAD_VALUES = (None, True, False, -1, 0, 1, 2, -0.5, 0.5, 1.5, float("inf"), float("nan"), "x", "", [], {}, [1])
+# (1e300 is finite, but features it scales overflow)
+BAD_VALUES = (None, True, False, -1, 0, 1, 2, -0.5, 0.5, 1.5, 1e300, float("inf"), float("nan"), "x", "", [], {}, [1])
 # where a spoil goes: (section, or None for the top level; key), "bogus" being no key
 REPORT_PLACES = tuple((None, key) for key in (*field_defaults(RunConfig), *DEFAULTS, "bogus")) + tuple(
     (section, key) for section, keys in DEFAULTS.items() for key in (*keys, "bogus")
@@ -156,6 +157,8 @@ SYNTH_PLACES = tuple((None, key) for key in (*field_defaults(SynthConfig), "bogu
 # the two tracebacks this test first found: a figure axis of one k, and one of one prevalence
 @example(command="report", spoils=[(REPORT_PLACES.index(("probe", "k_max")), 1)])
 @example(command="report", spoils=[(REPORT_PLACES.index(("utility", "pi_max")), 0)])
+# and features whose covariance overflows, which failed to converge in the PCA
+@example(command="report", spoils=[(REPORT_PLACES.index(("synth", "confounder_strength")), 1e300)])
 def test_cli_config_never_raises(command, spoils):
     config, places = (copy.deepcopy(RUN), REPORT_PLACES) if command == "report" else (dict(SYNTH), SYNTH_PLACES)
     for place, value in spoils:

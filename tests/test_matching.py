@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from confound_audit.errors import ConfigError, EmptyResult, MissingCovariate, OverlappingInputs
-from confound_audit.matching import TEST_SET, TRAIN_SET, MatchSpec, age_bin, match_exact, stratum_keyer
-from confound_audit.metrics import table_2x2_stats
+from confound_audit.errors import ConfigError, EmptyResult, MissingCovariate, MissingLabel, OverlappingInputs
+from confound_audit.matching import TEST_SET, TRAIN_SET, MatchSpec, age_bin, match_exact, strata, stratum_keyer
+from confound_audit.metrics import stratified_auc, table_2x2_stats
+from confound_audit.synth import SynthConfig, generate_cohort
 
 from conftest import make_cohort, make_record
 from reference_kernels import symptom_flag
@@ -32,8 +35,10 @@ def test_stratum_key_ignores_score():
 
 
 def test_stratum_key_missing_age():
-    with pytest.raises(MissingCovariate):
+    with pytest.raises(MissingCovariate) as err:
         stratum_keyer(MatchSpec(covariates=TEST_SET))(make_record("a", age=None))
+    assert (err.value.name, err.value.record_id) == ("age_years", "a")
+    assert str(err.value) == "record 'a' lacks matching covariate 'age_years'"
 
 
 def test_covariates_must_be_nonempty():
@@ -170,7 +175,7 @@ def test_blank_matched_flag_raises(blank, covariates, name):
     spec = MatchSpec(covariates=covariates)
     with pytest.raises(MissingCovariate) as err:
         stratum_keyer(spec)(r)
-    assert err.value.name == name
+    assert (err.value.name, err.value.record_id) == (name, "a")
     with pytest.raises(MissingCovariate):
         match_exact(make_cohort([r, make_record("b", 0)]), spec)
 
@@ -180,3 +185,28 @@ def test_blank_unmatched_flag_is_ignored():
     assert stratum_keyer(MatchSpec(covariates=TEST_SET, include_channel=False))(r) == (
         "28-37", "female", 1, 0, 0, 0, 0, 1
     )
+
+
+def test_blank_label_raises_naming_the_record():
+    cohort = make_cohort([make_record("a", 1), make_record("b", None), make_record("c", 0)])
+    with pytest.raises(MissingLabel) as err:
+        match_exact(cohort, MatchSpec(covariates=("cough",)))
+    assert err.value.record_id == "b"
+
+
+def test_match_and_stratified_auc_read_the_class_sizes_of_strata():
+    cohort, _ = generate_cohort(SynthConfig(n_population=4000, prevalence=0.3, seed=7))
+    rng = np.random.default_rng(7)
+    cohort = make_cohort([replace(r, score=float(rng.random())) for r in cohort.records])
+    spec = MatchSpec(covariates=("cough", "any_symptom"), include_channel=False, seed=3)
+    sizes = {key: (len(pos), len(neg)) for key, (neg, pos) in strata(cohort.records, spec).items()}
+
+    _, report = match_exact(cohort, spec)
+    assert [s.key for s in report.strata] == list(sizes)
+    assert {s.key: (s.n_pos_in, s.n_neg_in) for s in report.strata} == sizes
+
+    results = stratified_auc(cohort, spec, min_per_class=5)
+    assert results
+    assert {s.key: (s.n_pos, s.n_neg) for s in results} == {
+        key: size for key, size in sizes.items() if min(size) >= 5
+    }

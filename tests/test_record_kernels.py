@@ -32,7 +32,7 @@ from confound_audit.cohort import (
     write_features,
 )
 from confound_audit.errors import BadValue, ConfigError, ConfoundAuditError, MissingColumn
-from confound_audit.matching import MatchSpec, stratum_keyer
+from confound_audit.matching import MatchSpec, strata, stratum_keyer
 from confound_audit.synth import SynthConfig, enrol, generate_population
 
 from reference_kernels import (
@@ -40,6 +40,7 @@ from reference_kernels import (
     enrol_loop,
     generate_population_loop,
     load_cohort_dictreader,
+    strata_loop,
     stratum_key_loop,
     write_features_csv_writer,
 )
@@ -117,17 +118,21 @@ COVARIATES = SYMPTOM_FIELDS + ("any_symptom", "reported_any", "missing", "flag",
 
 
 @st.composite
-def records(draw):
-    flags = draw(st.tuples(*[st.booleans()] * len(SYMPTOM_FIELDS)))
+def records(draw, blanks=True):
+    """A record whose label, age and flags may be blank unless ``blanks``
+    is False; a blank flag reads as False, as on load."""
+    missing = draw(st.frozensets(st.sampled_from(SYMPTOM_FIELDS), max_size=2)) if blanks else frozenset()
+    flags = tuple(draw(st.booleans()) and name not in missing for name in SYMPTOM_FIELDS)
     reported_any = draw(st.sampled_from([None, True, False]))
     shared = draw(st.booleans())
-    symptoms = (symptom_profile(flags, reported_any) if shared
-                else SymptomProfile(*flags, reported_any=reported_any))
+    symptoms = (symptom_profile(flags, reported_any, missing) if shared
+                else SymptomProfile(*flags, reported_any=reported_any, missing=missing))
+    age = st.integers(-20, 120) | st.integers(10, 90).map(float)
     return ParticipantRecord(
         id=draw(st.text(min_size=1, max_size=3)),
-        label=draw(st.sampled_from([0, 1, None])),
+        label=draw(st.sampled_from([0, 1, None] if blanks else [0, 1])),
         symptoms=symptoms,
-        age_years=draw(st.none() | st.integers(-20, 120) | st.integers(10, 90).map(float)),
+        age_years=draw(st.none() | age if blanks else age),
         gender=draw(st.sampled_from(GENDERS)),
         channel=draw(st.sampled_from(["TT", "REACT", "synthetic"])),
     )
@@ -150,6 +155,18 @@ def test_stratum_keys_match_per_record_check(recs, covariates, include_channel):
         want = _outcome(lambda: stratum_key_loop(r, spec))
         assert _outcome(lambda: key_of(r)) == want
         assert _outcome(lambda: stratum_keyer(spec)(r)) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.booleans().flatmap(lambda blanks: st.lists(records(blanks), max_size=12)),
+    st.lists(st.sampled_from(SYMPTOM_FIELDS + ("any_symptom",)), min_size=1, max_size=3),
+    st.booleans(),
+)
+def test_strata_match_group_by_over_per_record_keys(recs, covariates, include_channel):
+    spec = MatchSpec(covariates=tuple(covariates), include_channel=include_channel)
+    # items, not the dicts: the keys must come in the same order
+    assert _outcome(lambda: list(strata(recs, spec).items())) == _outcome(lambda: list(strata_loop(recs, spec).items()))
 
 
 def test_stratum_keyer_survives_short_lived_profiles():

@@ -156,6 +156,8 @@ def test_pipeline_rejects_unknown_keys():
     {"probe": {"distance": "cosine"}},
     {"utility": {"r_t": float("inf")}},
     {"synth": {"noise_sd": float("nan")}},
+    {"probe": {"nn_auc_threshold": -3}},
+    {"probe": {"nn_min_distinct_fraction": 5}},
 ])
 def test_pipeline_rejects_ignored_or_invalid_settings(data):
     with pytest.raises(ConfigError):
@@ -578,13 +580,23 @@ _MODEL = {"n_trees": 1, "seed": 0, "m_try": 1, "oob_accuracy": None, "trees": [_
     (["match", "--in", "{widepool}", "--out", "{out}"], 1, "'score' on data row 4: '15 values, expected 14'"),
     (["match", "--in", "{twolabels}", "--out", "{out}"], 1, "the header names the column 'label' twice"),
     (["match", "--in", "{repeatpool}", "--out", "{out}"], 1, "'id' on data row 61: 'r0'"),
+    # matching names the record that lacks a covariate or a label
+    (["match", "--in", "{blankage}", "--out", "{out}"], 1, "record 'r5' lacks matching covariate 'age_years'"),
+    (["resample", "--in", "{blankflag}", "--n-pos", "10", "--n-neg", "10", "--out", "{out}"], 1,
+     "record 'r3' lacks matching covariate 'any_symptom'"),
+    (["match", "--in", "{blanklabel}", "--out", "{out}"], 1, "record 'r3' has no label"),
+    # finite features whose squares overflow: no PCA, and no nearest neighbour
+    (["probe", "weak", "--matched", "{pool}", "--features", "{hugefeat}", "--out", "{out}"], 1,
+     "the features' covariance is not finite"),
+    (["probe", "nn", "--matched", "{pool}", "--features", "{hugefeat}", "--out", "{out}"], 1,
+     "has no finite distance to a negative"),
 ])
 def test_cli_errors_exit_with_one_line(tmp_path, capsys, argv, code, message):
     names = ("pool", "short", "word", "noscore", "nan", "above", "repeat", "nanfeat", "blankflag", "badroc", "badjson",
              "model", "badmodel", "nolevels", "feat", "unscored", "blanklabel", "fewneg", "header", "missing", "feat3", "featid", "ntrees", "synthnum", "synthcfg", "notjson",
              "fdr2", "prevalence2", "rtneg", "pimax2", "synthprev", "roc", "fracmodel", "nanmodel", "blankid",
              "featblankid", "wide", "widehead", "aboverev", "idonly", "probword", "widepool", "twolabels", "repeatpool",
-             "out")
+             "blankage", "hugefeat", "out")
     paths = {name: str(tmp_path / name) for name in names}
     _write_pool(paths["pool"], n=60)
     with open(paths["pool"], encoding="utf-8") as fh:
@@ -614,6 +626,10 @@ def test_cli_errors_exit_with_one_line(tmp_path, capsys, argv, code, message):
         "featblankid": "id,f0,f1\n" + "".join(f"{' ' if i == 3 else f'r{i}'},0.5,0.25\n" for i in range(60)),
         "nanfeat": "id,f0,f1\n" + "".join(f"r{i},0.5,{'nan' if i == 1 else 0.25}\n" for i in range(60)),
         "blankflag": recolumn("cough", lambda i, v: "" if i == 3 else v),
+        "blankage": recolumn("age_years", lambda i, v: "" if i == 5 else v),
+        # no two rows alike, so every distance between them overflows
+        "hugefeat": "id,f0,f1\n" + "".join(f"r{i},{(i + 1) / 61 * 1e300},{i * i % 11 / 11 * 1e300}\n"
+                                            for i in range(60)),
         "widepool": "".join(pool_rows[:4]) + pool_rows[4].rstrip("\n") + ",junk\n" + "".join(pool_rows[5:]),
         "twolabels": "".join(row.rstrip("\n") + (",label\n" if k == 0 else ",1\n") for k, row in enumerate(pool_rows)),
         "repeatpool": "".join(pool_rows) + pool_rows[1],
